@@ -50,13 +50,6 @@ def mat_apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.asarray(m) @ np.asarray(v)
 
 
-def norm_sq(v: np.ndarray) -> float:
-    """Squared Euclidean norm, real and non-negative."""
-    v = np.asarray(v)
-    return float(np.sum(v.real ** 2 + v.imag ** 2)) if np.iscomplexobj(v) \
-        else float(np.sum(v ** 2))
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(m)).T

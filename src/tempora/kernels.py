@@ -200,17 +200,22 @@ def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mat_pow(m: np.ndarray, t: int) -> np.ndarray:
-    """Batch matrix power by squaring; t >= 1."""
+def _mat_mul4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(4,4,n) @ (4,4,n) batch matrix product."""
+    return np.einsum("ijn,jkn->ikn", a, b)
+
+
+def _mat_pow(m: np.ndarray, t: int, mul) -> np.ndarray:
+    """Batch matrix power by squaring with the batch product `mul`; t >= 1."""
     result = None
     base = m
     while True:
         if t & 1:
-            result = base if result is None else _mat_mul(result, base)
+            result = base if result is None else mul(result, base)
         t >>= 1
         if t == 0:
             return result
-        base = _mat_mul(base, base)
+        base = mul(base, base)
 
 
 def _pair_expectation(first: np.ndarray, second: np.ndarray,
@@ -250,35 +255,6 @@ def _dagger_mul(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_expectation_channel(first: np.ndarray, second: np.ndarray,
-                              psi: np.ndarray | None, charlie: np.ndarray,
-                              t: int) -> np.ndarray:
-    """Batch expectation with the intermediary acting as a Kraus channel."""
-    gram = (_dagger_mul(second[0]), _dagger_mul(second[1]))
-    e = None
-    for i in (0, 1):
-        if psi is None:
-            v0, v1 = first[i, 0, 0], first[i, 1, 0]
-        else:
-            v0, v1 = _apply(first[i], psi[0], psi[1])
-        rho = np.empty((2, 2) + v0.shape, dtype=np.complex128)
-        rho[0, 0] = v0 * np.conj(v0)
-        rho[0, 1] = v0 * np.conj(v1)
-        rho[1, 0] = v1 * np.conj(v0)
-        rho[1, 1] = v1 * np.conj(v1)
-        for _ in range(t):
-            km, kp = charlie[0], charlie[1]
-            rho = (_mat_mul_dag(_mat_mul(km, rho), km)
-                   + _mat_mul_dag(_mat_mul(kp, rho), kp))
-        for j in (0, 1):
-            g = gram[j]
-            p = (g[0, 0] * rho[0, 0] + g[0, 1] * rho[1, 0]
-                 + g[1, 0] * rho[0, 1] + g[1, 1] * rho[1, 1]).real
-            term = p if i == j else -p
-            e = term if e is None else e + term
-    return e
-
-
 def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(2,2,n) batch product a @ b^dag."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
@@ -289,22 +265,64 @@ def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _correlators(machines: list[np.ndarray], psi: np.ndarray | None,
-                 mode: str, mid: np.ndarray | None = None,
-                 renorm: bool = False,
-                 channel_t: int | None = None,
-                 charlie: np.ndarray | None = None) -> list[np.ndarray]:
-    """The four batch correlators c11, c12, c21, c22."""
-    a1, a2, b1, b2 = machines
+# Pauli basis (I, X, Y, Z), each of shape (2, 2, 1) to broadcast over trials.
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                  [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                 dtype=np.complex128)[..., None]
 
-    def pair(first, second):
-        if channel_t is not None:
-            return _pair_expectation_channel(first, second, psi, charlie, channel_t)
-        return _pair_expectation(first, second, psi, mid, renorm)
 
+def _sandwich(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batch K X K^dag."""
+    return _mat_mul_dag(_mat_mul(k, x), k)
+
+
+def _pauli_coords(h: np.ndarray) -> np.ndarray:
+    """(4, n) real coordinates Tr[sigma_a H] of a Hermitian (2,2,n) batch."""
+    return np.stack([(h[0, 0] + h[1, 1]).real, 2.0 * h[0, 1].real,
+                     -2.0 * h[0, 1].imag, (h[0, 0] - h[1, 1]).real])
+
+
+def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
+    """(4,4,n) Pauli transfer matrix R_ab = 1/2 Tr[sigma_a Phi(sigma_b)].
+
+    Phi(X) = K- X K-^dag + K+ X K+^dag is charlie's Kraus channel.  With
+    Pauli coordinates r_a = Tr[sigma_a rho], Phi acts as r -> R r, so t
+    applications are R^t; trace preservation makes the first row (1,0,0,0).
+    """
+    r = np.empty((4, 4, charlie.shape[-1]))
+    for b, sigma in enumerate(PAULI):
+        r[:, b] = 0.5 * _pauli_coords(_sandwich(charlie[0], sigma)
+                                      + _sandwich(charlie[1], sigma))
+    return r
+
+
+def _channel_vectors(machines: list[np.ndarray], psi: np.ndarray | None):
+    """Pauli coordinates of each machine's signed roles in a channel pair.
+
+    As the first machine: x = coords of K+ rho K+^dag - K- rho K-^dag with
+    rho = psi psi^dag.  As the second: o = coords of K+^dag K+ - K-^dag K-.
+    The pair's expectation after t channel steps is 1/2 o . R^t x.
+    """
+    if psi is None:
+        rho = np.array([[1, 0], [0, 0]], dtype=np.complex128)[..., None]
+    else:
+        rho = psi[:, None] * np.conj(psi)[None, :]
+    xs = [_pauli_coords(_sandwich(m[1], rho) - _sandwich(m[0], rho))
+          for m in machines]
+    obs = [_pauli_coords(_dagger_mul(m[1]) - _dagger_mul(m[0]))
+           for m in machines]
+    return xs, obs
+
+
+def _correlators(pair, mode: str) -> list[np.ndarray]:
+    """The four batch correlators c11, c12, c21, c22.
+
+    pair(first, second) is the batch expectation of the outcome product with
+    the machine at position `first` of (a1, a2, b1, b2) measured first.
+    """
     cs = []
-    for an in (a1, a2):
-        for bm in (b1, b2):
+    for an in (0, 1):
+        for bm in (2, 3):
             if mode == "a-first":
                 cs.append(pair(an, bm))
             elif mode == "b-first":
@@ -312,6 +330,15 @@ def _correlators(machines: list[np.ndarray], psi: np.ndarray | None,
             else:
                 cs.append(0.5 * (pair(an, bm) + pair(bm, an)))
     return cs
+
+
+def _vector_correlators(machines: list[np.ndarray], psi: np.ndarray | None,
+                        mode: str, mid: np.ndarray | None = None,
+                        renorm: bool = False) -> list[np.ndarray]:
+    """Correlators with an optional matrix acting between the measurements."""
+    return _correlators(
+        lambda i, j: _pair_expectation(machines[i], machines[j], psi, mid,
+                                       renorm), mode)
 
 
 def _select_scores(cs: list[np.ndarray], convention: str) -> np.ndarray:
@@ -330,7 +357,7 @@ def batch_scores(kind: str, seed: int, trials: np.ndarray,
                 for slot in (rng.SLOT_ALICE1, rng.SLOT_ALICE2,
                              rng.SLOT_BOB1, rng.SLOT_BOB2)]
     psi = initial_state_batch(kind, seed, trials, random_initial)
-    cs = _correlators(machines, psi, mode)
+    cs = _vector_correlators(machines, psi, mode)
     return _select_scores(cs, convention)
 
 
@@ -349,18 +376,24 @@ def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
     psi = initial_state_batch(kind, seed, trials, random_initial)
     quantum = is_quantum_kind(kind)
     use_channel = quantum and quantum_mode == "channel"
-    total = charlie[0] + charlie[1]
+    if use_channel:
+        transfer = transfer_matrix(charlie)
+        xs, obs = _channel_vectors(machines, psi)
+    else:
+        total = charlie[0] + charlie[1]
 
     out = np.empty((len(t_list), trials.shape[0]))
     for row, t in enumerate(t_list):
         if t == 0:
-            cs = _correlators(machines, psi, mode)
+            cs = _vector_correlators(machines, psi, mode)
         elif use_channel:
-            cs = _correlators(machines, psi, mode,
-                              channel_t=int(t), charlie=charlie)
+            power = _mat_pow(transfer, int(t), _mat_mul4)
+            ys = [np.einsum("abn,bn->an", power, x) for x in xs]
+            cs = _correlators(
+                lambda i, j: 0.5 * np.einsum("an,an->n", obs[j], ys[i]), mode)
         else:
-            mid = _mat_pow(total, int(t))
-            cs = _correlators(machines, psi, mode, mid=mid,
-                              renorm=quantum)
+            mid = _mat_pow(total, int(t), _mat_mul)
+            cs = _vector_correlators(machines, psi, mode, mid=mid,
+                                     renorm=quantum)
         out[row] = _select_scores(cs, convention)
     return out

@@ -6,6 +6,8 @@ Every test prints and records a single line
 
 at the pinned tolerance for that check.  The final check is a performance
 budget and only warns when missed; everything else fails the test.
+One further test records a DELAY EVIDENCE line beside criterion 8: the
+delay ratios under both quantum delay semantics, which is not a criterion.
 """
 import os
 import time
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from tempora import kernels
 from tempora import (DelaySpec, KrausPair, PartySpec, SweepConfig,
                      TransitionPair, chsh_score, classical_outcome_step,
                      correlator, delayed_chsh_score, joint_prob_classical,
@@ -244,6 +247,38 @@ def test_criterion_08_quantum_machines_keep_correlations_longer():
     report(8, ok, f"mean_s(t)/mean_s(0) at seed 7, 10^5 trials, t=1..3: "
                   f"proj={[round(r, 6) for r in ratios['hqmm-proj']]} >= "
                   f"hmm={[round(r, 6) for r in ratios['hmm']]} at every t")
+
+
+
+def test_delay_evidence_under_both_semantics():
+    # ACCEPTANCE 8 passes by construction: a projective pair sums to the
+    # identity, so in vector-sum mode the intermediary does nothing.  Check
+    # that identity, then report the channel-mode ratios beside it.
+    charlie = kernels.machines_batch("hqmm-proj", 7, np.arange(10**5),
+                                     SLOT_CHARLIE)
+    total = charlie[0] + charlie[1]
+    assert not np.any(total[0, 1]) and not np.any(total[1, 0])
+    assert np.max(np.abs(total[0, 0] - 1.0)) <= np.finfo(float).eps
+    assert np.max(np.abs(total[1, 1] - 1.0)) <= np.finfo(float).eps
+
+    ratios = {}
+    # classical kinds have one delay semantics, so hmm runs once
+    for kind, quantum_mode in (("hmm", "vector-sum"), ("hqmm", "vector-sum"),
+                               ("hqmm", "channel"), ("hqmm-proj", "vector-sum"),
+                               ("hqmm-proj", "channel")):
+        stats = run_delay_sweep(SweepConfig(
+            kind=kind, count=10**5, master_seed=7, t_list=(0, 1, 2, 3),
+            quantum_mode=quantum_mode))
+        base = stats.point(0).mean_s
+        ratios[kind, quantum_mode] = [stats.point(t).mean_s / base
+                                      for t in (1, 2, 3)]
+    np.testing.assert_allclose(ratios["hqmm-proj", "vector-sum"], 1.0,
+                               rtol=0, atol=1e-12)
+    line = ("DELAY EVIDENCE: mean_s(t)/mean_s(0) at seed 7, 10^5 trials, "
+            "t=1..3: " + "; ".join(f"{kind} {mode}={[round(x, 6) for x in r]}"
+                                    for (kind, mode), r in ratios.items()))
+    record_acceptance(line)
+    print(line)
 
 
 def test_criterion_09_worker_count_does_not_change_results():

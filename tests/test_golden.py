@@ -47,11 +47,11 @@ DELAY_DIGESTS = {
     ("hqmm", "vector-sum"):
         "b1714688f98e8832a9d374a6032b01eed807cda5ad1495b50550d8b37dcd394f",
     ("hqmm", "channel"):
-        "3c334ac2a6ba5fc2114b719b444e6f4991937a5fa8ce4e328f7da7f8867d12d2",
+        "12ca099524c892ba56bf01d8442ce76b59d1858ce4b3eaec92fdaa3ff2ef30ed",
     ("hqmm-proj", "vector-sum"):
         "40a16c3e69317e819c8fa59e1b44c3861fc8aadef451251ecf6acd4a851e2acd",
     ("hqmm-proj", "channel"):
-        "13796b39cc412ac4acbde362d6b0a0a3933d2b40f5a488438ab322c078a2c146",
+        "2e4d3535a79110a0858d098e6ec986f99ae4adc82f73b870440de7f46b13cae2",
 }
 
 

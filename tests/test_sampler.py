@@ -172,6 +172,45 @@ def test_batch_delay_scores_match_scalar(kind, quantum_mode):
             assert rows[row, trial] == pytest.approx(res.s_canonical, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", QUANTUM_KINDS)
+@pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
+@pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
+def test_batch_channel_scores_match_scalar_stepping(kind, mode, convention):
+    # odd and non-power-of-two t exercise every branch of the squaring loop
+    seed = 59
+    trials = np.arange(8, dtype=np.int64)
+    t_list = (0, 1, 2, 5, 16, 37)
+    rows = kernels.batch_delay_scores(kind, seed, trials, t_list, "channel",
+                                      mode, convention, random_initial=True)
+    for trial in (0, 3, 7):
+        alice, bob = scalar_parties(kind, seed, trial)
+        charlie = sample_machine(kind, Stream(seed, trial, SLOT_CHARLIE))
+        state = scalar_initial_state(kind, seed, trial)
+        for row, t in enumerate(t_list):
+            res = delayed_chsh_score(alice, bob, state,
+                                     DelaySpec(charlie, t, "channel"),
+                                     mode, convention)
+            assert rows[row, trial] == pytest.approx(res.s, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", QUANTUM_KINDS)
+def test_transfer_matrix_is_trace_preserving(kind):
+    charlie = kernels.machines_batch(kind, 61, np.arange(256), SLOT_CHARLIE)
+    r = kernels.transfer_matrix(charlie)
+    assert r.shape == (4, 4, 256)
+    first_row = np.broadcast_to(np.array([1.0, 0.0, 0.0, 0.0])[:, None],
+                                (4, 256))
+    np.testing.assert_allclose(r[0], first_row, rtol=0, atol=1e-12)
+
+
+def test_projective_channel_is_idempotent():
+    # a dephasing channel satisfies Phi(Phi(rho)) = Phi(rho), so every t >= 1
+    # scores the same
+    rows = kernels.batch_delay_scores("hqmm-proj", 67, np.arange(512),
+                                      (1, 16), "channel", random_initial=True)
+    np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_delay_row_at_t0_is_bitwise_plain_scoring(kind):
     trials = np.arange(128, dtype=np.int64)
