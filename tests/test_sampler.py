@@ -198,9 +198,8 @@ def test_transfer_matrix_is_trace_preserving(kind):
     charlie = kernels.machines_batch(kind, 61, np.arange(256), SLOT_CHARLIE)
     r = kernels.transfer_matrix(charlie)
     assert r.shape == (4, 4, 256)
-    first_row = np.broadcast_to(np.array([1.0, 0.0, 0.0, 0.0])[:, None],
-                                (4, 256))
-    np.testing.assert_allclose(r[0], first_row, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(r[0, 0], 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(r[0, 1:], 0.0, rtol=0, atol=1e-12)
 
 
 def test_projective_channel_is_idempotent():
