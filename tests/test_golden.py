@@ -1,9 +1,15 @@
 """Golden SHA-256 digests of sweep result documents.
 
-Each digest covers the exact text `json.dumps(doc, indent=2)` of one sweep
-document, so any change to a score's last bit, a histogram count or the
-document layout shows up here.  Counts end in a partial batch, so the
+Each document digest covers the exact text `json.dumps(doc, indent=2)` of
+one sweep document, so any change to a score's last bit, a histogram count
+or the document layout shows up here.  Counts end in a partial batch, so the
 batch-order reduce is covered too.
+
+The layer digests cover the dtype, shape and raw bytes of the arrays that
+feed those documents: the rng outputs over counters that do not start at 0,
+the hqmm machine batches of every slot and the random initial states.  A
+rewrite of one layer proves it kept the bytes there, not only through the
+end documents.
 
 Pinned on an Intel Xeon (x86-64, 2 cores) with numpy 2.4.6.  Box-Muller
 uses np.log, np.cos and np.sin, which numpy may dispatch to CPU-specific
@@ -16,10 +22,11 @@ says why in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from tempora import (SweepConfig, delay_result_to_obj, result_to_obj,
-                     run_delay_sweep, run_sweep)
+from tempora import (SweepConfig, delay_result_to_obj, kernels, result_to_obj,
+                     rng, run_delay_sweep, run_sweep)
 from tempora.sampler import BATCH
 
 SEED = 20240
@@ -76,3 +83,69 @@ def test_delay_document_digest(kind, quantum_mode):
                       t_list=T_LIST, quantum_mode=quantum_mode)
     doc = delay_result_to_obj(cfg, run_delay_sweep(cfg))
     assert _digest(doc) == DELAY_DIGESTS[(kind, quantum_mode)]
+
+
+# 16384 counters in rows of 16, starting far from 0.
+RNG_COUNTERS = np.arange(3 << 40, (3 << 40) + BATCH,
+                         dtype=np.uint64).reshape(-1, 16) + np.uint64(12345)
+
+RNG_DIGESTS = {
+    "raw64":
+        "2829df02a56b60c1535350aecce74188ed34945486dcce98ec6cf866ec0b0158",
+    "uniform01":
+        "16010954381ae16ce133fa6354c6a2e2b448e788e4d260f1a4ec3d0068e69644",
+    "normals":
+        "7ba81bfec9fbfc0ffa88984b15de5f3462cb4bd7a0220ce05a407ca1cd7e357f",
+}
+
+# Slot -> digest of the hqmm machine batches of QUANTUM_COUNT trials.
+HQMM_MACHINE_DIGESTS = {
+    rng.SLOT_ALICE1:
+        "c828191de709fe38ae7611889c0340a86360fddf1588cd12519002558d683740",
+    rng.SLOT_ALICE2:
+        "84b0cc830c055b69c3c9a62f6fc8a06cf180c3440dba70a469b62c333ad3f090",
+    rng.SLOT_BOB1:
+        "6899205a9a1f2a988ed174467ff2537c1c9a5cf0ffb7816be8eca9c4b5a91f51",
+    rng.SLOT_BOB2:
+        "f128d3d3ade1b5c3e9bdc1ad13b97470fd5a090cfffbdeca5cccefca6e3df04f",
+    rng.SLOT_CHARLIE:
+        "dbd8bbd31af6d42868132c6718664ba13ef5659f5540c57997bde15523132de2",
+    rng.SLOT_INITIAL:
+        "9941e783c0cd0133f8da771d3644f35e7b70d48e5d0d0b3c1b99e263e672a368",
+}
+
+HQMM_INITIAL_STATE_DIGEST = (
+    "49230461c7de4bc8371b4c3258a5a16576f2658ba4de10c368d9cd234e7edb6d")
+
+
+def _array_digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _batches(count):
+    """Trial arrays in the sampler's batch order, the last one partial."""
+    return [np.arange(start, min(start + BATCH, count))
+            for start in range(0, count, BATCH)]
+
+
+@pytest.mark.parametrize("name", sorted(RNG_DIGESTS))
+def test_rng_layer_digest(name):
+    out = getattr(rng, name)(SEED, RNG_COUNTERS)
+    assert _array_digest([out]) == RNG_DIGESTS[name]
+
+
+@pytest.mark.parametrize("slot", sorted(HQMM_MACHINE_DIGESTS))
+def test_hqmm_machine_layer_digest(slot):
+    batches = [kernels.machines_batch("hqmm", SEED, trials, slot)
+               for trials in _batches(QUANTUM_COUNT)]
+    assert _array_digest(batches) == HQMM_MACHINE_DIGESTS[slot]
+
+
+def test_hqmm_initial_state_layer_digest():
+    states = [kernels.initial_state_batch("hqmm", SEED, trials, True)
+              for trials in _batches(QUANTUM_COUNT)]
+    assert _array_digest(states) == HQMM_INITIAL_STATE_DIGEST

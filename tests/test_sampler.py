@@ -100,16 +100,47 @@ def test_machines_batch_rejects_unknown_kind():
         kernels.machines_batch("pdfa", 0, np.arange(4), 0)
 
 
+def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
+    # Raise the batch tolerance just past the shortest Gram-Schmidt norm of
+    # 64 trials, so exactly that row takes the scalar redraw fallback.
+    seed, slot = 31, SLOT_BOB1
+    trials = np.arange(64, dtype=np.int64)
+    shortest = []
+    for trial in trials:
+        z = Stream(seed, int(trial), slot).normals(16)
+        u, v = z[0:8:2] + 1j * z[1:8:2], z[8::2] + 1j * z[9::2]
+        a = u / np.linalg.norm(u)
+        shortest.append(min(np.linalg.norm(u),
+                            np.linalg.norm(v - np.vdot(a, v) * a)))
+    first, second = np.sort(shortest)[:2]
+    row = int(np.argmin(shortest))
+    plain = kernels.machines_batch("hqmm", seed, trials, slot)
+
+    redrawn = []
+    def spy(kind, stream):
+        redrawn.append((kind, stream))
+        return sample_machine(kind, stream)
+    monkeypatch.setattr(kernels, "DEGENERACY_TOL", 0.5 * (first + second))
+    monkeypatch.setattr(kernels, "sample_machine", spy)
+    batch = kernels.machines_batch("hqmm", seed, trials, slot)
+
+    assert redrawn == [("hqmm", Stream(seed, row, slot))]
+    m = sample_machine("hqmm", Stream(seed, row, slot))
+    np.testing.assert_array_equal(batch[0, :, :, row], m.k_minus)
+    np.testing.assert_array_equal(batch[1, :, :, row], m.k_plus)
+    others = np.arange(64) != row
+    np.testing.assert_array_equal(batch[..., others], plain[..., others])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_initial_state_batch_matches_scalar(kind):
     trials = np.arange(32, dtype=np.int64)
     assert kernels.initial_state_batch(kind, 5, trials, False) is None
     batch = kernels.initial_state_batch(kind, 5, trials, True)
     assert batch.shape == (2, 32)
-    for idx in (0, 3, 31):
-        np.testing.assert_allclose(batch[:, idx],
-                                   scalar_initial_state(kind, 5, idx),
-                                   atol=1e-15)
+    for idx in range(32):
+        np.testing.assert_array_equal(batch[:, idx],
+                                      scalar_initial_state(kind, 5, idx))
     norms = np.sum(np.abs(batch) ** 2, axis=0) if kind in QUANTUM_KINDS \
         else np.sum(batch, axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
