@@ -25,6 +25,13 @@ KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
 # Resampling attempts for a degenerate Gaussian draw: 1 initial + 16 retries.
 MAX_ATTEMPTS = 17
 
+# Trials per block of an hqmm draw.  Each block's temporaries (at most
+# 2048 x 16 words) stay in cache and are reused by malloc; whole-batch
+# temporaries are returned to the OS on free and page-faulted in again on
+# every batch.  Every step is elementwise per trial, so blocks give the
+# same bytes as one whole-batch pass (the layer digests check this).
+HQMM_BLOCK = 2048
+
 
 def is_quantum_kind(kind: str) -> bool:
     return kind in ("hqmm", "hqmm-proj")
@@ -66,11 +73,9 @@ def sample_machine(kind: str, stream: rng.Stream):
         phi = (2.0 * np.pi) * float(stream.uniforms(1)[0])
         return projective_kraus(phi)
     for attempt in range(MAX_ATTEMPTS):
-        z = stream.normals(16, attempt=attempt)
-        u = z[0:8:2] + 1j * z[1:8:2]
-        v = z[8::2] + 1j * z[9::2]
+        c = stream.normals(16, attempt=attempt).view(np.complex128)
         try:
-            a, b = orthonormalize_pair(u, v)
+            a, b = orthonormalize_pair(c[:4], c[4:])
         except DegenerateInput:
             continue
         return kraus_from_dilation(a, b)
@@ -130,29 +135,56 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray,
     return _hqmm_batch(seed, trials, slot)
 
 
-def _hqmm_batch(seed: int, trials: np.ndarray, slot: int) -> np.ndarray:
-    z = rng.normals(seed, _slot_counters(trials, slot, 16))
-    u = z[:, 0:8:2] + 1j * z[:, 1:8:2]
-    v = z[:, 8::2] + 1j * z[:, 9::2]
-    nu = np.sqrt(np.sum(u.real ** 2 + u.imag ** 2, axis=1))
-    bad_u = nu < DEGENERACY_TOL
-    a = u / np.where(bad_u, 1.0, nu)[:, None]
-    w = v - np.sum(np.conj(a) * v, axis=1)[:, None] * a
-    nw = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=1))
-    bad = bad_u | (nw < DEGENERACY_TOL)
-    b = w / np.where(bad, 1.0, nw)[:, None]
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 4) complex array.
 
+    The squares are summed as ((q0 + q1) + q2) + q3, the order numpy's sum
+    uses along a length-4 axis, so the bits match np.sum(..., axis=1).
+    """
+    sq = np.square(x.view(np.float64))
+    q = sq[:, 0::2] + sq[:, 1::2]
+    total = q[:, 0] + q[:, 1]
+    total += q[:, 2]
+    total += q[:, 3]
+    return np.sqrt(total, out=total)
+
+
+def _hqmm_block(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt (k, 16) normals into the (2, 2, 2, k) view m.
+
+    Returns the mask of degenerate rows, which the caller redraws.
+    """
+    c = z.view(np.complex128)
+    u, v = c[:, :4], c[:, 4:]
+    nu = _norms(u)
+    bad_u = nu < DEGENERACY_TOL
+    # A product with the reciprocal has the bits of numpy's complex-by-real
+    # division; the factor stays an array, as a 0-d operand changes them.
+    a = u * (1.0 / np.where(bad_u, 1.0, nu))[:, None]
+    p = np.conj(a) * v
+    # numpy sums a length-4 complex axis as (p0 + p1) + (p2 + p3).
+    dot = p[:, 0] + p[:, 1]
+    dot += p[:, 2] + p[:, 3]
+    w = dot[:, None] * a
+    np.subtract(v, w, out=w)
+    nw = _norms(w)
+    bad = bad_u | (nw < DEGENERACY_TOL)
+    w *= (1.0 / np.where(bad, 1.0, nw))[:, None]
+    # k_minus columns are the ancilla -1 halves, k_plus the +1 halves.
+    k = z.shape[0]
+    m[:, :, 0] = a.T.reshape(2, 2, k)
+    m[:, :, 1] = w.T.reshape(2, 2, k)
+    return bad
+
+
+def _hqmm_batch(seed: int, trials: np.ndarray, slot: int) -> np.ndarray:
     n = trials.shape[0]
     m = np.empty((2, 2, 2, n), dtype=np.complex128)
-    # k_minus columns are the ancilla -1 halves, k_plus the +1 halves.
-    m[0, 0, 0] = a[:, 0]
-    m[0, 0, 1] = b[:, 0]
-    m[0, 1, 0] = a[:, 1]
-    m[0, 1, 1] = b[:, 1]
-    m[1, 0, 0] = a[:, 2]
-    m[1, 0, 1] = b[:, 2]
-    m[1, 1, 0] = a[:, 3]
-    m[1, 1, 1] = b[:, 3]
+    bad = np.empty(n, dtype=bool)
+    for start in range(0, n, HQMM_BLOCK):
+        block = slice(start, start + HQMM_BLOCK)
+        z = rng.normals(seed, _slot_counters(trials[block], slot, 16))
+        bad[block] = _hqmm_block(z, m[..., block])
     for idx in np.nonzero(bad)[0]:
         k = sample_machine("hqmm", rng.Stream(seed, int(trials[idx]), slot))
         m[0, :, :, idx] = k.k_minus
@@ -168,12 +200,16 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
     trials = np.asarray(trials)
     if is_quantum_kind(kind):
         z = rng.normals(seed, _slot_counters(trials, rng.SLOT_INITIAL, 4))
-        psi = np.stack([z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]])
-        norm = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2, axis=0))
+        sq = np.square(z)
+        norm = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
+        np.sqrt(norm, out=norm)
+        psi = z.view(np.complex128).T
         # A zero draw has ~1e-300 probability; pin it to the basis state.
         bad = norm < DEGENERACY_TOL
         psi[:, bad] = np.array([[1.0], [0.0]])
-        return psi / np.where(bad, 1.0, norm)[None, :]
+        out = np.empty(psi.shape, dtype=np.complex128)
+        return np.multiply(psi, (1.0 / np.where(bad, 1.0, norm))[None, :],
+                           out=out)
     u = rng.uniform01(seed, _slot_counters(trials, rng.SLOT_INITIAL, 1))[:, 0]
     return np.stack([u, 1.0 - u])
 

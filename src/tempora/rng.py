@@ -25,6 +25,12 @@ vectorized sampling agree by construction.
 Derived values: uniform01 = (raw64 >> 11) * 2**-53 in [0, 1); normals come
 from Box-Muller over counter pairs (2j, 2j+1), with the radius uniform
 mapped into (0, 1] so the logarithm is always finite.
+
+Layout of normals: the result is the float64 view of a complex128 array
+whose element j holds (cosine branch, sine branch) of pair j, so entries
+2j and 2j+1 are the pair's two normals and `z.view(np.complex128)` reads
+them as complex Gaussians without a copy.  The bytes rest on numpy's
+log, cos and sin, which are evaluated on contiguous arrays.
 """
 from __future__ import annotations
 
@@ -51,25 +57,40 @@ _TWO_NEG53 = 2.0 ** -53
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 values (elementwise, wrapping)."""
-    x = np.asarray(x, dtype=_U64)
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return x ^ (x >> _U64(31))
+    """SplitMix64 finalizer applied in place to a uint64 array; returns x.
+
+    Wrapping uint64 arithmetic is exact mod 2**64, so the in-place steps
+    give the same words as the formula in the module docstring.
+    """
+    shifted = np.empty_like(x)
+    np.right_shift(x, _U64(30), out=shifted)
+    x ^= shifted
+    x *= _U64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, _U64(27), out=shifted)
+    x ^= shifted
+    x *= _U64(0x94D049BB133111EB)
+    np.right_shift(x, _U64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def raw64(seed: int, counters: np.ndarray) -> np.ndarray:
     """64-bit outputs for an array of counters under one master seed."""
+    # (seed + (n + 1) * GOLDEN) mod 2**64, as n * GOLDEN + (seed + GOLDEN).
+    # An explicit out keeps a 0-d input an array, so the steps stay in place.
     n = np.asarray(counters, dtype=_U64)
-    with np.errstate(over="ignore"):
-        z = _U64(seed & MASK64) + (n + _U64(1)) * _U64(GOLDEN)
+    z = np.multiply(n, _U64(GOLDEN), out=np.empty(n.shape, dtype=_U64))
+    z += _U64((seed + GOLDEN) & MASK64)
     return mix64(z)
 
 
 def uniform01(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniform doubles in [0, 1), one per counter."""
-    return (raw64(seed, counters) >> _U64(11)).astype(np.float64) * _TWO_NEG53
+    r = raw64(seed, counters)
+    r >>= _U64(11)
+    u = r.astype(np.float64)
+    u *= _TWO_NEG53
+    return u
 
 
 def normals(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -77,20 +98,26 @@ def normals(seed: int, counters: np.ndarray) -> np.ndarray:
 
     Counters pair up along the last axis, which must have even length:
     entries (2j, 2j+1) feed one Box-Muller transform and yield the cosine
-    and sine branch respectively.
+    and sine branch respectively.  The result is the float64 view of a
+    complex128 array of (cosine, sine) pairs (see the module docstring).
     """
     counters = np.asarray(counters)
     if counters.shape[-1] % 2 != 0:
         raise ValueError("normals needs an even number of counters per row")
-    r = raw64(seed, counters) >> _U64(11)
-    u1 = (r[..., 0::2].astype(np.float64) + 1.0) * _TWO_NEG53  # (0, 1]
-    u2 = r[..., 1::2].astype(np.float64) * _TWO_NEG53          # [0, 1)
-    rad = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * np.pi) * u2
-    out = np.empty(counters.shape, dtype=np.float64)
-    out[..., 0::2] = rad * np.cos(ang)
-    out[..., 1::2] = rad * np.sin(ang)
-    return out
+    r = raw64(seed, counters)
+    r >>= _U64(11)
+    rad = np.add(r[..., 0::2], 1.0)  # (r + 1) * 2**-53 in (0, 1]
+    rad *= _TWO_NEG53
+    ang = np.multiply(r[..., 1::2], _TWO_NEG53)  # [0, 1)
+    ang *= 2.0 * np.pi
+    np.log(rad, out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)
+    out = np.empty(rad.shape, dtype=np.complex128)
+    np.multiply(rad, np.cos(ang), out=out.real)
+    np.sin(ang, out=ang)
+    np.multiply(rad, ang, out=out.imag)
+    return out.view(np.float64)
 
 
 @dataclass(frozen=True)
