@@ -5,7 +5,7 @@ The package scores sequential-measurement CHSH configurations for classical
 intermediary acting between the two measurements, and runs reproducible
 Monte Carlo sweeps over random machines.
 """
-from .algebra import ket2, ket4, mat_apply, orthonormalize_pair
+from .algebra import ket2, ket4, orthonormalize_pair
 from .chsh import (ChshResult, DelaySpec, Machine, PartySpec,
                    chsh_from_correlators, chsh_score, correlator,
                    delayed_chsh_score, expectation_seq,
@@ -27,7 +27,7 @@ from .sampler import (DelayPoint, DelayStats, Histogram, SweepConfig,
 from .serialize import (MachineFile, delay_csv, delay_result_to_obj,
                         histogram_csv, load_machine_file,
                         machine_file_from_obj, machine_file_to_obj,
-                        machine_from_obj, machine_roundtrip, machine_to_obj,
+                        machine_from_obj, machine_to_obj,
                         result_to_obj, save_machine_file, state_from_obj,
                         state_to_obj)
 
@@ -45,8 +45,8 @@ __all__ = [
     "histogram_csv", "histogram_merge", "hmm_from_params",
     "joint_prob_classical", "joint_prob_quantum", "ket2", "ket4",
     "kraus_from_dilation", "load_machine_file", "machine_file_from_obj",
-    "machine_file_to_obj", "machine_from_obj", "machine_roundtrip",
-    "machine_to_obj", "mat_apply", "mm_from_params", "observable_of",
+    "machine_file_to_obj", "machine_from_obj", "machine_to_obj",
+    "mm_from_params", "observable_of",
     "orthonormalize_pair", "prob_vector", "projective_kraus",
     "quantum_outcome_step", "qubit_state", "result_to_obj",
     "run_delay_sweep", "run_sweep", "sample_machine", "save_machine_file",

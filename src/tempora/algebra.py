@@ -45,11 +45,6 @@ def ket4(ancilla: int, memory: int) -> np.ndarray:
     return v
 
 
-def mat_apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ v."""
-    return np.asarray(m) @ np.asarray(v)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(m)).T

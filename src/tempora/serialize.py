@@ -91,11 +91,6 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
     raise ParseError(f"{where}: unknown machine kind {kind!r}")
 
 
-def machine_roundtrip(m: Machine) -> Machine:
-    """Serialize then re-parse a machine (entrywise exact for doubles)."""
-    return machine_from_obj(json.loads(json.dumps(machine_to_obj(m))))
-
-
 def state_to_obj(state: np.ndarray, kind: str) -> list:
     state = np.asarray(state)
     if kind == "classical":

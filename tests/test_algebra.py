@@ -1,8 +1,8 @@
-"""Basis helpers, matrix application, and Gram-Schmidt orthonormalization."""
+"""Basis helpers and Gram-Schmidt orthonormalization."""
 import numpy as np
 import pytest
 
-from tempora import DegenerateInput, ket2, ket4, mat_apply, orthonormalize_pair
+from tempora import DegenerateInput, ket2, ket4, orthonormalize_pair
 from tempora.algebra import symbol_index
 
 
@@ -20,26 +20,6 @@ def test_kets_are_unit_basis_vectors():
     np.testing.assert_array_equal(ket4(-1, +1), [0, 1, 0, 0])
     np.testing.assert_array_equal(ket4(+1, -1), [0, 0, 1, 0])
     np.testing.assert_array_equal(ket4(+1, +1), [0, 0, 0, 1])
-
-
-def test_mat_apply_identity_and_forced_map():
-    v = np.array([0.25, 0.75])
-    np.testing.assert_array_equal(mat_apply(np.eye(2), v), v)
-    force_down = np.array([[1.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(mat_apply(force_down, v), [1.0, 0.0])
-
-
-def test_mat_apply_linearity_on_random_inputs():
-    rs = np.random.RandomState(7)
-    for _ in range(50):
-        m = rs.randn(2, 2) + 1j * rs.randn(2, 2)
-        u = rs.randn(2) + 1j * rs.randn(2)
-        v = rs.randn(2) + 1j * rs.randn(2)
-        a, b = rs.randn(2)
-        np.testing.assert_allclose(
-            mat_apply(m, a * u + b * v),
-            a * mat_apply(m, u) + b * mat_apply(m, v),
-            atol=1e-12)
 
 
 def test_orthonormalize_keeps_orthonormal_input():
