@@ -1,9 +1,11 @@
-"""Golden SHA-256 digests of sweep result documents.
+"""Golden SHA-256 digests of sweep and score result documents.
 
 Each document digest covers the exact text `json.dumps(doc, indent=2)` of
 one sweep document, so any change to a score's last bit, a histogram count
 or the document layout shows up here.  Counts end in a partial batch, so the
-batch-order reduce is covered too.
+batch-order reduce is covered too.  The score digests cover what
+`tempora score` writes for the built-in fixtures and for machine files drawn
+with sample_machine, in every ordering.
 
 The layer digests cover the dtype, shape and raw bytes of the arrays that
 feed those documents: the rng outputs over counters that do not start at 0,
@@ -20,13 +22,17 @@ A change that alters the bytes on purpose re-pins the affected digests and
 says why in CHANGES.md.
 """
 import hashlib
+import importlib.resources
 import json
 
 import numpy as np
 import pytest
 
-from tempora import (SweepConfig, delay_result_to_obj, kernels, result_to_obj,
-                     rng, run_delay_sweep, run_sweep)
+from tempora import (MachineFile, PartySpec, SweepConfig, delay_result_to_obj,
+                     kernels, result_to_obj, rng, run_delay_sweep, run_sweep,
+                     sample_machine, save_machine_file)
+from tempora.chsh import ORDERING_MODES
+from tempora.cli import main
 from tempora.sampler import BATCH
 
 SEED = 20240
@@ -149,3 +155,113 @@ def test_hqmm_initial_state_layer_digest():
     states = [kernels.initial_state_batch("hqmm", SEED, trials, True)
               for trials in _batches(QUANTUM_COUNT)]
     assert _array_digest(states) == HQMM_INITIAL_STATE_DIGEST
+
+
+FIXTURE_SCORE_DIGESTS = {
+    "classical_smax3.json":
+        "c6e0349dc6221ee9118228d94d9f6b74cbcdc19a49794274a0aa5b23c7db4c84",
+    "projective_2sqrt2.json":
+        "8675234b8b9f1f262cfaf6b0f828ad66eac8aa400a702c07ba6e429df54c0460",
+}
+
+SCORE_TRIALS = 8
+
+# (kind, t, quantum_mode) -> digest of the score documents of SCORE_TRIALS
+# drawn machine files, each in every ordering.
+SCORE_DIGESTS = {
+    ("hmm", 0, "channel"):
+        "64df1291144263c830a78cde6ac58e71d0a9cd8d239dd9b0d5a2d1baec48f31e",
+    ("hmm", 0, "vector-sum"):
+        "64df1291144263c830a78cde6ac58e71d0a9cd8d239dd9b0d5a2d1baec48f31e",
+    ("hmm", 1, "channel"):
+        "ff17386ebe02a83e2ed578f1f46082f64abb3736c5f95519c4ecfc2b1685df29",
+    ("hmm", 1, "vector-sum"):
+        "ff17386ebe02a83e2ed578f1f46082f64abb3736c5f95519c4ecfc2b1685df29",
+    ("hmm", 8, "channel"):
+        "9d5a4b0c0fbdd2c404262344954c4c235044f41b5bb573c644e12c0235476596",
+    ("hmm", 8, "vector-sum"):
+        "9d5a4b0c0fbdd2c404262344954c4c235044f41b5bb573c644e12c0235476596",
+    ("hqmm", 0, "channel"):
+        "7aa3a8c9379fe23ead1845181277f704b7f003d55636e8653a2ba8c4530fefa1",
+    ("hqmm", 0, "vector-sum"):
+        "7aa3a8c9379fe23ead1845181277f704b7f003d55636e8653a2ba8c4530fefa1",
+    ("hqmm", 1, "channel"):
+        "39deee68a79abea0ae09f54977ea27db43aef3889901398656077e2fa414afd4",
+    ("hqmm", 1, "vector-sum"):
+        "7467ea5c9e4d9c0eda4d6cd9d8636e84f76e87b976b26bcaeb138fb411640fb1",
+    ("hqmm", 8, "channel"):
+        "4e3b6dd1c8ed8acb1dd3b1b6c279de8cc8c9d40c46dbed69dfd4110ee39c3d7f",
+    ("hqmm", 8, "vector-sum"):
+        "e81ecf44482b6d3ab21c9b49d294941cae3026b15fab4ed77a7549c9bf6615de",
+    ("hqmm-proj", 0, "channel"):
+        "87abb123c3a96fa49d24897ed3620a8a23cb3567297519fe895f2635bde7fd03",
+    ("hqmm-proj", 0, "vector-sum"):
+        "87abb123c3a96fa49d24897ed3620a8a23cb3567297519fe895f2635bde7fd03",
+    ("hqmm-proj", 1, "channel"):
+        "975c360ac61b9a0f6e1efecdda2a6bffa8f8f6175510f73a3e18580c2cc9e513",
+    ("hqmm-proj", 1, "vector-sum"):
+        "07953c0d377b8a332a826254055ac82c850487c09dde0043a12c0d9b4551caa4",
+    ("hqmm-proj", 8, "channel"):
+        "f12fa71b98ab79e7717f1817c70f48e0de90414c9c2ee02d5a681d1891ac93d0",
+    ("hqmm-proj", 8, "vector-sum"):
+        "039cb076bee5ddabbd17ffb51c6c78225b43a0b43e23c15ea06caeb56b1fe589",
+    ("mm", 0, "channel"):
+        "e375b602519bbdfec7ac426b847980beeb2f386b23c11d00a657baf02ff88b8e",
+    ("mm", 0, "vector-sum"):
+        "e375b602519bbdfec7ac426b847980beeb2f386b23c11d00a657baf02ff88b8e",
+    ("mm", 1, "channel"):
+        "984e2810e2d04f73c52cbd5217f70c6d284a2687a2ff35de0813e1452fd9a739",
+    ("mm", 1, "vector-sum"):
+        "984e2810e2d04f73c52cbd5217f70c6d284a2687a2ff35de0813e1452fd9a739",
+    ("mm", 8, "channel"):
+        "9ba73a4c7725ca8293dc587bcc901c863a5b7aa5e1c2f5e48979f8c41a5d3930",
+    ("mm", 8, "vector-sum"):
+        "9ba73a4c7725ca8293dc587bcc901c863a5b7aa5e1c2f5e48979f8c41a5d3930",
+}
+
+
+def _score_documents(path, t, quantum_mode, tmp_path):
+    """What `tempora score` writes for path in every ordering, joined."""
+    out = tmp_path / "score.json"
+    docs = []
+    for mode in ORDERING_MODES:
+        assert main(["score", "--machines", str(path), "--mode", mode,
+                     "--t", str(t), "--quantum-mode", quantum_mode,
+                     "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    return b"".join(docs)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SCORE_DIGESTS))
+def test_fixture_score_document_digest(name, tmp_path):
+    with importlib.resources.as_file(
+            importlib.resources.files("tempora") / "fixtures" / name) as path:
+        docs = _score_documents(path, 0, "vector-sum", tmp_path)
+    assert hashlib.sha256(docs).hexdigest() == FIXTURE_SCORE_DIGESTS[name]
+
+
+def _machine_file(kind, trial, initial):
+    """One trial's machines as sample_machine draws them.
+
+    Trial 0 keeps the default state; the others take the sweep's random
+    initial state of that trial.
+    """
+    a1, a2, b1, b2, charlie = (
+        sample_machine(kind, rng.Stream(SEED, trial, slot))
+        for slot in (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1,
+                     rng.SLOT_BOB2, rng.SLOT_CHARLIE))
+    return MachineFile(alice=PartySpec(a1, a2), bob=PartySpec(b1, b2),
+                       charlie=charlie,
+                       initial=initial[:, trial] if trial else None)
+
+
+@pytest.mark.parametrize("kind,t,quantum_mode", sorted(SCORE_DIGESTS))
+def test_score_document_digest(kind, t, quantum_mode, tmp_path):
+    initial = kernels.initial_state_batch(kind, SEED, np.arange(SCORE_TRIALS),
+                                          True)
+    h = hashlib.sha256()
+    for trial in range(SCORE_TRIALS):
+        path = tmp_path / f"machines{trial}.json"
+        save_machine_file(path, _machine_file(kind, trial, initial))
+        h.update(_score_documents(path, t, quantum_mode, tmp_path))
+    assert h.hexdigest() == SCORE_DIGESTS[(kind, t, quantum_mode)]
