@@ -20,8 +20,10 @@ from typing import Union
 
 import numpy as np
 
+from . import kernels
 from .classical import TransitionPair
 from .errors import KindMismatch
+from .kernels import RENORM_TOL  # noqa: F401  (re-exported API)
 from .quantum import KrausPair
 
 Machine = Union[TransitionPair, KrausPair]
@@ -29,10 +31,6 @@ Machine = Union[TransitionPair, KrausPair]
 ORDERING_MODES = ("a-first", "b-first", "symmetrized")
 SCORE_CONVENTIONS = ("canonical", "max-relabel")
 QUANTUM_DELAY_MODES = ("vector-sum", "channel")
-
-# Four-outcome sums further than this from 1 trigger renormalisation in
-# vector-sum delay mode.
-RENORM_TOL = 1e-9
 
 
 def _check_mode(mode: str) -> None:
@@ -79,8 +77,8 @@ class DelaySpec:
 
     quantum_mode selects how a quantum charlie acts: "vector-sum" applies
     (K(-1)+K(+1))^t to the state vector (with four-outcome renormalisation
-    when needed), "channel" evolves the density matrix through the Kraus
-    channel t times.  Ignored for classical machines.
+    when needed), "channel" applies the Kraus channel t times, as the t-th
+    power of its Pauli transfer matrix.  Ignored for classical machines.
     """
 
     charlie: Machine
@@ -167,49 +165,84 @@ def joint_prob_quantum(first: KrausPair, second: KrausPair,
     return float(np.sum(w.real ** 2 + w.imag ** 2))
 
 
-def _prob_matrix(first: Machine, second: Machine, state: np.ndarray,
-                 mid: np.ndarray | None = None) -> np.ndarray:
-    """2x2 table p[i, j] of raw sequential outcome probabilities."""
-    joint = joint_prob_classical if first.kind == "classical" else joint_prob_quantum
-    return np.array([[joint(first, second, state, i, j, mid)
-                      for j in (-1, +1)] for i in (-1, +1)])
+# Column weights taking a machine's two outcome branches (-1, +1) to their
+# difference and their sum.
+_SIGNS = np.array([[-1.0, 1.0], [1.0, 1.0]])
 
 
-def _channel_prob_matrix(first: KrausPair, second: KrausPair,
-                         psi: np.ndarray, charlie: KrausPair,
-                         t: int) -> np.ndarray:
-    """Joint outcome table with charlie acting as a Kraus channel t times."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    cm, cp = charlie.k_minus, charlie.k_plus
-    p = np.empty((2, 2))
-    for i, symbol_i in enumerate((-1, +1)):
-        v = first.op(symbol_i) @ psi
-        rho = np.outer(v, np.conj(v))
-        for _ in range(t):
-            rho = cm @ rho @ np.conj(cm).T + cp @ rho @ np.conj(cp).T
-        for j, symbol_j in enumerate((-1, +1)):
-            kj = second.op(symbol_j)
-            p[i, j] = np.trace(kj @ rho @ np.conj(kj).T).real
-    return p
+def _roles(m: Machine, state: np.ndarray, state_map: np.ndarray | None,
+           coord_map: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) role vectors of one machine; columns (difference, sum).
 
-
-def _expectation(p: np.ndarray, renorm: bool) -> tuple[float, float]:
-    """Outcome-product expectation of a 2x2 table; returns (E, raw sum).
-
-    With renorm, the table is divided by its sum when the sum strays from 1
-    by more than 1e-9; an all-zero table yields expectation 0.
+    As the first machine, outcome i leaves the branch state T_i eta (K_i psi),
+    taken after the delay, as a vector (classical) or as the Pauli
+    coordinates Tr[sigma_a rho_i] of rho_i = K_i psi psi^dag K_i^dag.  As the
+    second, outcome j detects a branch state x with probability o_j . x, where
+    o_j = 1^T T_j (1/2 coords(K_j^dag K_j)).
     """
-    total = float(p.sum())
-    if renorm and total != 0.0 and abs(total - 1.0) > RENORM_TOL:
-        p = p / total
-    return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]), total
+    ops = np.stack((m.op(-1), m.op(+1)))
+    x = (ops @ state).T
+    if state_map is not None:
+        x = state_map @ x
+    if m.kind == "classical":
+        o = ops.sum(axis=1).T
+    else:
+        x = kernels._pauli_coords(x[:, None] * np.conj(x)[None, :])
+        if coord_map is not None:
+            x = coord_map @ x
+        o = 0.5 * kernels._pauli_coords(
+            kernels._dagger_mul(ops.transpose(1, 2, 0)))
+    return x @ _SIGNS, o @ _SIGNS
+
+
+def _correlate(machines: tuple, state: np.ndarray, mode: str,
+               delay: DelaySpec | None = None) -> tuple[list[float], dict | None]:
+    """Correlators c11, c12, c21, c22 of machines (a1, a2, b1, b2), raw sums.
+
+    Each delay semantics is one linear map raised to the power t (none at
+    t=0): the stochastic matrix t_minus + t_plus or k_minus + k_plus on the
+    state vector, or the channel's Pauli transfer matrix on the coordinates.
+    The ordered pair (first i, second j) scores E = o_j . x_i on the
+    difference columns.  In vector-sum mode o_j . x_i on the sum columns is
+    the raw four-outcome sum, which renormalises E when it strays from 1 by
+    more than RENORM_TOL (a zero sum leaves E as it is) and is returned per
+    correlator and ordering; otherwise the raw sums are None.
+    """
+    _check_mode(mode)
+    charlie = () if delay is None else (delay.charlie,)
+    quantum = _same_kind(*machines, *charlie) == "quantum"
+    state = np.asarray(state, dtype=np.complex128 if quantum else np.float64)
+    state_map = coord_map = None
+    renorm = False
+    if delay is not None and delay.t > 0:
+        if quantum and delay.quantum_mode == "channel":
+            ops = np.stack((delay.charlie.k_minus, delay.charlie.k_plus))
+            coord_map = np.linalg.matrix_power(
+                kernels.transfer_matrix(ops[..., None])[..., 0], delay.t)
+        else:
+            state_map = np.linalg.matrix_power(delay.charlie.total(), delay.t)
+            renorm = quantum
+    roles = [_roles(m, state, state_map, coord_map) for m in machines]
+    first = np.stack([x for x, _ in roles])
+    second = np.stack([o for _, o in roles])
+    e = first[..., 0] @ second[..., 0].T
+    raw = None
+    if renorm:
+        total = first[..., 1] @ second[..., 1].T
+        e = e / np.where((total != 0.0) & (np.abs(total - 1.0) > RENORM_TOL),
+                         total, 1.0)
+        orders = [o for o in ("a-first", "b-first") if mode in (o, "symmetrized")]
+        raw = {f"c{an + 1}{bm - 1}": {
+                   o: float(total[an, bm] if o == "a-first" else total[bm, an])
+                   for o in orders}
+               for an in (0, 1) for bm in (2, 3)}
+    cs = kernels._correlators(lambda i, j: e[i, j], mode)
+    return [float(c) for c in cs], raw
 
 
 def expectation_seq(first: Machine, second: Machine, state: np.ndarray) -> float:
     """Expectation of the product of two sequential outcomes."""
-    _same_kind(first, second)
-    e, _ = _expectation(_prob_matrix(first, second, state), renorm=False)
-    return e
+    return correlator(first, second, state, "a-first")
 
 
 def correlator(alice_machine: Machine, bob_machine: Machine,
@@ -219,54 +252,24 @@ def correlator(alice_machine: Machine, bob_machine: Machine,
     a-first measures alice's machine before bob's, b-first the reverse, and
     symmetrized averages the two orderings.
     """
-    _check_mode(mode)
-    _same_kind(alice_machine, bob_machine)
-    if mode == "a-first":
-        return expectation_seq(alice_machine, bob_machine, state)
-    if mode == "b-first":
-        return expectation_seq(bob_machine, alice_machine, state)
-    return 0.5 * (expectation_seq(alice_machine, bob_machine, state)
-                  + expectation_seq(bob_machine, alice_machine, state))
+    machines = (alice_machine, alice_machine, bob_machine, bob_machine)
+    return _correlate(machines, state, mode)[0][0]
 
 
-def _correlator_delayed(alice_machine: Machine, bob_machine: Machine,
-                        state: np.ndarray, mode: str,
-                        mid: np.ndarray | None, renorm: bool,
-                        channel: tuple | None = None) -> tuple[float, dict]:
-    """One correlator with an optional intermediary; also returns raw sums."""
-    sums: dict[str, float] = {}
-
-    def one(first, second, label):
-        if channel is not None:
-            p = _channel_prob_matrix(first, second, state, *channel)
-        else:
-            p = _prob_matrix(first, second, state, mid)
-        e, total = _expectation(p, renorm)
-        sums[label] = total
-        return e
-
-    if mode == "a-first":
-        c = one(alice_machine, bob_machine, "a-first")
-    elif mode == "b-first":
-        c = one(bob_machine, alice_machine, "b-first")
-    else:
-        c = 0.5 * (one(alice_machine, bob_machine, "a-first")
-                   + one(bob_machine, alice_machine, "b-first"))
-    return c, sums
+def _score(alice: PartySpec, bob: PartySpec, state: np.ndarray, mode: str,
+           convention: str, delay: DelaySpec | None = None) -> ChshResult:
+    _check_convention(convention)
+    c, raw = _correlate((alice.basis1, alice.basis2, bob.basis1, bob.basis2),
+                        state, mode, delay)
+    return ChshResult(*c, *chsh_from_correlators(*c), mode=mode,
+                      convention=convention, raw_sums=raw)
 
 
 def chsh_score(alice: PartySpec, bob: PartySpec, state: np.ndarray,
                mode: str = "symmetrized",
                convention: str = "canonical") -> ChshResult:
     """Score the four basis combinations of two parties at zero delay."""
-    _check_mode(mode)
-    _check_convention(convention)
-    _same_kind(alice.basis1, bob.basis1)
-    c = [correlator(alice.basis(n), bob.basis(m), state, mode)
-         for n in (1, 2) for m in (1, 2)]
-    s_canonical, s_max = chsh_from_correlators(*c)
-    return ChshResult(c[0], c[1], c[2], c[3], s_canonical, s_max,
-                      mode=mode, convention=convention)
+    return _score(alice, bob, state, mode, convention)
 
 
 def delayed_chsh_score(alice: PartySpec, bob: PartySpec, state: np.ndarray,
@@ -274,41 +277,13 @@ def delayed_chsh_score(alice: PartySpec, bob: PartySpec, state: np.ndarray,
                        convention: str = "canonical") -> ChshResult:
     """Score with the delay machine acting t times between measurements.
 
-    t=0 falls through to chsh_score and matches it bit-for-bit.  A classical
+    t=0 applies no map and matches chsh_score bit-for-bit.  A classical
     charlie contributes (t_minus + t_plus)^t between the parties' matrices.
     A quantum charlie acts per DelaySpec.quantum_mode; in vector-sum mode
     the result's raw_sums records the unrenormalised four-outcome sum per
     correlator and ordering.
     """
-    _check_mode(mode)
-    _check_convention(convention)
-    kind = _same_kind(alice.basis1, bob.basis1, delay.charlie)
-    if delay.t == 0:
-        return chsh_score(alice, bob, state, mode, convention)
-
-    channel = None
-    mid = None
-    renorm = False
-    if kind == "classical":
-        mid = np.linalg.matrix_power(delay.charlie.total(), delay.t)
-    elif delay.quantum_mode == "vector-sum":
-        mid = np.linalg.matrix_power(delay.charlie.total(), delay.t)
-        renorm = True
-    else:
-        channel = (delay.charlie, delay.t)
-
-    cs = []
-    raw: dict[str, dict[str, float]] = {}
-    for n in (1, 2):
-        for m in (1, 2):
-            c, sums = _correlator_delayed(alice.basis(n), bob.basis(m),
-                                          state, mode, mid, renorm, channel)
-            cs.append(c)
-            raw[f"c{n}{m}"] = sums
-    s_canonical, s_max = chsh_from_correlators(*cs)
-    return ChshResult(cs[0], cs[1], cs[2], cs[3], s_canonical, s_max,
-                      mode=mode, convention=convention,
-                      raw_sums=raw if renorm else None)
+    return _score(alice, bob, state, mode, convention, delay)
 
 
 def spatial_reference_score(theta_a1: float, theta_a2: float,

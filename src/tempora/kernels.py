@@ -15,12 +15,15 @@ import numpy as np
 
 from . import rng
 from .algebra import DEGENERACY_TOL, orthonormalize_pair
-from .chsh import RENORM_TOL
 from .classical import TransitionPair, mm_from_params, hmm_from_params
 from .errors import DegenerateInput, SamplingError
 from .quantum import KrausPair, kraus_from_dilation, projective_kraus
 
 KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
+
+# Four-outcome sums further than this from 1 trigger renormalisation in
+# vector-sum delay mode.
+RENORM_TOL = 1e-9
 
 # Resampling attempts for a degenerate Gaussian draw: 1 initial + 16 retries.
 MAX_ATTEMPTS = 17

@@ -3,7 +3,9 @@
 The oracles recompute joint probabilities by stepping machines one outcome
 at a time (renormalising in between, then multiplying the conditionals),
 which must agree with the raw operator-composition route used by the
-library.  Projective pairs additionally admit a closed-form correlator.
+library.  Channel-mode delays are checked against a density matrix stepped
+t times, and every score against the 2x2 joint tables of joint_prob_*.
+Projective pairs additionally admit a closed-form correlator.
 """
 import numpy as np
 import pytest
@@ -36,6 +38,48 @@ def stepwise_joint(first, second, state, i, j):
     return p1 * p2
 
 
+def channel_stepped_table(first, second, psi, charlie, t):
+    """Joint outcome table with charlie stepping the density matrix t times
+    through its Kraus channel."""
+    cm, cp = charlie.k_minus, charlie.k_plus
+    p = np.empty((2, 2))
+    for i, symbol_i in enumerate((-1, +1)):
+        v = first.op(symbol_i) @ psi
+        rho = np.outer(v, np.conj(v))
+        for _ in range(t):
+            rho = cm @ rho @ np.conj(cm).T + cp @ rho @ np.conj(cp).T
+        for j, symbol_j in enumerate((-1, +1)):
+            kj = second.op(symbol_j)
+            p[i, j] = np.trace(kj @ rho @ np.conj(kj).T).real
+    return p
+
+
+def table_correlators(alice, bob, mode, table, renorm=False):
+    """Correlators c11..c22 and raw sums from table(first, second).
+
+    With renorm, a table whose sum strays from 1 by more than 1e-9 is divided
+    by its sum, unless the sum is 0.
+    """
+    cs, raw = [], {}
+    for n in (1, 2):
+        for m in (1, 2):
+            pairs = {"a-first": (alice.basis(n), bob.basis(m)),
+                     "b-first": (bob.basis(m), alice.basis(n))}
+            es, sums = [], {}
+            for order, (first, second) in pairs.items():
+                if mode not in (order, "symmetrized"):
+                    continue
+                p = table(first, second)
+                total = float(p.sum())
+                if renorm and total != 0.0 and abs(total - 1.0) > 1e-9:
+                    p = p / total
+                es.append(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+                sums[order] = total
+            cs.append(float(np.mean(es)))
+            raw[f"c{n}{m}"] = sums
+    return cs, raw
+
+
 def random_prob_state(rs):
     u = rs.rand()
     return np.array([u, 1.0 - u])
@@ -54,6 +98,11 @@ def classical_party(seed, trial, slots):
 def quantum_party(seed, trial, slots):
     return PartySpec(sample_machine("hqmm", Stream(seed, trial, slots[0])),
                      sample_machine("hqmm", Stream(seed, trial, slots[1])))
+
+
+def sampled_party(kind, seed, trial, slots):
+    return PartySpec(sample_machine(kind, Stream(seed, trial, slots[0])),
+                     sample_machine(kind, Stream(seed, trial, slots[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +432,65 @@ def test_raw_sums_reported_only_in_vector_sum_mode():
     res = delayed_chsh_score(alice_c, bob_c, np.array([1.0, 0.0]),
                              DelaySpec(identity, 2))
     assert res.raw_sums is None
+
+
+@pytest.mark.parametrize("kind", ["hqmm", "hqmm-proj"])
+@pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
+def test_channel_mode_matches_stepped_density_matrix(kind, mode):
+    # odd and non-power-of-two t exercise every branch of the matrix power
+    rs = np.random.RandomState(19)
+    for trial in range(5):
+        alice = sampled_party(kind, 115, trial, (SLOT_ALICE1, SLOT_ALICE2))
+        bob = sampled_party(kind, 115, trial, (SLOT_BOB1, SLOT_BOB2))
+        charlie = sample_machine(kind, Stream(115, trial, SLOT_CHARLIE))
+        psi = random_pure_state(rs)
+        for t in (0, 1, 2, 5, 16, 37):
+            res = delayed_chsh_score(alice, bob, psi,
+                                     DelaySpec(charlie, t, "channel"), mode)
+            want, _ = table_correlators(
+                alice, bob, mode,
+                lambda f, s: channel_stepped_table(f, s, psi, charlie, t))
+            np.testing.assert_allclose([res.c11, res.c12, res.c21, res.c22],
+                                       want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hmm", "hqmm"])
+@pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
+def test_scores_match_joint_probability_tables(kind, mode):
+    quantum = kind == "hqmm"
+    joint = joint_prob_quantum if quantum else joint_prob_classical
+    rs = np.random.RandomState(20)
+    renormalised = 0
+    for trial in range(10):
+        alice = sampled_party(kind, 116, trial, (SLOT_ALICE1, SLOT_ALICE2))
+        bob = sampled_party(kind, 116, trial, (SLOT_BOB1, SLOT_BOB2))
+        charlie = sample_machine(kind, Stream(116, trial, SLOT_CHARLIE))
+        state = random_pure_state(rs) if quantum else random_prob_state(rs)
+        for t in (0, 1, 3):
+            mid = np.linalg.matrix_power(charlie.total(), t)
+
+            def table(first, second):
+                return np.array([[joint(first, second, state, i, j, mid)
+                                  for j in (-1, +1)] for i in (-1, +1)])
+
+            renorm = quantum and t > 0
+            want, sums = table_correlators(alice, bob, mode, table, renorm)
+            res = delayed_chsh_score(alice, bob, state, DelaySpec(charlie, t),
+                                     mode)
+            np.testing.assert_allclose([res.c11, res.c12, res.c21, res.c22],
+                                       want, rtol=0, atol=1e-12)
+            if not renorm:
+                assert res.raw_sums is None
+                continue
+            assert res.raw_sums.keys() == sums.keys()
+            for c, by_order in sums.items():
+                assert res.raw_sums[c].keys() == by_order.keys()
+                for order, total in by_order.items():
+                    assert res.raw_sums[c][order] == pytest.approx(
+                        total, rel=1e-12, abs=0)
+                    renormalised += abs(total - 1.0) > 1e-9
+    # the renormalisation rule is exercised, not only the deadband
+    assert renormalised > 0 or not quantum
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ FIXTURE_SCORE_DIGESTS = {
     "classical_smax3.json":
         "c6e0349dc6221ee9118228d94d9f6b74cbcdc19a49794274a0aa5b23c7db4c84",
     "projective_2sqrt2.json":
-        "8675234b8b9f1f262cfaf6b0f828ad66eac8aa400a702c07ba6e429df54c0460",
+        "f7ba54e2216b6f88cc35e4524e44c71589d6df43cf549544e3c78557519a6a2e",
 }
 
 SCORE_TRIALS = 8
@@ -170,53 +170,53 @@ SCORE_TRIALS = 8
 # drawn machine files, each in every ordering.
 SCORE_DIGESTS = {
     ("hmm", 0, "channel"):
-        "64df1291144263c830a78cde6ac58e71d0a9cd8d239dd9b0d5a2d1baec48f31e",
+        "760b94ebbc730ccc2bb39f377b4dc91432c2669966e28a6bbfbae9c38083c618",
     ("hmm", 0, "vector-sum"):
-        "64df1291144263c830a78cde6ac58e71d0a9cd8d239dd9b0d5a2d1baec48f31e",
+        "760b94ebbc730ccc2bb39f377b4dc91432c2669966e28a6bbfbae9c38083c618",
     ("hmm", 1, "channel"):
-        "ff17386ebe02a83e2ed578f1f46082f64abb3736c5f95519c4ecfc2b1685df29",
+        "0399b449e2d0ce35944abbafdc6eeb73d4bb18afb8641c326709d7c82ca11f72",
     ("hmm", 1, "vector-sum"):
-        "ff17386ebe02a83e2ed578f1f46082f64abb3736c5f95519c4ecfc2b1685df29",
+        "0399b449e2d0ce35944abbafdc6eeb73d4bb18afb8641c326709d7c82ca11f72",
     ("hmm", 8, "channel"):
-        "9d5a4b0c0fbdd2c404262344954c4c235044f41b5bb573c644e12c0235476596",
+        "1257fd646e692a8125492516ad893959c0417f614a3f916c66159dcfacb16870",
     ("hmm", 8, "vector-sum"):
-        "9d5a4b0c0fbdd2c404262344954c4c235044f41b5bb573c644e12c0235476596",
+        "1257fd646e692a8125492516ad893959c0417f614a3f916c66159dcfacb16870",
     ("hqmm", 0, "channel"):
-        "7aa3a8c9379fe23ead1845181277f704b7f003d55636e8653a2ba8c4530fefa1",
+        "0e0621e63866ae6fa0852f08de97e0e6d1d40abb907bc75d57a62439ef8a6719",
     ("hqmm", 0, "vector-sum"):
-        "7aa3a8c9379fe23ead1845181277f704b7f003d55636e8653a2ba8c4530fefa1",
+        "0e0621e63866ae6fa0852f08de97e0e6d1d40abb907bc75d57a62439ef8a6719",
     ("hqmm", 1, "channel"):
-        "39deee68a79abea0ae09f54977ea27db43aef3889901398656077e2fa414afd4",
+        "b0dfcab766dadffd7652406ffcacf20629854f2013922010e3861be083784a55",
     ("hqmm", 1, "vector-sum"):
-        "7467ea5c9e4d9c0eda4d6cd9d8636e84f76e87b976b26bcaeb138fb411640fb1",
+        "8cabe082b9291960e4f513a56b54eb4628ff73b4eaa065b82c3ac2963b535190",
     ("hqmm", 8, "channel"):
-        "4e3b6dd1c8ed8acb1dd3b1b6c279de8cc8c9d40c46dbed69dfd4110ee39c3d7f",
+        "3faae99cf7d29dbba124be79da66ee7f43d4f533d1750f4bcf88f3f6ffa3b649",
     ("hqmm", 8, "vector-sum"):
-        "e81ecf44482b6d3ab21c9b49d294941cae3026b15fab4ed77a7549c9bf6615de",
+        "62f9402e3ff9b18a566897e6509398c6905952e777e14117cde07de78103730a",
     ("hqmm-proj", 0, "channel"):
-        "87abb123c3a96fa49d24897ed3620a8a23cb3567297519fe895f2635bde7fd03",
+        "af289dd319f0fd09cd20a00fbb72b7653b31155c08cacc7bee02752129187e0a",
     ("hqmm-proj", 0, "vector-sum"):
-        "87abb123c3a96fa49d24897ed3620a8a23cb3567297519fe895f2635bde7fd03",
+        "af289dd319f0fd09cd20a00fbb72b7653b31155c08cacc7bee02752129187e0a",
     ("hqmm-proj", 1, "channel"):
-        "975c360ac61b9a0f6e1efecdda2a6bffa8f8f6175510f73a3e18580c2cc9e513",
+        "20f70ac8633bbed3d9ac9eda504809eed0f47bf1fff5e528fbd07b2adbd4fad0",
     ("hqmm-proj", 1, "vector-sum"):
-        "07953c0d377b8a332a826254055ac82c850487c09dde0043a12c0d9b4551caa4",
+        "52d6c65ba027713ecfe3ea38d5822659fedd408946d2fb28e9db65b4c2187427",
     ("hqmm-proj", 8, "channel"):
-        "f12fa71b98ab79e7717f1817c70f48e0de90414c9c2ee02d5a681d1891ac93d0",
+        "477c86fc121281509592c1bbf35bbb80fa188fda5eec44c1ef4b8240b5a3935e",
     ("hqmm-proj", 8, "vector-sum"):
-        "039cb076bee5ddabbd17ffb51c6c78225b43a0b43e23c15ea06caeb56b1fe589",
+        "478473ad5bc184a5736e6de0116624cb64eeb93cdea56ce2e79f7b13eced3557",
     ("mm", 0, "channel"):
-        "e375b602519bbdfec7ac426b847980beeb2f386b23c11d00a657baf02ff88b8e",
+        "88900325cf85fdd62dd638fc4b6e5b44e8ff724b2f9afa4506c6effca83e83e3",
     ("mm", 0, "vector-sum"):
-        "e375b602519bbdfec7ac426b847980beeb2f386b23c11d00a657baf02ff88b8e",
+        "88900325cf85fdd62dd638fc4b6e5b44e8ff724b2f9afa4506c6effca83e83e3",
     ("mm", 1, "channel"):
-        "984e2810e2d04f73c52cbd5217f70c6d284a2687a2ff35de0813e1452fd9a739",
+        "3a1e2c8a83ef70ba150bfce699abe632ec7121aabf1f9f906eeb626e0af91817",
     ("mm", 1, "vector-sum"):
-        "984e2810e2d04f73c52cbd5217f70c6d284a2687a2ff35de0813e1452fd9a739",
+        "3a1e2c8a83ef70ba150bfce699abe632ec7121aabf1f9f906eeb626e0af91817",
     ("mm", 8, "channel"):
-        "9ba73a4c7725ca8293dc587bcc901c863a5b7aa5e1c2f5e48979f8c41a5d3930",
+        "e2ef1b87088d9efb4bc358c2e92fa32644549a3ba00a8d711478d257b04e96a3",
     ("mm", 8, "vector-sum"):
-        "9ba73a4c7725ca8293dc587bcc901c863a5b7aa5e1c2f5e48979f8c41a5d3930",
+        "e2ef1b87088d9efb4bc358c2e92fa32644549a3ba00a8d711478d257b04e96a3",
 }
 
 
