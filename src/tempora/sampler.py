@@ -226,36 +226,17 @@ def _batches(count: int) -> list[tuple[int, int]]:
     return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
 
 
-@dataclass
-class _Partial:
-    counts: np.ndarray
-    underflow: int
-    overflow: int
-    n: int
-    sum_s: float
-    min_s: float
-    max_s: float
-    above2: int
-    above2r2: int
-
-
-def _partial_from_scores(cfg: SweepConfig, scores: np.ndarray) -> _Partial:
-    h = Histogram.empty(cfg.bins, *cfg.range)
-    h.add_scores(scores)
-    return _Partial(
-        counts=h.counts, underflow=h.underflow, overflow=h.overflow,
-        n=int(scores.size), sum_s=float(scores.sum()),
-        min_s=float(scores.min()), max_s=float(scores.max()),
-        above2=int(np.count_nonzero(scores > 2.0)),
-        above2r2=int(np.count_nonzero(scores > TWO_SQRT2)))
-
-
-def _sweep_batch(args: tuple[SweepConfig, int, int]) -> _Partial:
+def _sweep_batch(args: tuple[SweepConfig, int, int]
+                 ) -> tuple[Histogram, float, int, int]:
+    """One batch's histogram, score sum and counts above 2 and 2*sqrt(2)."""
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     scores = kernels.batch_scores(cfg.kind, cfg.master_seed, trials,
                                   cfg.mode, cfg.convention, cfg.random_initial)
-    return _partial_from_scores(cfg, scores)
+    hist = Histogram.empty(cfg.bins, *cfg.range)
+    hist.add_scores(scores)
+    return (hist, float(scores.sum()), int(np.count_nonzero(scores > 2.0)),
+            int(np.count_nonzero(scores > TWO_SQRT2)))
 
 
 def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
@@ -282,18 +263,12 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSumma
     hist = Histogram.empty(cfg.bins, *cfg.range)
     sum_s = 0.0
     above2 = above2r2 = 0
-    for part in _map_batches(_sweep_batch, cfg, workers):
-        hist.counts += part.counts
-        hist.underflow += part.underflow
-        hist.overflow += part.overflow
-        hist.total += part.n
-        hist.observed_min = part.min_s if hist.observed_min is None \
-            else min(hist.observed_min, part.min_s)
-        hist.observed_max = part.max_s if hist.observed_max is None \
-            else max(hist.observed_max, part.max_s)
-        sum_s += part.sum_s
-        above2 += part.above2
-        above2r2 += part.above2r2
+    for part, part_sum, part_above2, part_above2r2 in _map_batches(
+            _sweep_batch, cfg, workers):
+        hist = histogram_merge(hist, part)
+        sum_s += part_sum
+        above2 += part_above2
+        above2r2 += part_above2r2
     n = hist.total
     summary = SweepSummary(
         count=n,
