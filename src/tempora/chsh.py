@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .classical import TransitionPair
 from .errors import KindMismatch
-from .kernels import RENORM_TOL  # noqa: F401  (re-exported API)
+from .kernels import RENORM_TOL
 from .quantum import KrausPair
 
 Machine = Union[TransitionPair, KrausPair]
@@ -165,48 +165,31 @@ def joint_prob_quantum(first: KrausPair, second: KrausPair,
     return float(np.sum(w.real ** 2 + w.imag ** 2))
 
 
-# Column weights taking a machine's two outcome branches (-1, +1) to their
-# difference and their sum.
-_SIGNS = np.array([[-1.0, 1.0], [1.0, 1.0]])
-
-
-def _roles(m: Machine, state: np.ndarray, state_map: np.ndarray | None,
-           coord_map: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(first, second) role vectors of one machine; columns (difference, sum).
-
-    As the first machine, outcome i leaves the branch state T_i eta (K_i psi),
-    taken after the delay, as a vector (classical) or as the Pauli
-    coordinates Tr[sigma_a rho_i] of rho_i = K_i psi psi^dag K_i^dag.  As the
-    second, outcome j detects a branch state x with probability o_j . x, where
-    o_j = 1^T T_j (1/2 coords(K_j^dag K_j)).
-    """
-    ops = np.stack((m.op(-1), m.op(+1)))
-    x = (ops @ state).T
-    if state_map is not None:
-        x = state_map @ x
-    if m.kind == "classical":
-        o = ops.sum(axis=1).T
-    else:
-        x = kernels._pauli_coords(x[:, None] * np.conj(x)[None, :])
-        if coord_map is not None:
-            x = coord_map @ x
-        o = 0.5 * kernels._pauli_coords(
-            kernels._dagger_mul(ops.transpose(1, 2, 0)))
-    return x @ _SIGNS, o @ _SIGNS
+def _pauli_coords(h: np.ndarray) -> np.ndarray:
+    """Pauli coordinates, on a new last axis, of a (..., 2, 2) Hermitian stack."""
+    return np.moveaxis(kernels._pauli_coords(np.moveaxis(h, (-2, -1), (0, 1))),
+                       0, -1)
 
 
 def _correlate(machines: tuple, state: np.ndarray, mode: str,
                delay: DelaySpec | None = None) -> tuple[list[float], dict | None]:
     """Correlators c11, c12, c21, c22 of machines (a1, a2, b1, b2), raw sums.
 
+    Each machine gets its role vectors once.  As the first machine, outcome i
+    leaves the branch state x_i = T_i eta (K_i psi), taken after the delay,
+    as a vector (classical) or as the Pauli coordinates Tr[sigma_a rho_i] of
+    rho_i = K_i psi psi^dag K_i^dag.  As the second, outcome j detects a
+    branch state x with probability o_j . x, where o_j = 1^T T_j
+    (1/2 coords(K_j^dag K_j)).  The ordered pair (first, second) scores
+    E = (o+ - o-) . (x+ - x-), and (o+ + o-) . (x+ + x-) is its raw
+    four-outcome sum.
+
     Each delay semantics is one linear map raised to the power t (none at
-    t=0): the stochastic matrix t_minus + t_plus or k_minus + k_plus on the
-    state vector, or the channel's Pauli transfer matrix on the coordinates.
-    The ordered pair (first i, second j) scores E = o_j . x_i on the
-    difference columns.  In vector-sum mode o_j . x_i on the sum columns is
-    the raw four-outcome sum, which renormalises E when it strays from 1 by
-    more than RENORM_TOL (a zero sum leaves E as it is) and is returned per
-    correlator and ordering; otherwise the raw sums are None.
+    t=0): t_minus + t_plus or k_minus + k_plus on the state vector, or the
+    channel's Pauli transfer matrix on the coordinates.  In vector-sum mode
+    the raw sum renormalises E when it strays from 1 by more than RENORM_TOL
+    (a zero sum leaves E as it is) and is returned per correlator and
+    ordering; otherwise the raw sums are None.
     """
     _check_mode(mode)
     charlie = () if delay is None else (delay.charlie,)
@@ -222,13 +205,22 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
         else:
             state_map = np.linalg.matrix_power(delay.charlie.total(), delay.t)
             renorm = quantum
-    roles = [_roles(m, state, state_map, coord_map) for m in machines]
-    first = np.stack([x for x, _ in roles])
-    second = np.stack([o for _, o in roles])
-    e = first[..., 0] @ second[..., 0].T
+    # (machine, outcome, row, column), outcomes in the order (-1, +1)
+    ops = np.stack([(m.op(-1), m.op(+1)) for m in machines])
+    x = ops @ state
+    if state_map is not None:
+        x = x @ state_map.T
+    if quantum:
+        x = _pauli_coords(x[..., :, None] * np.conj(x)[..., None, :])
+        if coord_map is not None:
+            x = x @ coord_map.T
+        o = 0.5 * _pauli_coords(np.conj(ops).swapaxes(-1, -2) @ ops)
+    else:
+        o = ops.sum(axis=-2)
+    e = (x[:, 1] - x[:, 0]) @ (o[:, 1] - o[:, 0]).T
     raw = None
     if renorm:
-        total = first[..., 1] @ second[..., 1].T
+        total = (x[:, 1] + x[:, 0]) @ (o[:, 1] + o[:, 0]).T
         e = e / np.where((total != 0.0) & (np.abs(total - 1.0) > RENORM_TOL),
                          total, 1.0)
         orders = [o for o in ("a-first", "b-first") if mode in (o, "symmetrized")]
@@ -252,6 +244,7 @@ def correlator(alice_machine: Machine, bob_machine: Machine,
     a-first measures alice's machine before bob's, b-first the reverse, and
     symmetrized averages the two orderings.
     """
+    # c11 of the parties (a, a) and (b, b) is this pair's correlator.
     machines = (alice_machine, alice_machine, bob_machine, bob_machine)
     return _correlate(machines, state, mode)[0][0]
 

@@ -182,29 +182,29 @@ SCORE_DIGESTS = {
     ("hmm", 8, "vector-sum"):
         "1257fd646e692a8125492516ad893959c0417f614a3f916c66159dcfacb16870",
     ("hqmm", 0, "channel"):
-        "0e0621e63866ae6fa0852f08de97e0e6d1d40abb907bc75d57a62439ef8a6719",
+        "85448444d4c3a4855bfaaab97ad5f9408b5e0a49f7be4c14fa9f026d515eec9c",
     ("hqmm", 0, "vector-sum"):
-        "0e0621e63866ae6fa0852f08de97e0e6d1d40abb907bc75d57a62439ef8a6719",
+        "85448444d4c3a4855bfaaab97ad5f9408b5e0a49f7be4c14fa9f026d515eec9c",
     ("hqmm", 1, "channel"):
-        "b0dfcab766dadffd7652406ffcacf20629854f2013922010e3861be083784a55",
+        "eed427b9dfdd584e86a78e474c4620d22d480d731d8a1f3b0571213b47a70e33",
     ("hqmm", 1, "vector-sum"):
-        "8cabe082b9291960e4f513a56b54eb4628ff73b4eaa065b82c3ac2963b535190",
+        "3d4a9a42804646b5d4c6953a603634bb88e31bcc8dc44242b1389f0f6cb58974",
     ("hqmm", 8, "channel"):
-        "3faae99cf7d29dbba124be79da66ee7f43d4f533d1750f4bcf88f3f6ffa3b649",
+        "89c92a08a4e0880c852f882cb2135d9110a38dc2f92b19c2ef255e873f258fc0",
     ("hqmm", 8, "vector-sum"):
-        "62f9402e3ff9b18a566897e6509398c6905952e777e14117cde07de78103730a",
+        "ee92788c61704e9c37d7afc1ee9a0a554e53f0a76ca9f893e0330be200d09522",
     ("hqmm-proj", 0, "channel"):
-        "af289dd319f0fd09cd20a00fbb72b7653b31155c08cacc7bee02752129187e0a",
+        "41a8c9c21a63718bccd4d0efdb2f0d12addca8ab9a72b7f1c55c1de774070727",
     ("hqmm-proj", 0, "vector-sum"):
-        "af289dd319f0fd09cd20a00fbb72b7653b31155c08cacc7bee02752129187e0a",
+        "41a8c9c21a63718bccd4d0efdb2f0d12addca8ab9a72b7f1c55c1de774070727",
     ("hqmm-proj", 1, "channel"):
-        "20f70ac8633bbed3d9ac9eda504809eed0f47bf1fff5e528fbd07b2adbd4fad0",
+        "db8a6cc3774b93fc4abd9bcd18b27c835e533e318924848de1fbc01a1e464694",
     ("hqmm-proj", 1, "vector-sum"):
-        "52d6c65ba027713ecfe3ea38d5822659fedd408946d2fb28e9db65b4c2187427",
+        "ea9eb79bd7d92347079a4c92d2279f5d22d5bfa5a2c7a8fd95b9848cb674d3e5",
     ("hqmm-proj", 8, "channel"):
-        "477c86fc121281509592c1bbf35bbb80fa188fda5eec44c1ef4b8240b5a3935e",
+        "756d2fa0e6c487ee697ee9848042fe8de6ad382df5674c4c10e2e1832c242ea7",
     ("hqmm-proj", 8, "vector-sum"):
-        "478473ad5bc184a5736e6de0116624cb64eeb93cdea56ce2e79f7b13eced3557",
+        "4c235f6e6756a2b299858dfd1a1f1b9b65894161b4639111883a26e38008d29e",
     ("mm", 0, "channel"):
         "88900325cf85fdd62dd638fc4b6e5b44e8ff724b2f9afa4506c6effca83e83e3",
     ("mm", 0, "vector-sum"):
