@@ -199,9 +199,9 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     renorm = False
     if delay is not None and delay.t > 0:
         if quantum and delay.quantum_mode == "channel":
-            ops = np.stack((delay.charlie.k_minus, delay.charlie.k_plus))
+            kraus = np.stack((delay.charlie.k_minus, delay.charlie.k_plus))
             coord_map = np.linalg.matrix_power(
-                kernels.transfer_matrix(ops[..., None])[..., 0], delay.t)
+                kernels.transfer_matrix(kraus[..., None])[..., 0], delay.t)
         else:
             state_map = np.linalg.matrix_power(delay.charlie.total(), delay.t)
             renorm = quantum
@@ -223,10 +223,12 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
         total = (x[:, 1] + x[:, 0]) @ (o[:, 1] + o[:, 0]).T
         e = e / np.where((total != 0.0) & (np.abs(total - 1.0) > RENORM_TOL),
                          total, 1.0)
-        orders = [o for o in ("a-first", "b-first") if mode in (o, "symmetrized")]
+        orders = [order for order in ("a-first", "b-first")
+                  if mode in (order, "symmetrized")]
         raw = {f"c{an + 1}{bm - 1}": {
-                   o: float(total[an, bm] if o == "a-first" else total[bm, an])
-                   for o in orders}
+                   order: float(total[an, bm] if order == "a-first"
+                                else total[bm, an])
+                   for order in orders}
                for an in (0, 1) for bm in (2, 3)}
     cs = kernels._correlators(lambda i, j: e[i, j], mode)
     return [float(c) for c in cs], raw
