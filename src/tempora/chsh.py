@@ -165,12 +165,6 @@ def joint_prob_quantum(first: KrausPair, second: KrausPair,
     return float(np.sum(w.real ** 2 + w.imag ** 2))
 
 
-def _pauli_coords(h: np.ndarray) -> np.ndarray:
-    """Pauli coordinates, on a new last axis, of a (..., 2, 2) Hermitian stack."""
-    return np.moveaxis(kernels._pauli_coords(np.moveaxis(h, (-2, -1), (0, 1))),
-                       0, -1)
-
-
 def _correlate(machines: tuple, state: np.ndarray, mode: str,
                delay: DelaySpec | None = None) -> tuple[list[float], dict | None]:
     """Correlators c11, c12, c21, c22 of machines (a1, a2, b1, b2), raw sums.
@@ -211,10 +205,17 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     if state_map is not None:
         x = x @ state_map.T
     if quantum:
-        x = _pauli_coords(x[..., :, None] * np.conj(x)[..., None, :])
+        # Pauli coordinates on the last axis, as the transpose of a
+        # (4, machine, outcome) array: the layout the products below had
+        # when the score documents were pinned.
+        x0, x1 = x[..., 0], x[..., 1]
+        x = kernels._pauli_coords(x0 * np.conj(x0), x0 * np.conj(x1),
+                                  x1 * np.conj(x1)).transpose(1, 2, 0)
         if coord_map is not None:
             x = x @ coord_map.T
-        o = 0.5 * _pauli_coords(np.conj(ops).swapaxes(-1, -2) @ ops)
+        g = np.conj(ops).swapaxes(-1, -2) @ ops
+        o = 0.5 * kernels._pauli_coords(g[..., 0, 0], g[..., 0, 1],
+                                        g[..., 1, 1]).transpose(1, 2, 0)
     else:
         o = ops.sum(axis=-2)
     e = (x[:, 1] - x[:, 0]) @ (o[:, 1] - o[:, 0]).T

@@ -9,6 +9,7 @@ P(i) = (1,1) . T^(i) . eta with post-state T^(i) eta / P(i).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -27,7 +28,8 @@ def _as_matrix(m, name: str) -> np.ndarray:
     m = np.array(m, dtype=np.float64)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    row0, row1 = m.tolist()
+    if not all(map(math.isfinite, row0 + row1)):
         raise ValueError(f"{name} contains non-finite entries")
     m.flags.writeable = False
     return m
@@ -58,7 +60,8 @@ class TransitionPair:
 def prob_vector(p_minus: float, p_plus: float) -> np.ndarray:
     """Probability vector over the two internal states."""
     eta = np.array([p_minus, p_plus], dtype=np.float64)
-    if np.any(eta < 0.0) or abs(float(eta.sum()) - 1.0) > COMPLETENESS_TOL:
+    p0, p1 = eta.tolist()
+    if p0 < 0.0 or p1 < 0.0 or abs((p0 + p1) - 1.0) > COMPLETENESS_TOL:
         raise RangeError(f"({p_minus}, {p_plus}) is not a probability vector")
     return eta
 
@@ -107,18 +110,21 @@ def validate_classical(m: TransitionPair) -> None:
 
     Raises CompletenessError carrying the offending column and residual.
     """
-    for name, mat in (("t_minus", m.t_minus), ("t_plus", m.t_plus)):
-        if np.any(mat < 0.0) or np.any(mat > 1.0):
-            worst = float(max(np.max(-mat), np.max(mat - 1.0)))
-            raise CompletenessError(
-                f"{name} has entries outside [0, 1]", residual=worst)
-    sums = m.total().sum(axis=0)
-    residuals = np.abs(sums - 1.0)
-    col = int(np.argmax(residuals))
+    t_minus, t_plus = m.t_minus.tolist(), m.t_plus.tolist()
+    for name, rows in (("t_minus", t_minus), ("t_plus", t_plus)):
+        lo, hi = min(rows[0] + rows[1]), max(rows[0] + rows[1])
+        if lo < 0.0 or hi > 1.0:
+            raise CompletenessError(f"{name} has entries outside [0, 1]",
+                                    residual=max(-lo, hi - 1.0))
+    # Each column of t_minus + t_plus, summed in numpy's order.
+    sums = [(t_minus[0][c] + t_plus[0][c]) + (t_minus[1][c] + t_plus[1][c])
+            for c in (0, 1)]
+    residuals = [abs(s - 1.0) for s in sums]
+    col = 1 if residuals[1] > residuals[0] else 0  # the first maximum wins ties
     if residuals[col] > COMPLETENESS_TOL:
         raise CompletenessError(
-            f"column {col} of t_minus + t_plus sums to {float(sums[col])!r}",
-            column=col, residual=float(residuals[col]))
+            f"column {col} of t_minus + t_plus sums to {sums[col]!r}",
+            column=col, residual=residuals[col])
 
 
 def classical_outcome_step(m: TransitionPair, eta: np.ndarray,

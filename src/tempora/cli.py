@@ -153,10 +153,10 @@ def _cmd_delay(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    mf = load_machine_file(args.machines)
-    state = mf.default_state()
     if args.t < 0:
         raise ConfigError(f"--t must be >= 0, got {args.t}")
+    mf = load_machine_file(args.machines)
+    state = mf.default_state()
     if args.t > 0:
         if mf.charlie is None:
             raise ValidationError(

@@ -284,41 +284,41 @@ def _pair_expectation(first: np.ndarray, second: np.ndarray,
     return p[0][0] - p[0][1] - p[1][0] + p[1][1]
 
 
-def _dagger_mul(g: np.ndarray) -> np.ndarray:
-    """Batch K^dag K for one (2,2,n) operator."""
-    out = np.empty(g.shape, dtype=g.dtype)
-    out[0, 0] = np.conj(g[0, 0]) * g[0, 0] + np.conj(g[1, 0]) * g[1, 0]
-    out[0, 1] = np.conj(g[0, 0]) * g[0, 1] + np.conj(g[1, 0]) * g[1, 1]
-    out[1, 0] = np.conj(g[0, 1]) * g[0, 0] + np.conj(g[1, 1]) * g[1, 0]
-    out[1, 1] = np.conj(g[0, 1]) * g[0, 1] + np.conj(g[1, 1]) * g[1, 1]
-    return out
+def _dagger_mul(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries (0,0), (0,1), (1,1) of the Hermitian batch K^dag K."""
+    return (np.conj(g[0, 0]) * g[0, 0] + np.conj(g[1, 0]) * g[1, 0],
+            np.conj(g[0, 0]) * g[0, 1] + np.conj(g[1, 0]) * g[1, 1],
+            np.conj(g[0, 1]) * g[0, 1] + np.conj(g[1, 1]) * g[1, 1])
 
 
-def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(2,2,n) batch product a @ b^dag."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out[0, 0] = a[0, 0] * np.conj(b[0, 0]) + a[0, 1] * np.conj(b[0, 1])
-    out[0, 1] = a[0, 0] * np.conj(b[1, 0]) + a[0, 1] * np.conj(b[1, 1])
-    out[1, 0] = a[1, 0] * np.conj(b[0, 0]) + a[1, 1] * np.conj(b[0, 1])
-    out[1, 1] = a[1, 0] * np.conj(b[1, 0]) + a[1, 1] * np.conj(b[1, 1])
-    return out
+def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries (0,0), (0,1), (1,1) of the (2,2,n) batch product a @ b^dag.
+
+    Callers take products that are Hermitian, so entry (1,0) is not needed.
+    """
+    return (a[0, 0] * np.conj(b[0, 0]) + a[0, 1] * np.conj(b[0, 1]),
+            a[0, 0] * np.conj(b[1, 0]) + a[0, 1] * np.conj(b[1, 1]),
+            a[1, 0] * np.conj(b[1, 0]) + a[1, 1] * np.conj(b[1, 1]))
 
 
-# Pauli basis (I, X, Y, Z), each of shape (2, 2, 1) to broadcast over trials.
+# Pauli basis (I, X, Y, Z) on axis 3, shaped (2, 2, 1, 4, 1) to broadcast
+# over (row, column, outcome, Pauli b, trial).
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-                 dtype=np.complex128)[..., None]
+                 dtype=np.complex128).transpose(1, 2, 0)[:, :, None, :, None]
 
 
-def _sandwich(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batch K X K^dag."""
+def _sandwich(k: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Upper entries of the Hermitian batch K X K^dag (X Hermitian)."""
     return _mat_mul_dag(_mat_mul(k, x), k)
 
 
-def _pauli_coords(h: np.ndarray) -> np.ndarray:
-    """(4, n) real coordinates Tr[sigma_a H] of a Hermitian (2,2,n) batch."""
-    return np.stack([(h[0, 0] + h[1, 1]).real, 2.0 * h[0, 1].real,
-                     -2.0 * h[0, 1].imag, (h[0, 0] - h[1, 1]).real])
+def _pauli_coords(h00: np.ndarray, h01: np.ndarray,
+                  h11: np.ndarray) -> np.ndarray:
+    """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its
+    entries (0,0), (0,1) and (1,1)."""
+    return np.stack([(h00 + h11).real, 2.0 * h01.real, -2.0 * h01.imag,
+                     (h00 - h11).real])
 
 
 def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
@@ -328,10 +328,19 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
     Pauli coordinates r_a = Tr[sigma_a rho], Phi acts as r -> R r, so t
     applications are R^t; trace preservation makes the first row (1,0,0,0).
     """
+    # K sigma_b for both outcomes and all four b in one batch product.
+    m = _mat_mul(charlie.transpose(1, 2, 0, 3)[:, :, :, None], PAULI)
     r = np.empty((4, 4, charlie.shape[-1]))
-    for b, sigma in enumerate(PAULI):
-        r[:, b] = 0.5 * _pauli_coords(_sandwich(charlie[0], sigma)
-                                      + _sandwich(charlie[1], sigma))
+    for b in range(4):
+        # The products K sigma_b K^dag stay one n-trial product per outcome
+        # and b: numpy evaluates x * np.conj(y) in place in the conjugate
+        # once that temporary reaches 256 KiB (16384 trials), which swaps
+        # the operands of its complex multiply and so moves the last bit.
+        # Batched over b, full batches would get other bytes than the
+        # pinned ones.
+        minus = _mat_mul_dag(m[:, :, 0, b], charlie[0])
+        plus = _mat_mul_dag(m[:, :, 1, b], charlie[1])
+        r[:, b] = 0.5 * _pauli_coords(*(p + q for p, q in zip(minus, plus)))
     return r
 
 
@@ -346,9 +355,11 @@ def _channel_vectors(machines: list[np.ndarray], psi: np.ndarray | None):
         rho = np.array([[1, 0], [0, 0]], dtype=np.complex128)[..., None]
     else:
         rho = psi[:, None] * np.conj(psi)[None, :]
-    xs = [_pauli_coords(_sandwich(m[1], rho) - _sandwich(m[0], rho))
+    xs = [_pauli_coords(*(p - q for p, q in zip(_sandwich(m[1], rho),
+                                                 _sandwich(m[0], rho))))
           for m in machines]
-    obs = [_pauli_coords(_dagger_mul(m[1]) - _dagger_mul(m[0]))
+    obs = [_pauli_coords(*(p - q for p, q in zip(_dagger_mul(m[1]),
+                                                 _dagger_mul(m[0]))))
            for m in machines]
     return xs, obs
 

@@ -43,7 +43,8 @@ def _cmatrix_to_obj(k: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in k.reshape(4)]
 
 
-def _cmatrix_from_obj(rows, where: str) -> np.ndarray:
+def _cmatrix_from_obj(rows, where: str) -> list:
+    """The 2x2 rows of complex numbers; KrausPair makes the array."""
     try:
         flat = [complex(float(re), float(im)) for re, im in rows]
         if len(flat) != 4:
@@ -51,7 +52,7 @@ def _cmatrix_from_obj(rows, where: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ParseError(
             f"{where}: expected four [re, im] pairs in row-major order") from exc
-    return np.array(flat, dtype=np.complex128).reshape(2, 2)
+    return [flat[:2], flat[2:]]
 
 
 def _rmatrix_from_obj(rows, where: str) -> np.ndarray:

@@ -153,6 +153,15 @@ def test_score_rejects_negative_t(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_score_checks_t_before_reading_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, _, err = run_cli(capsys, "score", "--machines", str(path),
+                           "--t", "-2")
+    assert code == 1
+    assert err == "error: --t must be >= 0, got -2\n"
+
+
 def test_score_invalid_machine_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

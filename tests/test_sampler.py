@@ -206,7 +206,7 @@ def test_batch_delay_scores_match_scalar(kind, quantum_mode):
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
 @pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
 @pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
-def test_batch_channel_scores_match_scalar_stepping(kind, mode, convention):
+def test_batch_channel_scores_match_scalar_channel_scores(kind, mode, convention):
     # odd and non-power-of-two t exercise every branch of the squaring loop;
     # the density-matrix stepping reference lives in test_chsh's oracle
     seed = 59
@@ -232,6 +232,58 @@ def test_transfer_matrix_is_trace_preserving(kind):
     assert r.shape == (4, 4, 256)
     np.testing.assert_allclose(r[0, 0], 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(r[0, 1:], 0.0, rtol=0, atol=1e-12)
+
+
+def transfer_matrix_reference(charlie):
+    """The per-Pauli loop that kernels.transfer_matrix replaced."""
+    def mat_mul(a, b):
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
+        out[0, 0] = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
+        out[0, 1] = a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]
+        out[1, 0] = a[1, 0] * b[0, 0] + a[1, 1] * b[1, 0]
+        out[1, 1] = a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
+        return out
+
+    def mat_mul_dag(a, b):
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                       dtype=np.complex128)
+        out[0, 0] = a[0, 0] * np.conj(b[0, 0]) + a[0, 1] * np.conj(b[0, 1])
+        out[0, 1] = a[0, 0] * np.conj(b[1, 0]) + a[0, 1] * np.conj(b[1, 1])
+        out[1, 0] = a[1, 0] * np.conj(b[0, 0]) + a[1, 1] * np.conj(b[0, 1])
+        out[1, 1] = a[1, 0] * np.conj(b[1, 0]) + a[1, 1] * np.conj(b[1, 1])
+        return out
+
+    def sandwich(k, x):
+        return mat_mul_dag(mat_mul(k, x), k)
+
+    def pauli_coords(h):
+        return np.stack([(h[0, 0] + h[1, 1]).real, 2.0 * h[0, 1].real,
+                         -2.0 * h[0, 1].imag, (h[0, 0] - h[1, 1]).real])
+
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                      dtype=np.complex128)[..., None]
+    r = np.empty((4, 4, charlie.shape[-1]))
+    for b, sigma in enumerate(paulis):
+        r[:, b] = 0.5 * pauli_coords(sandwich(charlie[0], sigma)
+                                     + sandwich(charlie[1], sigma))
+    return r
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403])
+@pytest.mark.parametrize("kind", QUANTUM_KINDS)
+def test_transfer_matrix_keeps_the_bytes_of_the_per_pauli_loop(kind, seed):
+    # Each n is compared with the reference at the same n: numpy's complex
+    # products can differ in the last bit between batch lengths.  The bit
+    # patterns are compared, so a zero's sign counts too.
+    for n in (1, 2, 7, 123, 4219, 16384):
+        charlie = kernels.machines_batch(kind, seed, np.arange(n),
+                                         SLOT_CHARLIE)
+        want = transfer_matrix_reference(charlie)
+        got = kernels.transfer_matrix(charlie)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_projective_channel_is_idempotent():
