@@ -206,7 +206,7 @@ def test_batch_delay_scores_match_scalar(kind, quantum_mode):
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
 @pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
 @pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
-def test_batch_channel_scores_match_scalar_channel_scores(kind, mode, convention):
+def test_batch_channel_scores_match_scalar_stepping(kind, mode, convention):
     # odd and non-power-of-two t exercise every branch of the squaring loop;
     # the density-matrix stepping reference lives in test_chsh's oracle
     seed = 59
