@@ -225,6 +225,123 @@ def test_batch_channel_scores_match_scalar_stepping(kind, mode, convention):
             assert rows[row, trial] == pytest.approx(res.s, abs=1e-12)
 
 
+def apply_reference(m, v0, v1):
+    """2x2 batch matrix times batch vector."""
+    return m[0, 0] * v0 + m[0, 1] * v1, m[1, 0] * v0 + m[1, 1] * v1
+
+
+def pair_expectation_reference(first, second, psi, mid, renorm):
+    """Expectation of the outcome product from the batch 2x2 outcome table,
+    the first machine measured first, and the mask of renormalised tables.
+
+    The batch scorer built these tables before it moved to role vectors.
+    """
+    quantum = np.iscomplexobj(first)
+    p = [[None, None], [None, None]]
+    for i in (0, 1):
+        if psi is None:
+            v0, v1 = first[i, 0, 0], first[i, 1, 0]  # column against (1, 0)
+        else:
+            v0, v1 = apply_reference(first[i], psi[0], psi[1])
+        if mid is not None:
+            v0, v1 = apply_reference(mid, v0, v1)
+        for j in (0, 1):
+            w0, w1 = apply_reference(second[j], v0, v1)
+            if quantum:
+                p[i][j] = (w0.real ** 2 + w0.imag ** 2
+                           + w1.real ** 2 + w1.imag ** 2)
+            else:
+                p[i][j] = w0 + w1
+    e = p[0][0] - p[0][1] - p[1][0] + p[1][1]
+    total = p[0][0] + p[0][1] + p[1][0] + p[1][1]
+    scaled = renorm & (np.abs(total - 1.0) > kernels.RENORM_TOL) & (total != 0.0)
+    return np.where(scaled, e / np.where(scaled, total, 1.0), e), scaled
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
+def test_batch_correlators_match_outcome_tables(kind, mode, monkeypatch):
+    seed, t_list = 71, (0, 1, 3)
+    trials = np.arange(64, dtype=np.int64)
+    machines = [kernels.machines_batch(kind, seed, trials, slot)
+                for slot in (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2)]
+    charlie = kernels.machines_batch(kind, seed, trials, SLOT_CHARLIE)
+    total = (charlie[0] + charlie[1]).transpose(2, 0, 1)
+    renorm = kind in QUANTUM_KINDS
+    captured = []
+    select = kernels._select_scores
+
+    def spy(cs, convention):
+        captured.append(cs)
+        return select(cs, convention)
+
+    monkeypatch.setattr(kernels, "_select_scores", spy)
+    renormalised = 0
+    for random_initial in (False, True):
+        psi = kernels.initial_state_batch(kind, seed, trials, random_initial)
+        for convention in ("canonical", "max-relabel"):
+            captured.clear()
+            rows = kernels.batch_delay_scores(kind, seed, trials, t_list,
+                                              "vector-sum", mode, convention,
+                                              random_initial)
+            assert len(captured) == len(t_list)
+            for row, t, got in zip(rows, t_list, captured):
+                mid = None if t == 0 else np.linalg.matrix_power(
+                    total, t).transpose(1, 2, 0)
+
+                def pair(i, j):
+                    e, scaled = pair_expectation_reference(
+                        machines[i], machines[j], psi, mid, renorm and t > 0)
+                    nonlocal renormalised
+                    renormalised += int(np.count_nonzero(scaled))
+                    return e
+
+                want = []
+                for an in (0, 1):
+                    for bm in (2, 3):
+                        if mode == "a-first":
+                            want.append(pair(an, bm))
+                        elif mode == "b-first":
+                            want.append(pair(bm, an))
+                        else:
+                            want.append(0.5 * (pair(an, bm) + pair(bm, an)))
+                for c_got, c_want in zip(got, want):
+                    np.testing.assert_allclose(c_got, c_want, rtol=0,
+                                               atol=1e-12)
+                s = [abs(sum(want) - 2.0 * c) for c in want]
+                want_s = s[3] if convention == "canonical" else np.maximum.reduce(s)
+                np.testing.assert_allclose(row, want_s, rtol=0, atol=1e-12)
+    if kind == "hqmm":
+        assert renormalised > 0
+
+
+@pytest.mark.parametrize("kind,quantum_mode", [
+    ("mm", "vector-sum"), ("hmm", "vector-sum"),
+    ("hqmm", "vector-sum"), ("hqmm", "channel"),
+    ("hqmm-proj", "vector-sum"), ("hqmm-proj", "channel"),
+])
+def test_full_batch_delay_scores_match_scalar(kind, quantum_mode):
+    # At BATCH trials numpy evaluates x * np.conj(y) in place (a 256 KiB
+    # temporary), which the short batches of the tests above never reach.
+    seed = 73
+    trials = np.arange(BATCH, dtype=np.int64)
+    t_list = (0, 1, 3)
+    for random_initial in (False, True):
+        rows = kernels.batch_delay_scores(kind, seed, trials, t_list,
+                                          quantum_mode,
+                                          random_initial=random_initial)
+        for trial in (0, 1, 4095, 8192, 12345, BATCH - 1):
+            alice, bob = scalar_parties(kind, seed, trial)
+            charlie = sample_machine(kind, Stream(seed, trial, SLOT_CHARLIE))
+            state = (scalar_initial_state(kind, seed, trial) if random_initial
+                     else np.array([1.0, 0.0]))
+            for row, t in enumerate(t_list):
+                res = delayed_chsh_score(alice, bob, state,
+                                         DelaySpec(charlie, t, quantum_mode))
+                assert rows[row, trial] == pytest.approx(res.s_canonical,
+                                                         abs=1e-12)
+
+
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
 def test_transfer_matrix_is_trace_preserving(kind):
     charlie = kernels.machines_batch(kind, 61, np.arange(256), SLOT_CHARLIE)
