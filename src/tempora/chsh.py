@@ -23,7 +23,6 @@ import numpy as np
 from . import kernels
 from .classical import TransitionPair
 from .errors import KindMismatch
-from .kernels import RENORM_TOL
 from .quantum import KrausPair
 
 Machine = Union[TransitionPair, KrausPair]
@@ -181,9 +180,10 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     Each delay semantics is one linear map raised to the power t (none at
     t=0): t_minus + t_plus or k_minus + k_plus on the state vector, or the
     channel's Pauli transfer matrix on the coordinates.  In vector-sum mode
-    the raw sum renormalises E when it strays from 1 by more than RENORM_TOL
-    (a zero sum leaves E as it is) and is returned per correlator and
-    ordering; otherwise the raw sums are None.
+    the raw sum renormalises E when it strays from 1 by more than
+    kernels.RENORM_TOL (a zero sum leaves E as it is), the rule the sweeps
+    share, and is returned per correlator and ordering; otherwise the raw
+    sums are None.
     """
     _check_mode(mode)
     charlie = () if delay is None else (delay.charlie,)
@@ -222,8 +222,7 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     raw = None
     if renorm:
         total = (x[:, 1] + x[:, 0]) @ (o[:, 1] + o[:, 0]).T
-        e = e / np.where((total != 0.0) & (np.abs(total - 1.0) > RENORM_TOL),
-                         total, 1.0)
+        e = kernels._renormalise(e, total)
         orders = [order for order in ("a-first", "b-first")
                   if mode in (order, "symmetrized")]
         raw = {f"c{an + 1}{bm - 1}": {
@@ -231,8 +230,8 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
                                 else total[bm, an])
                    for order in orders}
                for an in (0, 1) for bm in (2, 3)}
-    cs = kernels._correlators(lambda i, j: e[i, j], mode)
-    return [float(c) for c in cs], raw
+    cs = kernels._correlators(e[:2, 2:], e[2:, :2], mode)
+    return [float(c) for c in cs.ravel()], raw
 
 
 def expectation_seq(first: Machine, second: Machine, state: np.ndarray) -> float:

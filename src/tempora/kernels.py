@@ -35,6 +35,9 @@ MAX_ATTEMPTS = 17
 # same bytes as one whole-batch pass (the layer digests check this).
 HQMM_BLOCK = 2048
 
+# Trials per block of the scoring core, for the same reason as HQMM_BLOCK.
+SCORE_BLOCK = 1024
+
 
 def is_quantum_kind(kind: str) -> bool:
     return kind in ("hqmm", "hqmm-proj")
@@ -224,11 +227,6 @@ def machine_from_batch(m: np.ndarray, idx: int):
     return TransitionPair(m[0, :, :, idx], m[1, :, :, idx])
 
 
-def _apply(m: np.ndarray, v0: np.ndarray, v1: np.ndarray):
-    """2x2 batch matrix times batch vector."""
-    return m[0, 0] * v0 + m[0, 1] * v1, m[1, 0] * v0 + m[1, 1] * v1
-
-
 def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(2,2,n) @ (2,2,n) batch matrix product."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
@@ -239,56 +237,18 @@ def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mat_mul4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(4,4,n) @ (4,4,n) batch matrix product."""
-    return np.einsum("ijn,jkn->ikn", a, b)
-
-
-def _mat_pow(m: np.ndarray, t: int, mul) -> np.ndarray:
-    """Batch matrix power by squaring with the batch product `mul`; t >= 1."""
+def _mat_pow(m: np.ndarray, t: int) -> np.ndarray:
+    """(k,k,n) batch matrix power by squaring; t >= 1."""
     result = None
     base = m
     while True:
         if t & 1:
-            result = base if result is None else mul(result, base)
+            result = base if result is None else np.einsum(
+                "ijn,jkn->ikn", result, base)
         t >>= 1
         if t == 0:
             return result
-        base = mul(base, base)
-
-
-def _pair_expectation(first: np.ndarray, second: np.ndarray,
-                      psi: np.ndarray | None, mid: np.ndarray | None,
-                      renorm: bool) -> np.ndarray:
-    """Batch expectation of the outcome product, first machine measured first."""
-    quantum = np.iscomplexobj(first)
-    p = [[None, None], [None, None]]
-    for i in (0, 1):
-        if psi is None:
-            v0, v1 = first[i, 0, 0], first[i, 1, 0]  # column against (1, 0)
-        else:
-            v0, v1 = _apply(first[i], psi[0], psi[1])
-        if mid is not None:
-            v0, v1 = _apply(mid, v0, v1)
-        for j in (0, 1):
-            w0, w1 = _apply(second[j], v0, v1)
-            if quantum:
-                p[i][j] = w0.real ** 2 + w0.imag ** 2 + w1.real ** 2 + w1.imag ** 2
-            else:
-                p[i][j] = w0 + w1
-    if renorm:
-        total = p[0][0] + p[0][1] + p[1][0] + p[1][1]
-        div = np.where(np.abs(total - 1.0) > RENORM_TOL, total, 1.0)
-        div = np.where(div == 0.0, 1.0, div)
-        return (p[0][0] - p[0][1] - p[1][0] + p[1][1]) / div
-    return p[0][0] - p[0][1] - p[1][0] + p[1][1]
-
-
-def _dagger_mul(g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Entries (0,0), (0,1), (1,1) of the Hermitian batch K^dag K."""
-    return (np.conj(g[0, 0]) * g[0, 0] + np.conj(g[1, 0]) * g[1, 0],
-            np.conj(g[0, 0]) * g[0, 1] + np.conj(g[1, 0]) * g[1, 1],
-            np.conj(g[0, 1]) * g[0, 1] + np.conj(g[1, 1]) * g[1, 1])
+        base = np.einsum("ijn,jkn->ikn", base, base)
 
 
 def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -306,11 +266,6 @@ def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
                  dtype=np.complex128).transpose(1, 2, 0)[:, :, None, :, None]
-
-
-def _sandwich(k: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Upper entries of the Hermitian batch K X K^dag (X Hermitian)."""
-    return _mat_mul_dag(_mat_mul(k, x), k)
 
 
 def _pauli_coords(h00: np.ndarray, h01: np.ndarray,
@@ -344,71 +299,140 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
     return r
 
 
-def _channel_vectors(machines: list[np.ndarray], psi: np.ndarray | None):
-    """Pauli coordinates of each machine's signed roles in a channel pair.
-
-    As the first machine: x = coords of K+ rho K+^dag - K- rho K-^dag with
-    rho = psi psi^dag.  As the second: o = coords of K+^dag K+ - K-^dag K-.
-    The pair's expectation after t channel steps is 1/2 o . R^t x.
-    """
-    if psi is None:
-        rho = np.array([[1, 0], [0, 0]], dtype=np.complex128)[..., None]
-    else:
-        rho = psi[:, None] * np.conj(psi)[None, :]
-    xs = [_pauli_coords(*(p - q for p, q in zip(_sandwich(m[1], rho),
-                                                 _sandwich(m[0], rho))))
-          for m in machines]
-    obs = [_pauli_coords(*(p - q for p, q in zip(_dagger_mul(m[1]),
-                                                 _dagger_mul(m[0]))))
-           for m in machines]
-    return xs, obs
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex array whose last axis is contiguous."""
+    sq = np.square(z.view(np.float64))
+    return sq[..., 0::2] + sq[..., 1::2]
 
 
-def _correlators(pair, mode: str) -> list[np.ndarray]:
-    """The four batch correlators c11, c12, c21, c22.
-
-    pair(first, second) is the batch expectation of the outcome product with
-    the machine at position `first` of (a1, a2, b1, b2) measured first.
-    """
-    cs = []
-    for an in (0, 1):
-        for bm in (2, 3):
-            if mode == "a-first":
-                cs.append(pair(an, bm))
-            elif mode == "b-first":
-                cs.append(pair(bm, an))
-            else:
-                cs.append(0.5 * (pair(an, bm) + pair(bm, an)))
-    return cs
+def _first_parts(v: np.ndarray, quantum: bool,
+                 p: np.ndarray | None = None) -> tuple:
+    """Parts (machine, outcome, ..., n) of the first-role vectors: the branch
+    vectors v, or the entries of v v^dag, taking |v|^2 = p if given."""
+    if not quantum:
+        return (v,)
+    p = _abs2(v) if p is None else p
+    # np.multiply, not v0 * np.conj(v1): numpy evaluates that in place in a
+    # temporary of 256 KiB or more, which moves the last bit with the size.
+    return (p[..., 0, :], np.multiply(v[..., 0, :], np.conj(v[..., 1, :])),
+            p[..., 1, :])
 
 
-def _vector_correlators(machines: list[np.ndarray], psi: np.ndarray | None,
-                        mode: str, mid: np.ndarray | None = None,
-                        renorm: bool = False) -> list[np.ndarray]:
-    """Correlators with an optional matrix acting between the measurements."""
-    return _correlators(
-        lambda i, j: _pair_expectation(machines[i], machines[j], psi, mid,
-                                       renorm), mode)
+def _second_parts(m: np.ndarray, quantum: bool) -> tuple:
+    """Parts (machine, outcome, ..., n) of the second-role vectors, 1^T T_j or
+    the entries of K_j^dag K_j, and |K|^2 of quantum machines m."""
+    if not quantum:
+        return (m[:, :, 0] + m[:, :, 1],), None
+    p = _abs2(m)
+    g = p[:, :, 0] + p[:, :, 1]  # the diagonal of K^dag K
+    h = np.multiply(np.conj(m[..., 0, :]), m[..., 1, :])
+    return (g[..., 0, :], h[:, :, 0] + h[:, :, 1], g[..., 1, :]), p
 
 
-def _select_scores(cs: list[np.ndarray], convention: str) -> np.ndarray:
-    total = cs[0] + cs[1] + cs[2] + cs[3]
+def _coords(parts: tuple, quantum: bool, op) -> np.ndarray:
+    """(k, machine, n) coordinates of op(outcome +1, outcome -1) of role
+    parts: the vector, or the Pauli coordinates of the Hermitian matrix."""
+    parts = [op(a[:, 1], a[:, 0]) for a in parts]
+    return _pauli_coords(*parts) if quantum else parts[0].swapaxes(0, 1)
+
+
+def _pairs(x: np.ndarray, o: np.ndarray):
+    """o_second . x_first with alice first, [a_n, b_m], and bob first."""
+    return (np.einsum("ain,ajn->ijn", x[:, :2], o[:, 2:]),
+            np.einsum("ain,ajn->ijn", x[:, 2:], o[:, :2]))
+
+
+def _renormalise(e: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """E divided by its raw four-outcome sum when that strays from 1 by more
+    than RENORM_TOL; a zero sum leaves E as it is."""
+    return e / np.where((total != 0.0) & (np.abs(total - 1.0) > RENORM_TOL),
+                        total, 1.0)
+
+
+def _correlators(ab: np.ndarray, ba: np.ndarray, mode: str) -> np.ndarray:
+    """(2, 2, ...) correlators c_nm from the expectations ab[n, m] with
+    alice's machine n measured first and ba[m, n] with bob's m first."""
+    if mode == "a-first":
+        return ab
+    if mode == "b-first":
+        return ba.swapaxes(0, 1)
+    return 0.5 * (ab + ba.swapaxes(0, 1))
+
+
+def _select_scores(c: np.ndarray, convention: str) -> np.ndarray:
+    """The canonical or max-relabel score of (2, 2, n) correlators."""
+    total = c.sum(axis=(0, 1))
     if convention == "canonical":
-        return np.abs(total - 2.0 * cs[3])
-    return np.maximum.reduce([np.abs(total - 2.0 * c) for c in cs])
+        return np.abs(total - 2.0 * c[1, 1])
+    return np.abs(total - 2.0 * c).max(axis=(0, 1))
 
 
-def batch_scores(kind: str, seed: int, trials: np.ndarray,
-                 mode: str = "symmetrized", convention: str = "canonical",
-                 random_initial: bool = False) -> np.ndarray:
-    """Selected CHSH score per trial at zero delay."""
+def _score_rows(kind: str, seed: int, trials: np.ndarray,
+                t_list: tuple[int, ...], quantum_mode: str, mode: str,
+                convention: str, random_initial: bool) -> np.ndarray:
+    """Selected scores per (t, trial), in the observable form of
+    chsh._correlate.
+
+    batch_scores and batch_delay_scores share this body, so that a profiler
+    wrapping one public name does not count the other inside it.
+    """
     trials = np.asarray(trials)
     machines = [machines_batch(kind, seed, trials, slot)
                 for slot in (rng.SLOT_ALICE1, rng.SLOT_ALICE2,
                              rng.SLOT_BOB1, rng.SLOT_BOB2)]
     psi = initial_state_batch(kind, seed, trials, random_initial)
-    cs = _vector_correlators(machines, psi, mode)
-    return _select_scores(cs, convention)
+    quantum = is_quantum_kind(kind)
+    channel = quantum and quantum_mode == "channel"
+    renorm = quantum and not channel and any(t_list)
+    if any(t_list):
+        charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE)
+        step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
+    out = np.empty((len(t_list), trials.shape[0]))
+    for start in range(0, trials.shape[0], SCORE_BLOCK):
+        b = slice(start, start + SCORE_BLOCK)
+        m = np.stack([machine[..., b] for machine in machines])
+        o_parts, p = _second_parts(m, quantum)
+        o_diff = _coords(o_parts, quantum, np.subtract)
+        o_sum = _coords(o_parts, quantum, np.add) if renorm else None
+        if psi is None:  # the branch vectors are column 0
+            v = m[..., 0, :]
+            x_parts = _first_parts(v, quantum,
+                                   None if p is None else p[..., 0, :])
+        else:
+            v = m[..., 0, :] * psi[0, b] + m[..., 1, :] * psi[1, b]
+            x_parts = _first_parts(v, quantum)
+        x_diff = _coords(x_parts, quantum, np.subtract)
+        for row, t in enumerate(t_list):
+            if t == 0:
+                ab, ba = _pairs(x_diff, o_diff)
+            elif channel:
+                power = _mat_pow(step[..., b], int(t))
+                ab, ba = _pairs(np.einsum("abn,bin->ain", power, x_diff),
+                                o_diff)
+            else:
+                power = _mat_pow(step[..., b], int(t))
+                y_parts = _first_parts(power[:, 0] * v[..., 0, None, :]
+                                       + power[:, 1] * v[..., 1, None, :],
+                                       quantum)
+                ab, ba = _pairs(_coords(y_parts, quantum, np.subtract), o_diff)
+                if renorm:  # the raw sums, halved like E below
+                    ab_sum, ba_sum = _pairs(
+                        _coords(y_parts, quantum, np.add), o_sum)
+                    ab = _renormalise(ab, 0.5 * ab_sum)
+                    ba = _renormalise(ba, 0.5 * ba_sum)
+            c = _correlators(ab, ba, mode)
+            if quantum:
+                c *= 0.5  # Tr[O rho] is half the dot product of coordinates
+            out[row, b] = _select_scores(c, convention)
+    return out
+
+
+def batch_scores(kind: str, seed: int, trials: np.ndarray,
+                 mode: str = "symmetrized", convention: str = "canonical",
+                 random_initial: bool = False) -> np.ndarray:
+    """Selected CHSH score per trial: the t=0 row of batch_delay_scores."""
+    return _score_rows(kind, seed, trials, (0,), "vector-sum", mode,
+                       convention, random_initial)[0]
 
 
 def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
@@ -418,32 +442,5 @@ def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
                        convention: str = "canonical",
                        random_initial: bool = False) -> np.ndarray:
     """Selected scores per (t, trial); machines are reused across t."""
-    trials = np.asarray(trials)
-    machines = [machines_batch(kind, seed, trials, slot)
-                for slot in (rng.SLOT_ALICE1, rng.SLOT_ALICE2,
-                             rng.SLOT_BOB1, rng.SLOT_BOB2)]
-    charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE)
-    psi = initial_state_batch(kind, seed, trials, random_initial)
-    quantum = is_quantum_kind(kind)
-    use_channel = quantum and quantum_mode == "channel"
-    if use_channel:
-        transfer = transfer_matrix(charlie)
-        xs, obs = _channel_vectors(machines, psi)
-    else:
-        total = charlie[0] + charlie[1]
-
-    out = np.empty((len(t_list), trials.shape[0]))
-    for row, t in enumerate(t_list):
-        if t == 0:
-            cs = _vector_correlators(machines, psi, mode)
-        elif use_channel:
-            power = _mat_pow(transfer, int(t), _mat_mul4)
-            ys = [np.einsum("abn,bn->an", power, x) for x in xs]
-            cs = _correlators(
-                lambda i, j: 0.5 * np.einsum("an,an->n", obs[j], ys[i]), mode)
-        else:
-            mid = _mat_pow(total, int(t), _mat_mul)
-            cs = _vector_correlators(machines, psi, mode, mid=mid,
-                                     renorm=quantum)
-        out[row] = _select_scores(cs, convention)
-    return out
+    return _score_rows(kind, seed, trials, t_list, quantum_mode, mode,
+                       convention, random_initial)

@@ -305,7 +305,7 @@ def test_batch_correlators_match_outcome_tables(kind, mode, monkeypatch):
                             want.append(pair(bm, an))
                         else:
                             want.append(0.5 * (pair(an, bm) + pair(bm, an)))
-                for c_got, c_want in zip(got, want):
+                for c_got, c_want in zip(got.reshape(4, -1), want):
                     np.testing.assert_allclose(c_got, c_want, rtol=0,
                                                atol=1e-12)
                 s = [abs(sum(want) - 2.0 * c) for c in want]
