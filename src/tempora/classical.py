@@ -30,7 +30,7 @@ def _as_matrix(m, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
     row0, row1 = m.tolist()
     if not all(map(math.isfinite, row0 + row1)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise RangeError(f"{name} contains non-finite entries")
     m.flags.writeable = False
     return m
 
@@ -61,7 +61,9 @@ def prob_vector(p_minus: float, p_plus: float) -> np.ndarray:
     """Probability vector over the two internal states."""
     eta = np.array([p_minus, p_plus], dtype=np.float64)
     p0, p1 = eta.tolist()
-    if p0 < 0.0 or p1 < 0.0 or abs((p0 + p1) - 1.0) > COMPLETENESS_TOL:
+    # Written to fail on NaN, which compares false with everything.
+    if not (p0 >= 0.0 and p1 >= 0.0
+            and abs((p0 + p1) - 1.0) <= COMPLETENESS_TOL):
         raise RangeError(f"({p_minus}, {p_plus}) is not a probability vector")
     return eta
 
@@ -113,7 +115,7 @@ def validate_classical(m: TransitionPair) -> None:
     t_minus, t_plus = m.t_minus.tolist(), m.t_plus.tolist()
     for name, rows in (("t_minus", t_minus), ("t_plus", t_plus)):
         lo, hi = min(rows[0] + rows[1]), max(rows[0] + rows[1])
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):
             raise CompletenessError(f"{name} has entries outside [0, 1]",
                                     residual=max(-lo, hi - 1.0))
     # Each column of t_minus + t_plus, summed in numpy's order.
@@ -121,7 +123,7 @@ def validate_classical(m: TransitionPair) -> None:
             for c in (0, 1)]
     residuals = [abs(s - 1.0) for s in sums]
     col = 1 if residuals[1] > residuals[0] else 0  # the first maximum wins ties
-    if residuals[col] > COMPLETENESS_TOL:
+    if not residuals[col] <= COMPLETENESS_TOL:
         raise CompletenessError(
             f"column {col} of t_minus + t_plus sums to {sums[col]!r}",
             column=col, residual=residuals[col])

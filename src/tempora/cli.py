@@ -17,7 +17,7 @@ import numpy as np
 from .chsh import (DelaySpec, ORDERING_MODES, QUANTUM_DELAY_MODES,
                    SCORE_CONVENTIONS, chsh_score, delayed_chsh_score,
                    spatial_reference_score)
-from .errors import ConfigError, TemporaError, ValidationError
+from .errors import ConfigError, RangeError, TemporaError, ValidationError
 from .kernels import KINDS
 from .sampler import SweepConfig, run_delay_sweep, run_sweep
 from .serialize import (delay_csv, delay_result_to_obj, histogram_csv,
@@ -121,6 +121,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _json(obj) -> str:
+    """Indented JSON of a result; NaN and infinity have no JSON form."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RangeError(f"the result is not finite: {exc}") from exc
+
+
 def _sweep_config(args, with_delay: bool = False) -> SweepConfig:
     kwargs = dict(kind=args.kind, count=args.count, master_seed=args.seed,
                   bins=args.bins, range=tuple(args.range), mode=args.mode,
@@ -136,8 +144,7 @@ def _cmd_sample(args) -> int:
     if args.format == "csv":
         _emit(histogram_csv(hist), args.out)
     else:
-        _emit(json.dumps(result_to_obj(cfg, hist, summary), indent=2) + "\n",
-              args.out)
+        _emit(_json(result_to_obj(cfg, hist, summary)), args.out)
     return 0
 
 
@@ -147,8 +154,7 @@ def _cmd_delay(args) -> int:
     if args.format == "csv":
         _emit(delay_csv(stats), args.out)
     else:
-        _emit(json.dumps(delay_result_to_obj(cfg, stats), indent=2) + "\n",
-              args.out)
+        _emit(_json(delay_result_to_obj(cfg, stats)), args.out)
     return 0
 
 
@@ -168,7 +174,7 @@ def _cmd_score(args) -> int:
     else:
         result = chsh_score(mf.alice, mf.bob, state,
                             mode=args.mode, convention=args.convention)
-    _emit(json.dumps(result.as_dict(), indent=2) + "\n", args.out)
+    _emit(_json(result.as_dict()), args.out)
     return 0
 
 
@@ -214,7 +220,7 @@ def _anchor_checks() -> list[tuple[str, bool, str]]:
 
 def _cmd_spatial(args) -> int:
     result = spatial_reference_score(*args.angles)
-    _emit(json.dumps(result.as_dict(), indent=2) + "\n", args.out)
+    _emit(_json(result.as_dict()), args.out)
     return 0
 
 

@@ -7,7 +7,7 @@ class TemporaError(Exception):
 
 
 class RangeError(TemporaError, ValueError):
-    """A machine parameter lies outside its admissible range."""
+    """A value lies outside its admissible range, or is not finite."""
 
 
 class CompletenessError(TemporaError, ValueError):

@@ -33,7 +33,7 @@ def _as_cmatrix(m, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
     row0, row1 = m.view(np.float64).tolist()  # real and imaginary parts
     if not all(map(math.isfinite, row0 + row1)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise RangeError(f"{name} contains non-finite entries")
     m.flags.writeable = False
     return m
 
@@ -66,7 +66,7 @@ def qubit_state(alpha: complex, beta: complex) -> np.ndarray:
     a, b = psi.tolist()
     nsq = ((a.real * a.real + a.imag * a.imag)
            + (b.real * b.real + b.imag * b.imag))
-    if abs(nsq - 1.0) > ORTHONORMALITY_TOL:
+    if not abs(nsq - 1.0) <= ORTHONORMALITY_TOL:  # NaN fails too
         raise RangeError(f"state has squared norm {nsq!r}, expected 1")
     return psi
 
@@ -139,11 +139,13 @@ def validate_kraus(k: KrausPair) -> None:
     """
     if _clearly_complete(k):
         return
-    g = dagger(k.k_minus) @ k.k_minus + dagger(k.k_plus) @ k.k_plus
-    worst = np.abs(g - _IDENTITY).max(axis=0)  # per column
+    # Entries near 1e154 overflow K^dag K; the NaN or inf residual fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = dagger(k.k_minus) @ k.k_minus + dagger(k.k_plus) @ k.k_plus
+        worst = np.abs(g - _IDENTITY).max(axis=0)  # per column
     col = int(worst.argmax())
     residual = float(worst.max())
-    if residual > COMPLETENESS_TOL:
+    if not residual <= COMPLETENESS_TOL:
         raise CompletenessError(
             f"completeness relation violated by {residual:.3e}",
             column=col, residual=residual)

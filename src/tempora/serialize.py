@@ -49,7 +49,7 @@ def _cmatrix_from_obj(rows, where: str) -> list:
         flat = [complex(float(re), float(im)) for re, im in rows]
         if len(flat) != 4:
             raise ValueError
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(
             f"{where}: expected four [re, im] pairs in row-major order") from exc
     return [flat[:2], flat[2:]]
@@ -60,7 +60,7 @@ def _rmatrix_from_obj(rows, where: str) -> np.ndarray:
         m = np.array(rows, dtype=np.float64)
         if m.shape != (2, 2):
             raise ValueError
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected a 2x2 matrix of numbers") from exc
     return m
 
@@ -87,7 +87,7 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
                 _cmatrix_from_obj(_require(obj, "k_plus", where), f"{where}.k_plus"))
             validate_kraus(m)
             return m
-    except CompletenessError as exc:
+    except (CompletenessError, RangeError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown machine kind {kind!r}")
 
@@ -109,7 +109,7 @@ def state_from_obj(obj, kind: str, where: str = "initial") -> np.ndarray:
                            complex(float(re1), float(im1)))
     except RangeError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed state for kind {kind!r}") from exc
 
 

@@ -106,6 +106,18 @@ def test_prob_vector_validation():
         prob_vector(-0.1, 1.1)
 
 
+@pytest.mark.parametrize("p", [(float("nan"), 0.5), (0.5, float("nan")),
+                               (float("nan"), float("nan"))])
+def test_prob_vector_rejects_nan(p):
+    with pytest.raises(RangeError):
+        prob_vector(*p)
+
+
+def test_non_finite_entries_are_range_errors():
+    with pytest.raises(RangeError, match="t_plus contains non-finite"):
+        TransitionPair(np.eye(2), [[0.0, float("inf")], [0.0, 0.0]])
+
+
 def test_outcome_step_deterministic_machine():
     # pins the output to -1 and the state to +1 from anywhere
     m = TransitionPair([[0, 0], [1, 1]], [[0, 0], [0, 0]])

@@ -1,12 +1,16 @@
 """Command-line entry point: exit codes, output documents, error paths."""
+import importlib.resources
 import json
+import math
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tempora import MachineFile, PartySpec, mm_from_params, save_machine_file
+from tempora import (MachineFile, PartySpec, machine_file_to_obj,
+                     mm_from_params, rng, sample_machine, save_machine_file)
 from tempora.cli import main
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
@@ -178,6 +182,128 @@ def test_score_invalid_machine_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "score", "--machines", str(path))
     assert code == 1
     assert "error:" in err and "column 0" in err
+
+
+def _fixture_obj(name):
+    text = (importlib.resources.files("tempora") / "fixtures" / name).read_text()
+    return json.loads(text)
+
+
+def _write_invalid(tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_score_rejects_nan_initial_state(tmp_path, capsys):
+    obj = _fixture_obj("classical_smax3.json")
+    obj["initial"] = [float("nan"), 0.5]
+    code, out, err = run_cli(capsys, "score", "--machines",
+                             str(_write_invalid(tmp_path, obj)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not a probability vector" in err
+
+
+@pytest.mark.parametrize("entry", [float("inf"), 10 ** 400])
+def test_score_rejects_unrepresentable_entries(tmp_path, capsys, entry):
+    obj = _fixture_obj("classical_smax3.json")
+    obj["parties"]["alice"][0]["t_minus"][0][0] = entry
+    code, out, err = run_cli(capsys, "score", "--machines",
+                             str(_write_invalid(tmp_path, obj)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "parties.alice[0]" in err
+
+
+def test_score_of_an_overflowing_delay_is_an_error(tmp_path, capsys):
+    # (k_minus + k_plus)^t grows like sqrt(2)^t; at t = 3000 the raw sums
+    # overflow, and NaN has no JSON form.
+    machines = [sample_machine("hqmm", rng.Stream(5, 0, slot))
+                for slot in range(5)]
+    path = tmp_path / "machines.json"
+    save_machine_file(path, MachineFile(PartySpec(*machines[:2]),
+                                        PartySpec(*machines[2:4]),
+                                        charlie=machines[4]))
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "score", "--machines", str(path),
+                                 "--t", "3000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not finite" in err
+
+
+def _numeric_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numeric_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _numeric_paths(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+def _mutated(obj, rand):
+    """A copy of the machine document with one numeric entry broken."""
+    obj = json.loads(json.dumps(obj))
+    path = rand.choice(list(_numeric_paths(obj)))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    kind = rand.choice(("nan", "inf", "-inf", "scale", "huge", "string",
+                        "nest", "shape"))
+    if kind == "shape":
+        if rand.random() < 0.5:
+            parent.append(value)
+        else:
+            del parent[path[-1]]
+    else:
+        parent[path[-1]] = {
+            "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+            "scale": value * 1e308, "huge": rand.choice((1, -1)) * 10 ** 400,
+            "string": rand.choice((str(value), "x", "")), "nest": [value],
+        }[kind]
+    return obj
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    return True
+
+
+def test_mutated_machine_files_score_or_fail_cleanly(tmp_path, capsys):
+    """Broken entries never end in a traceback or in NaN on stdout."""
+    sources = [_fixture_obj("classical_smax3.json"),
+               _fixture_obj("projective_2sqrt2.json")]
+    for kind in ("mm", "hmm", "hqmm", "hqmm-proj"):
+        machines = [sample_machine(kind, rng.Stream(11, 3, slot))
+                    for slot in range(5)]
+        state = [1.0, 0.0] if kind in ("mm", "hmm") else [1.0, 0.0j]
+        sources.append(machine_file_to_obj(MachineFile(
+            PartySpec(*machines[:2]), PartySpec(*machines[2:4]),
+            charlie=machines[4], initial=np.array(state))))
+    rand = random.Random(2024)
+    path, out = tmp_path / "mutated.json", tmp_path / "score.json"
+    outcomes = {0: 0, 1: 0}
+    for source in sources:
+        for _ in range(60):
+            path.write_text(json.dumps(_mutated(source, rand)))
+            out.unlink(missing_ok=True)
+            argv = ["score", "--machines", str(path), "--out", str(out)]
+            if "charlie" in source:
+                argv += ["--t", "1", "--quantum-mode",
+                         rand.choice(("vector-sum", "channel"))]
+            code, _, err = run_cli(capsys, *argv)
+            assert code in outcomes, (code, err)
+            outcomes[code] += 1
+            if code == 0:
+                doc = json.loads(out.read_text(), parse_constant=float)
+                assert _finite(doc), doc
+            else:
+                assert err.startswith("error:") and not out.exists(), err
+    assert outcomes[0] > 0 and outcomes[1] > 0
 
 
 def test_score_missing_file(capsys):

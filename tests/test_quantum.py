@@ -95,6 +95,13 @@ def test_validate_rejects_overcomplete_pair():
     assert err.value.residual == pytest.approx(1.0)
 
 
+def test_validate_rejects_a_pair_whose_completeness_overflows():
+    with pytest.raises(CompletenessError) as err:
+        validate_kraus(KrausPair(1e200 * (1 + 1j) * np.ones((2, 2)),
+                                 np.zeros((2, 2))))
+    assert not err.value.residual <= 1e-9
+
+
 def test_validate_accepts_random_dilation_machines():
     for trial in range(200):
         validate_kraus(sample_machine("hqmm", Stream(seed=13, trial=trial)))
@@ -169,6 +176,8 @@ def test_qubit_state_validates_norm():
     from tempora import RangeError
     with pytest.raises(RangeError):
         qubit_state(1.0, 1.0)
+    with pytest.raises(RangeError):
+        qubit_state(float("nan"), 0.0)
     psi = qubit_state(0.6, 0.8j)
     assert psi.dtype == np.complex128
     np.testing.assert_array_equal(psi, [0.6, 0.8j])
