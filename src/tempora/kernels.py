@@ -300,9 +300,8 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of a complex array whose last axis is contiguous."""
-    sq = np.square(z.view(np.float64))
-    return sq[..., 0::2] + sq[..., 1::2]
+    """|z|^2 of a complex array."""
+    return np.square(z.real) + np.square(z.imag)
 
 
 def _first_parts(v: np.ndarray, quantum: bool,
