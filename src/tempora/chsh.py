@@ -231,7 +231,7 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
                    for order in orders}
                for an in (0, 1) for bm in (2, 3)}
     cs = kernels._correlators(e[:2, 2:], e[2:, :2], mode)
-    return [float(c) for c in cs.ravel()], raw
+    return cs.ravel().tolist(), raw
 
 
 def expectation_seq(first: Machine, second: Machine, state: np.ndarray) -> float:

@@ -301,7 +301,9 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 of a complex array."""
-    return np.square(z.real) + np.square(z.imag)
+    p = np.square(z.real)
+    p += np.square(z.imag)
+    return p
 
 
 def _first_parts(v: np.ndarray, quantum: bool,
