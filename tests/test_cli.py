@@ -185,8 +185,8 @@ def test_score_invalid_machine_file(tmp_path, capsys):
 
 
 def _fixture_obj(name):
-    text = (importlib.resources.files("tempora") / "fixtures" / name).read_text()
-    return json.loads(text)
+    path = importlib.resources.files("tempora") / "fixtures" / name
+    return json.loads(path.read_text())
 
 
 def _write_invalid(tmp_path, obj):

@@ -254,7 +254,8 @@ def pair_expectation_reference(first, second, psi, mid, renorm):
                 p[i][j] = w0 + w1
     e = p[0][0] - p[0][1] - p[1][0] + p[1][1]
     total = p[0][0] + p[0][1] + p[1][0] + p[1][1]
-    scaled = renorm & (np.abs(total - 1.0) > kernels.RENORM_TOL) & (total != 0.0)
+    scaled = (renorm & (np.abs(total - 1.0) > kernels.RENORM_TOL)
+              & (total != 0.0))
     return np.where(scaled, e / np.where(scaled, total, 1.0), e), scaled
 
 
@@ -309,8 +310,11 @@ def test_batch_correlators_match_outcome_tables(kind, mode, monkeypatch):
                     np.testing.assert_allclose(c_got, c_want, rtol=0,
                                                atol=1e-12)
                 s = [abs(sum(want) - 2.0 * c) for c in want]
-                want_s = s[3] if convention == "canonical" else np.maximum.reduce(s)
-                np.testing.assert_allclose(row, want_s, rtol=0, atol=1e-12)
+                if convention == "canonical":
+                    np.testing.assert_allclose(row, s[3], rtol=0, atol=1e-12)
+                else:
+                    np.testing.assert_allclose(row, np.maximum.reduce(s),
+                                               rtol=0, atol=1e-12)
     if kind == "hqmm":
         assert renormalised > 0
 
