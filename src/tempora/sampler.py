@@ -9,6 +9,7 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 from dataclasses import dataclass, field
 
@@ -16,11 +17,22 @@ import numpy as np
 
 from . import kernels
 from .chsh import ORDERING_MODES, QUANTUM_DELAY_MODES, SCORE_CONVENTIONS
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, RangeError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
 BATCH = 16384
 TWO_SQRT2 = float(2.0 * np.sqrt(2.0))
+
+# glibc mallopt parameters (malloc.h) and the values a sweep sets.  The
+# largest per-batch arrays are 2 MiB (a quantum machine batch, a 4x4 transfer
+# matrix); below the mmap threshold they come from the heap, and below the
+# trim threshold freed heap pages stay mapped, so no batch page-faults its
+# memory in again.  32 MiB is the glibc maximum mmap threshold on 64-bit.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+_heap_kept_resident = False
 
 
 @dataclass(frozen=True)
@@ -226,9 +238,30 @@ def _batches(count: int) -> list[tuple[int, int]]:
     return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
 
 
+def _keep_heap_resident() -> None:
+    """Once per process, keep freed heap mapped across batches.
+
+    Sets glibc's mmap and trim thresholds with mallopt; this is process-wide
+    and changes no arithmetic.  Without a libc that has mallopt it does
+    nothing.
+    """
+    global _heap_kept_resident
+    if _heap_kept_resident:
+        return
+    _heap_kept_resident = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def _sweep_batch(args: tuple[SweepConfig, int, int]
                  ) -> tuple[Histogram, float, int, int]:
     """One batch's histogram, score sum and counts above 2 and 2*sqrt(2)."""
+    _keep_heap_resident()
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     scores = kernels.batch_scores(cfg.kind, cfg.master_seed, trials,
@@ -240,13 +273,18 @@ def _sweep_batch(args: tuple[SweepConfig, int, int]
 
 
 def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
+    """Per t: one batch's score sum, max, count above 2, trials and
+    non-finite trials."""
+    _keep_heap_resident()
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     rows = kernels.batch_delay_scores(
         cfg.kind, cfg.master_seed, trials, tuple(cfg.t_list),
         cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
     return [(float(row.sum()), float(row.max()),
-             int(np.count_nonzero(row > 2.0)), int(row.size)) for row in rows]
+             int(np.count_nonzero(row > 2.0)), int(row.size),
+             int(row.size - np.count_nonzero(np.isfinite(row))))
+            for row in rows]
 
 
 def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
@@ -280,7 +318,11 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSumma
 
 
 def run_delay_sweep(cfg: SweepConfig, workers: int = 1) -> DelayStats:
-    """Delay sweep over cfg.t_list; one intermediary per trial, reused across t."""
+    """Delay sweep over cfg.t_list; one intermediary per trial, reused across t.
+
+    Raises RangeError when a score is not finite, as when a vector-sum
+    delay's raw sums overflow at long t.
+    """
     cfg.validate()
     if cfg.t_list is None:
         raise ConfigError("delay sweep needs a t_list")
@@ -289,12 +331,18 @@ def run_delay_sweep(cfg: SweepConfig, workers: int = 1) -> DelayStats:
     maxs: list[float | None] = [None] * len(t_list)
     above2 = [0] * len(t_list)
     ns = [0] * len(t_list)
+    bad = [0] * len(t_list)
     for rows in _map_batches(_delay_batch, cfg, workers):
-        for i, (s, mx, a2, n) in enumerate(rows):
+        for i, (s, mx, a2, n, nonfinite) in enumerate(rows):
             sums[i] += s
             maxs[i] = mx if maxs[i] is None else max(maxs[i], mx)
             above2[i] += a2
             ns[i] += n
+            bad[i] += nonfinite
+    if any(bad):
+        raise RangeError("delay scores are not finite: " + "; ".join(
+            f"t={t}: {bad[i]} of {ns[i]} trials"
+            for i, t in enumerate(t_list) if bad[i]))
     points = [DelayPoint(t=t, count=ns[i],
                          mean_s=(sums[i] / ns[i]) if ns[i] else None,
                          max_s=maxs[i],

@@ -25,6 +25,7 @@ path: seven documents moved in their last digits (per-trial scores by at
 most 4.3e-15, no histogram count), and the hmm and hqmm-proj sample and
 the hqmm-proj channel delay documents kept their bytes.
 """
+import ctypes
 import hashlib
 import importlib.resources
 import json
@@ -34,7 +35,7 @@ import pytest
 
 from tempora import (MachineFile, PartySpec, SweepConfig, delay_result_to_obj,
                      kernels, result_to_obj, rng, run_delay_sweep, run_sweep,
-                     sample_machine, save_machine_file)
+                     sample_machine, sampler, save_machine_file)
 from tempora.chsh import ORDERING_MODES
 from tempora.cli import main
 from tempora.sampler import BATCH
@@ -85,6 +86,28 @@ def test_sample_document_digest(kind):
     cfg = SweepConfig(kind=kind, count=_count(kind), master_seed=SEED)
     hist, summary = run_sweep(cfg)
     assert _digest(result_to_obj(cfg, hist, summary)) == SAMPLE_DIGESTS[kind]
+
+
+class _NoMallopt:
+    """A libc without mallopt."""
+
+
+def _no_libc(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: _NoMallopt()],
+                         ids=["no-libc", "no-mallopt"])
+def test_sample_document_digest_without_mallopt(cdll, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name)
+                        or cdll(name))
+    monkeypatch.setattr(sampler, "_heap_kept_resident", False)
+    cfg = SweepConfig(kind="hqmm-proj", count=_count("hqmm-proj"),
+                      master_seed=SEED)
+    hist, summary = run_sweep(cfg)
+    assert calls == [None]  # looked up once, then never again
+    assert _digest(result_to_obj(cfg, hist, summary)) == SAMPLE_DIGESTS["hqmm-proj"]
 
 
 @pytest.mark.parametrize("kind,quantum_mode", sorted(DELAY_DIGESTS))
