@@ -88,15 +88,11 @@ def test_sample_document_digest(kind):
     assert _digest(result_to_obj(cfg, hist, summary)) == SAMPLE_DIGESTS[kind]
 
 
-class _NoMallopt:
-    """A libc without mallopt."""
-
-
 def _no_libc(name):
     raise OSError(f"cannot load {name!r}")
 
 
-@pytest.mark.parametrize("cdll", [_no_libc, lambda name: _NoMallopt()],
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
                          ids=["no-libc", "no-mallopt"])
 def test_sample_document_digest_without_mallopt(cdll, monkeypatch):
     calls = []

@@ -651,6 +651,6 @@ def test_sweep_batches_do_not_page_fault_their_memory_in_again():
     proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
                           capture_output=True, text=True, check=True)
     faults = json.loads(proc.stdout)
-    # glibc that returns freed batch memory to the OS takes ~2850 (hqmm-proj)
-    # and ~1110 (mm) faults per batch here.
+    # When glibc returns freed batch memory to the OS, these sweeps take
+    # about 2850 (hqmm-proj) and 1110 (mm) faults per batch.
     assert faults["hqmm-proj"] < 64 and faults["mm"] < 64, faults
