@@ -37,7 +37,7 @@ class KindMismatch(TemporaError, TypeError):
 
 
 class ShapeMismatch(TemporaError, ValueError):
-    """Histograms with different binning cannot be merged."""
+    """Arrays or histograms whose shapes, dtypes or binning do not match."""
 
 
 class ConfigError(TemporaError, ValueError):

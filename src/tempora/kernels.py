@@ -8,6 +8,14 @@ produces for that (seed, trial, slot).
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
 batches are float64, quantum batches complex128.
+
+Batch counters are stored draw-major, as an (n_draws, n) array with the trial
+axis innermost, so building them and reading one draw for every trial are
+contiguous passes; the counter values are those of the layout in rng (Salmon
+et al. 2011, "Parallel random numbers: as easy as 1, 2, 3").  The scoring
+core draws the four party machines, and charlie when t > 0, into one
+(slot, 2, 2, 2, n) array and scores views of its trial blocks, so no block
+is copied.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ import numpy as np
 from . import rng
 from .algebra import DEGENERACY_TOL, orthonormalize_pair
 from .classical import TransitionPair, mm_from_params, hmm_from_params
-from .errors import DegenerateInput, SamplingError
+from .errors import DegenerateInput, SamplingError, ShapeMismatch
 from .quantum import KrausPair, kraus_from_dilation, projective_kraus
 
 KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
@@ -50,13 +58,13 @@ def check_kind(kind: str) -> None:
 
 
 def hmm_params_from_uniforms(u: np.ndarray) -> tuple:
-    """Nested-uniform six-parameter map; u has shape (..., 6) in [0,1)."""
-    a = u[..., 0]
-    b = (1.0 - a) * u[..., 1]
-    c = (1.0 - a - b) * u[..., 2]
-    d = u[..., 3]
-    e = (1.0 - d) * u[..., 4]
-    f = (1.0 - d - e) * u[..., 5]
+    """Nested-uniform six-parameter map; u has shape (6, ...) in [0,1)."""
+    a = u[0]
+    b = (1.0 - a) * u[1]
+    c = (1.0 - a - b) * u[2]
+    d = u[3]
+    e = (1.0 - d) * u[4]
+    f = (1.0 - d - e) * u[5]
     return a, b, c, d, e, f
 
 
@@ -92,30 +100,44 @@ def sample_machine(kind: str, stream: rng.Stream):
 
 
 def _slot_counters(trials: np.ndarray, slot: int, n_draws: int) -> np.ndarray:
+    """C-contiguous (n_draws, n) counters of one slot: row j is draw j of
+    every trial, so the trial axis is innermost."""
     base = (trials.astype(np.uint64) * np.uint64(rng.TRIAL_STRIDE)
             + np.uint64(slot * rng.SLOT_STRIDE))
-    return base[:, None] + np.arange(n_draws, dtype=np.uint64)[None, :]
+    return np.add(np.arange(n_draws, dtype=np.uint64)[:, None], base,
+                  out=np.empty((n_draws, base.shape[0]), dtype=np.uint64))
 
 
-def machines_batch(kind: str, seed: int, trials: np.ndarray,
-                   slot: int) -> np.ndarray:
-    """Machine batch of shape (2, 2, 2, n) for one slot of many trials."""
+def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Machine batch of shape (2, 2, 2, n) for one slot of many trials.
+
+    With out, every entry of out is written and out is returned; it must
+    have that shape, float64 for classical kinds and complex128 for quantum
+    kinds, or ShapeMismatch is raised.
+    """
     check_kind(kind)
     trials = np.asarray(trials)
     n = trials.shape[0]
+    dtype = np.complex128 if is_quantum_kind(kind) else np.float64
+    if out is not None and (out.shape != (2, 2, 2, n) or out.dtype != dtype):
+        raise ShapeMismatch(
+            f"{kind} batch of {n} trials needs out of shape (2, 2, 2, {n}) "
+            f"and dtype {np.dtype(dtype)}, got {out.shape} {out.dtype}")
+    m = np.empty((2, 2, 2, n), dtype=dtype) if out is None else out
     if kind == "mm":
         u = rng.uniform01(seed, _slot_counters(trials, slot, 2))
-        a, b = u[:, 0], u[:, 1]
-        m = np.zeros((2, 2, 2, n))
+        a, b = u[0], u[1]
         m[0, 0, 0] = a
         m[0, 0, 1] = 1.0 - b
+        m[0, 1] = 0.0
+        m[1, 0] = 0.0
         m[1, 1, 0] = 1.0 - a
         m[1, 1, 1] = b
         return m
     if kind == "hmm":
         u = rng.uniform01(seed, _slot_counters(trials, slot, 6))
         a, b, c, d, e, f = hmm_params_from_uniforms(u)
-        m = np.empty((2, 2, 2, n))
         m[0, 0, 0] = a
         m[0, 0, 1] = d
         m[0, 1, 0] = b
@@ -127,9 +149,8 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray,
         return m
     if kind == "hqmm-proj":
         u = rng.uniform01(seed, _slot_counters(trials, slot, 1))
-        phi = (2.0 * np.pi) * u[:, 0]
+        phi = (2.0 * np.pi) * u[0]
         c, s = np.cos(phi), np.sin(phi)
-        m = np.empty((2, 2, 2, n), dtype=np.complex128)
         m[0, 0, 0] = c * c
         m[0, 0, 1] = c * s
         m[0, 1, 0] = c * s
@@ -139,7 +160,7 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray,
         m[1, 1, 0] = -c * s
         m[1, 1, 1] = c * c
         return m
-    return _hqmm_batch(seed, trials, slot)
+    return _hqmm_batch(seed, trials, slot, m)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -184,13 +205,15 @@ def _hqmm_block(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _hqmm_batch(seed: int, trials: np.ndarray, slot: int) -> np.ndarray:
+def _hqmm_batch(seed: int, trials: np.ndarray, slot: int,
+                m: np.ndarray) -> np.ndarray:
     n = trials.shape[0]
-    m = np.empty((2, 2, 2, n), dtype=np.complex128)
     bad = np.empty(n, dtype=bool)
     for start in range(0, n, HQMM_BLOCK):
         block = slice(start, start + HQMM_BLOCK)
-        z = rng.normals(seed, _slot_counters(trials[block], slot, 16))
+        # Box-Muller pairs lie on the last axis: read the counters as their
+        # (k, 16) transpose; raw64 copies them into a contiguous array.
+        z = rng.normals(seed, _slot_counters(trials[block], slot, 16).T)
         bad[block] = _hqmm_block(z, m[..., block])
     for idx in np.nonzero(bad)[0]:
         k = sample_machine("hqmm", rng.Stream(seed, int(trials[idx]), slot))
@@ -206,7 +229,7 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
         return None
     trials = np.asarray(trials)
     if is_quantum_kind(kind):
-        z = rng.normals(seed, _slot_counters(trials, rng.SLOT_INITIAL, 4))
+        z = rng.normals(seed, _slot_counters(trials, rng.SLOT_INITIAL, 4).T)
         sq = np.square(z)
         norm = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
         np.sqrt(norm, out=norm)
@@ -217,7 +240,7 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
         out = np.empty(psi.shape, dtype=np.complex128)
         return np.multiply(psi, (1.0 / np.where(bad, 1.0, norm))[None, :],
                            out=out)
-    u = rng.uniform01(seed, _slot_counters(trials, rng.SLOT_INITIAL, 1))[:, 0]
+    u = rng.uniform01(seed, _slot_counters(trials, rng.SLOT_INITIAL, 1))[0]
     return np.stack([u, 1.0 - u])
 
 
@@ -379,20 +402,26 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     wrapping one public name does not count the other inside it.
     """
     trials = np.asarray(trials)
-    machines = [machines_batch(kind, seed, trials, slot)
-                for slot in (rng.SLOT_ALICE1, rng.SLOT_ALICE2,
-                             rng.SLOT_BOB1, rng.SLOT_BOB2)]
-    psi = initial_state_batch(kind, seed, trials, random_initial)
     quantum = is_quantum_kind(kind)
+    slots = (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1, rng.SLOT_BOB2)
+    if any(t_list):
+        slots += (rng.SLOT_CHARLIE,)
+    # machines_batch is called by its module name, so a wrapper installed on
+    # kernels.machines_batch sees every draw.
+    machines = np.empty((len(slots), 2, 2, 2, trials.shape[0]),
+                        dtype=np.complex128 if quantum else np.float64)
+    for i, slot in enumerate(slots):
+        machines_batch(kind, seed, trials, slot, out=machines[i])
+    psi = initial_state_batch(kind, seed, trials, random_initial)
     channel = quantum and quantum_mode == "channel"
     renorm = quantum and not channel and any(t_list)
     if any(t_list):
-        charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE)
+        charlie = machines[4]
         step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
     out = np.empty((len(t_list), trials.shape[0]))
     for start in range(0, trials.shape[0], SCORE_BLOCK):
         b = slice(start, start + SCORE_BLOCK)
-        m = np.stack([machine[..., b] for machine in machines])
+        m = machines[:4, ..., b]
         o_parts, p = _second_parts(m, quantum)
         o_diff = _coords(o_parts, quantum, np.subtract)
         o_sum = _coords(o_parts, quantum, np.add) if renorm else None

@@ -77,6 +77,18 @@ def test_normals_2d_rows_match_1d():
     assert np.array_equal(z2.reshape(-1), z1)
 
 
+def test_normals_on_a_transposed_view_match_a_contiguous_copy():
+    # Batch draws pass the (16, n) draw-major counters as their .T view.
+    counters = np.arange(10**9, 10**9 + 16 * 123,
+                         dtype=np.uint64).reshape(16, 123)
+    view = counters.T
+    assert not view.flags.c_contiguous
+    got = rng.normals(3, view)
+    want = rng.normals(3, np.ascontiguousarray(view))
+    assert got.shape == (123, 16)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_stream_slots_do_not_overlap():
     s0 = rng.Stream(seed=1, trial=0, slot=0)
     s1 = rng.Stream(seed=1, trial=0, slot=1)

@@ -108,6 +108,42 @@ def test_machines_batch_rejects_unknown_kind():
         kernels.machines_batch("pdfa", 0, np.arange(4), 0)
 
 
+@pytest.mark.parametrize("n_draws", [1, 2, 4, 6, 16])
+def test_slot_counters_are_the_trial_major_counters_transposed(n_draws):
+    trials = np.arange(10**9, 10**9 + 37, dtype=np.int64)
+    base = (trials.astype(np.uint64) * np.uint64(4096)
+            + np.uint64(SLOT_BOB2 * 512))
+    trial_major = base[:, None] + np.arange(n_draws, dtype=np.uint64)[None, :]
+    got = kernels._slot_counters(trials, SLOT_BOB2, n_draws)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, trial_major.T)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [123, BATCH + 123])
+def test_machines_batch_into_out_keeps_the_bytes(kind, n):
+    trials = np.arange(5 * n, 6 * n, dtype=np.int64)
+    fresh = kernels.machines_batch(kind, 29, trials, SLOT_BOB1)
+    machines = np.full((4,) + fresh.shape, np.nan, dtype=fresh.dtype)
+    out = machines[2]
+    assert kernels.machines_batch(kind, 29, trials, SLOT_BOB1, out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert np.isnan(machines[[0, 1, 3]]).all()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_machines_batch_rejects_a_wrong_out(kind):
+    dtype = np.complex128 if kind in QUANTUM_KINDS else np.float64
+    other = np.float64 if kind in QUANTUM_KINDS else np.complex128
+    trials = np.arange(8)
+    for out in (np.empty((2, 2, 2, 8), dtype=other),
+                np.empty((2, 2, 2, 7), dtype=dtype),
+                np.empty((2, 2, 8), dtype=dtype),
+                np.empty((2, 2, 2, 8), dtype=np.float32)):
+        with pytest.raises(ShapeMismatch):
+            kernels.machines_batch(kind, 0, trials, SLOT_ALICE1, out=out)
+
+
 def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
     # Raise the batch tolerance just past the shortest Gram-Schmidt norm of
     # 64 trials, so exactly that row takes the scalar redraw fallback.
@@ -429,6 +465,29 @@ def test_delay_row_at_t0_is_bitwise_plain_scoring(kind):
     rows = kernels.batch_delay_scores(kind, 53, trials, (0,))
     plain = kernels.batch_scores(kind, 53, trials)
     np.testing.assert_array_equal(rows[0], plain)
+
+
+@pytest.mark.parametrize("t_list,draws", [(None, 4), ((0,), 4), ((0, 2), 5)])
+def test_every_batch_draws_its_machines_through_machines_batch(
+        t_list, draws, monkeypatch):
+    # A traced benchmark run times the draws by wrapping
+    # kernels.machines_batch; a draw made under another name would go unseen.
+    events = []
+    for name in ("machines_batch", "batch_scores", "batch_delay_scores"):
+        def spy(*args, fn=getattr(kernels, name), name=name, **kw):
+            events.append("out=" if name == "machines_batch" and "out" in kw
+                          else name)
+            return fn(*args, **kw)
+        monkeypatch.setattr(kernels, name, spy)
+    cfg = SweepConfig(kind="mm", count=2 * BATCH + 5, master_seed=3,
+                      t_list=t_list)
+    if t_list is None:
+        run_sweep(cfg)
+        batch = ["batch_scores"]
+    else:
+        run_delay_sweep(cfg)
+        batch = ["batch_delay_scores"]
+    assert events == (batch + ["out="] * draws) * 3
 
 
 # ---------------------------------------------------------------------------
