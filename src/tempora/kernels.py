@@ -261,18 +261,25 @@ def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mat_pow(m: np.ndarray, t: int) -> np.ndarray:
-    """(k,k,n) batch matrix power by squaring; t >= 1."""
-    result = None
-    base = m
-    while True:
-        if t & 1:
-            result = base if result is None else np.einsum(
-                "ijn,jkn->ikn", result, base)
-        t >>= 1
-        if t == 0:
-            return result
-        base = np.einsum("ijn,jkn->ikn", base, base)
+def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
+    """{t: m^t} of a (k,k,n) batch for every t >= 1 in t_list.
+
+    One chain of squarings m, m^2, m^4, ... serves every t; each power is
+    the product of its chain terms in ascending order, as binary powering
+    of one t forms it.
+    """
+    squares = [m]
+    powers = {}
+    for t in sorted({int(t) for t in t_list if t}):
+        while len(squares) < t.bit_length():
+            squares.append(np.einsum("ijn,jkn->ikn", squares[-1], squares[-1]))
+        result = None
+        for k, base in enumerate(squares[:t.bit_length()]):
+            if t >> k & 1:
+                result = base if result is None else np.einsum(
+                    "ijn,jkn->ikn", result, base)
+        powers[t] = result
+    return powers
 
 
 def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -433,15 +440,15 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
             v = m[..., 0, :] * psi[0, b] + m[..., 1, :] * psi[1, b]
             x_parts = _first_parts(v, quantum)
         x_diff = _coords(x_parts, quantum, np.subtract)
+        powers = _mat_powers(step[..., b], t_list) if any(t_list) else {}
         for row, t in enumerate(t_list):
             if t == 0:
                 ab, ba = _pairs(x_diff, o_diff)
             elif channel:
-                power = _mat_pow(step[..., b], int(t))
-                ab, ba = _pairs(np.einsum("abn,bin->ain", power, x_diff),
-                                o_diff)
+                ab, ba = _pairs(np.einsum("abn,bin->ain", powers[int(t)],
+                                          x_diff), o_diff)
             else:
-                power = _mat_pow(step[..., b], int(t))
+                power = powers[int(t)]
                 y_parts = _first_parts(power[:, 0] * v[..., 0, None, :]
                                        + power[:, 1] * v[..., 1, None, :],
                                        quantum)

@@ -467,6 +467,39 @@ def test_delay_row_at_t0_is_bitwise_plain_scoring(kind):
     np.testing.assert_array_equal(rows[0], plain)
 
 
+def mat_pow_reference(m, t):
+    """(k,k,n) batch matrix power by squaring, one t at a time; t >= 1."""
+    result = None
+    base = m
+    while True:
+        if t & 1:
+            result = base if result is None else np.einsum(
+                "ijn,jkn->ikn", result, base)
+        t >>= 1
+        if t == 0:
+            return result
+        base = np.einsum("ijn,jkn->ikn", base, base)
+
+
+@pytest.mark.parametrize("kind,step_of", [
+    ("hmm", lambda c: c[0] + c[1]),
+    ("hqmm", lambda c: c[0] + c[1]),
+    ("hqmm", kernels.transfer_matrix),
+], ids=["2x2-float", "2x2-complex", "4x4"])
+@pytest.mark.parametrize("t_list", [(3, 1, 16, 5, 16, 17), (0, 1, 2, 4, 8, 16),
+                                    (31, 7, 0, 7)])
+def test_mat_powers_keep_the_bytes_of_one_power_at_a_time(kind, step_of,
+                                                          t_list):
+    charlie = kernels.machines_batch(kind, 83, np.arange(3000), SLOT_CHARLIE)
+    step = step_of(charlie)[..., 1024:2048]  # a block view, as sweeps pass
+    powers = kernels._mat_powers(step, t_list)
+    assert sorted(powers) == sorted({t for t in t_list if t})
+    for t, got in powers.items():
+        want = mat_pow_reference(step, t)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("t_list,draws", [(None, 4), ((0,), 4), ((0, 2), 5)])
 def test_every_batch_draws_its_machines_through_machines_batch(
         t_list, draws, monkeypatch):
