@@ -286,10 +286,13 @@ def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """Entries (0,0), (0,1), (1,1) of the (2,2,n) batch product a @ b^dag.
 
     Callers take products that are Hermitian, so entry (1,0) is not needed.
+    np.multiply, not x * np.conj(y): numpy evaluates that in place in a
+    temporary of 256 KiB or more, which moves the last bit with the size.
     """
-    return (a[0, 0] * np.conj(b[0, 0]) + a[0, 1] * np.conj(b[0, 1]),
-            a[0, 0] * np.conj(b[1, 0]) + a[0, 1] * np.conj(b[1, 1]),
-            a[1, 0] * np.conj(b[1, 0]) + a[1, 1] * np.conj(b[1, 1]))
+    mul = np.multiply
+    return (mul(a[0, 0], np.conj(b[0, 0])) + mul(a[0, 1], np.conj(b[0, 1])),
+            mul(a[0, 0], np.conj(b[1, 0])) + mul(a[0, 1], np.conj(b[1, 1])),
+            mul(a[1, 0], np.conj(b[1, 0])) + mul(a[1, 1], np.conj(b[1, 1])))
 
 
 # Pauli basis (I, X, Y, Z) on axis 3, shaped (2, 2, 1, 4, 1) to broadcast
@@ -318,12 +321,6 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
     m = _mat_mul(charlie.transpose(1, 2, 0, 3)[:, :, :, None], PAULI)
     r = np.empty((4, 4, charlie.shape[-1]))
     for b in range(4):
-        # The products K sigma_b K^dag stay one n-trial product per outcome
-        # and b: numpy evaluates x * np.conj(y) in place in the conjugate
-        # once that temporary reaches 256 KiB (16384 trials), which swaps
-        # the operands of its complex multiply and so moves the last bit.
-        # Batched over b, full batches would get other bytes than the
-        # pinned ones.
         minus = _mat_mul_dag(m[:, :, 0, b], charlie[0])
         plus = _mat_mul_dag(m[:, :, 1, b], charlie[1])
         r[:, b] = 0.5 * _pauli_coords(*(p + q for p, q in zip(minus, plus)))

@@ -410,12 +410,17 @@ def transfer_matrix_reference(charlie):
         return out
 
     def mat_mul_dag(a, b):
+        # np.multiply: x * np.conj(y) would be evaluated in place, with its
+        # operands swapped, from 256 KiB up.
+        def mul(x, y):
+            return np.multiply(x, np.conj(y))
+
         out = np.empty(np.broadcast_shapes(a.shape, b.shape),
                        dtype=np.complex128)
-        out[0, 0] = a[0, 0] * np.conj(b[0, 0]) + a[0, 1] * np.conj(b[0, 1])
-        out[0, 1] = a[0, 0] * np.conj(b[1, 0]) + a[0, 1] * np.conj(b[1, 1])
-        out[1, 0] = a[1, 0] * np.conj(b[0, 0]) + a[1, 1] * np.conj(b[0, 1])
-        out[1, 1] = a[1, 0] * np.conj(b[1, 0]) + a[1, 1] * np.conj(b[1, 1])
+        out[0, 0] = mul(a[0, 0], b[0, 0]) + mul(a[0, 1], b[0, 1])
+        out[0, 1] = mul(a[0, 0], b[1, 0]) + mul(a[0, 1], b[1, 1])
+        out[1, 0] = mul(a[1, 0], b[0, 0]) + mul(a[1, 1], b[0, 1])
+        out[1, 1] = mul(a[1, 0], b[1, 0]) + mul(a[1, 1], b[1, 1])
         return out
 
     def sandwich(k, x):
@@ -438,9 +443,7 @@ def transfer_matrix_reference(charlie):
 @pytest.mark.parametrize("seed", [401, 402, 403])
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
 def test_transfer_matrix_keeps_the_bytes_of_the_per_pauli_loop(kind, seed):
-    # Each n is compared with the reference at the same n: numpy's complex
-    # products can differ in the last bit between batch lengths.  The bit
-    # patterns are compared, so a zero's sign counts too.
+    # The bit patterns are compared, so a zero's sign counts too.
     for n in (1, 2, 7, 123, 4219, 16384):
         charlie = kernels.machines_batch(kind, seed, np.arange(n),
                                          SLOT_CHARLIE)
@@ -449,6 +452,17 @@ def test_transfer_matrix_keeps_the_bytes_of_the_per_pauli_loop(kind, seed):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got.view(np.uint64),
                                       want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", QUANTUM_KINDS)
+@pytest.mark.parametrize("n", [BATCH, 20000])
+def test_transfer_matrix_does_not_depend_on_the_batch_length(kind, n):
+    # From 16384 trials on, some products pass through 256 KiB temporaries.
+    charlie = kernels.machines_batch(kind, 404, np.arange(n), SLOT_CHARLIE)
+    whole = kernels.transfer_matrix(charlie)
+    blocks = np.concatenate([kernels.transfer_matrix(charlie[..., s:s + 1024])
+                             for s in range(0, n, 1024)], axis=-1)
+    assert whole.tobytes() == blocks.tobytes()
 
 
 def test_projective_channel_is_idempotent():
