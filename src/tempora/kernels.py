@@ -270,7 +270,7 @@ def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
     """
     squares = [m]
     powers = {}
-    for t in sorted({int(t) for t in t_list if t}):
+    for t in {int(t) for t in t_list if t}:
         while len(squares) < t.bit_length():
             squares.append(np.einsum("ijn,jkn->ikn", squares[-1], squares[-1]))
         result = None
@@ -407,8 +407,9 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     """
     trials = np.asarray(trials)
     quantum = is_quantum_kind(kind)
+    delayed = any(t_list)
     slots = (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1, rng.SLOT_BOB2)
-    if any(t_list):
+    if delayed:
         slots += (rng.SLOT_CHARLIE,)
     # machines_batch is called by its module name, so a wrapper installed on
     # kernels.machines_batch sees every draw.
@@ -418,8 +419,8 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
         machines_batch(kind, seed, trials, slot, out=machines[i])
     psi = initial_state_batch(kind, seed, trials, random_initial)
     channel = quantum and quantum_mode == "channel"
-    renorm = quantum and not channel and any(t_list)
-    if any(t_list):
+    renorm = quantum and not channel and delayed
+    if delayed:
         charlie = machines[4]
         step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
     out = np.empty((len(t_list), trials.shape[0]))
@@ -437,7 +438,7 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
             v = m[..., 0, :] * psi[0, b] + m[..., 1, :] * psi[1, b]
             x_parts = _first_parts(v, quantum)
         x_diff = _coords(x_parts, quantum, np.subtract)
-        powers = _mat_powers(step[..., b], t_list) if any(t_list) else {}
+        powers = _mat_powers(step[..., b], t_list) if delayed else {}
         for row, t in enumerate(t_list):
             if t == 0:
                 ab, ba = _pairs(x_diff, o_diff)
