@@ -13,9 +13,8 @@ Batch counters are stored draw-major, as an (n_draws, n) array with the trial
 axis innermost, so building them and reading one draw for every trial are
 contiguous passes; the counter values are those of the layout in rng (Salmon
 et al. 2011, "Parallel random numbers: as easy as 1, 2, 3").  The scoring
-core draws the four party machines, and charlie when t > 0, into one
-(slot, 2, 2, 2, n) array and scores views of its trial blocks, so no block
-is copied.
+core draws the four party machines into one (4, 2, 2, 2, n) array and
+scores views of its trial blocks, so no block is copied.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import rng
 from .algebra import DEGENERACY_TOL, orthonormalize_pair
 from .classical import TransitionPair, mm_from_params, hmm_from_params
-from .errors import DegenerateInput, SamplingError, ShapeMismatch
+from .errors import DegenerateInput, RangeError, SamplingError, ShapeMismatch
 from .quantum import KrausPair, kraus_from_dilation, projective_kraus
 
 KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
@@ -408,25 +407,24 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     trials = np.asarray(trials)
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)
-    slots = (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1, rng.SLOT_BOB2)
-    if delayed:
-        slots += (rng.SLOT_CHARLIE,)
     # machines_batch is called by its module name, so a wrapper installed on
     # kernels.machines_batch sees every draw.
-    machines = np.empty((len(slots), 2, 2, 2, trials.shape[0]),
+    machines = np.empty((4, 2, 2, 2, trials.shape[0]),
                         dtype=np.complex128 if quantum else np.float64)
-    for i, slot in enumerate(slots):
+    for i, slot in enumerate((rng.SLOT_ALICE1, rng.SLOT_ALICE2,
+                              rng.SLOT_BOB1, rng.SLOT_BOB2)):
         machines_batch(kind, seed, trials, slot, out=machines[i])
     psi = initial_state_batch(kind, seed, trials, random_initial)
     channel = quantum and quantum_mode == "channel"
     renorm = quantum and not channel and delayed
     if delayed:
-        charlie = machines[4]
+        charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE,
+                                 out=np.empty_like(machines[0]))
         step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
     out = np.empty((len(t_list), trials.shape[0]))
     for start in range(0, trials.shape[0], SCORE_BLOCK):
         b = slice(start, start + SCORE_BLOCK)
-        m = machines[:4, ..., b]
+        m = machines[..., b]
         o_parts, p = _second_parts(m, quantum)
         o_diff = _coords(o_parts, quantum, np.subtract)
         o_sum = _coords(o_parts, quantum, np.add) if renorm else None
@@ -478,5 +476,7 @@ def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
                        convention: str = "canonical",
                        random_initial: bool = False) -> np.ndarray:
     """Selected scores per (t, trial); machines are reused across t."""
+    if any(t < 0 for t in t_list):
+        raise RangeError(f"t_list must be non-negative, got {t_list!r}")
     return _score_rows(kind, seed, trials, t_list, quantum_mode, mode,
                        convention, random_initial)

@@ -481,6 +481,11 @@ def test_delay_row_at_t0_is_bitwise_plain_scoring(kind):
     np.testing.assert_array_equal(rows[0], plain)
 
 
+def test_batch_delay_scores_rejects_a_negative_t():
+    with pytest.raises(RangeError):
+        kernels.batch_delay_scores("mm", 1, np.arange(4), (0, -1))
+
+
 def mat_pow_reference(m, t):
     """(k,k,n) batch matrix power by squaring, one t at a time; t >= 1."""
     result = None
