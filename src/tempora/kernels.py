@@ -320,6 +320,9 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
     m = _mat_mul(charlie.transpose(1, 2, 0, 3)[:, :, :, None], PAULI)
     r = np.empty((4, 4, charlie.shape[-1]))
     for b in range(4):
+        # One b at a time keeps the temporaries at n entries: batched over
+        # b, the same bytes took twice as long at 4219 and 16384 trials,
+        # although half as long at n=1.
         minus = _mat_mul_dag(m[:, :, 0, b], charlie[0])
         plus = _mat_mul_dag(m[:, :, 1, b], charlie[1])
         r[:, b] = 0.5 * _pauli_coords(*(p + q for p, q in zip(minus, plus)))
