@@ -19,12 +19,10 @@ from .chsh import (DelaySpec, ORDERING_MODES, QUANTUM_DELAY_MODES,
                    spatial_reference_score)
 from .errors import ConfigError, RangeError, TemporaError, ValidationError
 from .kernels import KINDS
-from .sampler import SweepConfig, run_delay_sweep, run_sweep
+from .sampler import TWO_SQRT2, SweepConfig, run_delay_sweep, run_sweep
 from .serialize import (delay_csv, delay_result_to_obj, histogram_csv,
                         load_machine_file, machine_file_from_obj,
                         result_to_obj)
-
-TWO_SQRT2 = float(2.0 * np.sqrt(2.0))
 
 
 def _floats_arg(count: int):

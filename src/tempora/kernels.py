@@ -1,9 +1,9 @@
 """Batch machine generation and scoring over trial arrays.
 
-Everything here is plain vectorized numpy over a 1-d array of trial indices;
-the scalar sampling entry point (sample_machine) shares the same draw layout
-and parameter formulas, so a batch row equals the machine the scalar path
-produces for that (seed, trial, slot).
+Everything here is plain vectorized numpy over a 1-d array of trial indices.
+machines_batch is the only code that draws a machine: the scalar entry point
+sample_machine returns its n=1 row, and every draw is a pure function of
+(seed, trial, slot), so a row does not depend on the batch around it.
 
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
@@ -11,20 +11,20 @@ batches are float64, quantum batches complex128.
 
 Batch counters are stored draw-major, as an (n_draws, n) array with the trial
 axis innermost, so building them and reading one draw for every trial are
-contiguous passes; the counter values are those of the layout in rng (Salmon
-et al. 2011, "Parallel random numbers: as easy as 1, 2, 3").  The scoring
-core draws the four party machines into one (4, 2, 2, 2, n) array and
-scores views of its trial blocks, so no block is copied.
+contiguous passes; rng.slot_counters, the one definition of the counter
+layout, builds them.  The scoring core draws the four party machines into
+one (4, 2, 2, 2, n) array and scores views of its trial blocks, so no block
+is copied.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import rng
-from .algebra import DEGENERACY_TOL, orthonormalize_pair
-from .classical import TransitionPair, mm_from_params, hmm_from_params
-from .errors import DegenerateInput, RangeError, SamplingError, ShapeMismatch
-from .quantum import KrausPair, kraus_from_dilation, projective_kraus
+from .algebra import DEGENERACY_TOL
+from .classical import TransitionPair
+from .errors import RangeError, SamplingError, ShapeMismatch
+from .quantum import KrausPair
 
 KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
 
@@ -56,55 +56,16 @@ def check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def hmm_params_from_uniforms(u: np.ndarray) -> tuple:
-    """Nested-uniform six-parameter map; u has shape (6, ...) in [0,1)."""
-    a = u[0]
-    b = (1.0 - a) * u[1]
-    c = (1.0 - a - b) * u[2]
-    d = u[3]
-    e = (1.0 - d) * u[4]
-    f = (1.0 - d - e) * u[5]
-    return a, b, c, d, e, f
-
-
 def sample_machine(kind: str, stream: rng.Stream):
-    """Draw one machine of the given kind from a counter stream.
+    """Draw one machine of the given kind: the n=1 row of machines_batch.
 
     mm: a, b ~ U[0,1].  hmm: nested-uniform over the six parameters.  hqmm:
     two standard-complex-Gaussian 4-vectors, orthonormalized, as a dilation
     pair (redrawn on degeneracy, at most 16 retries, then SamplingError).
     hqmm-proj: phi ~ U[0, 2*pi).  Deterministic in (seed, trial, slot).
     """
-    check_kind(kind)
-    if kind == "mm":
-        u = stream.uniforms(2)
-        return mm_from_params(float(u[0]), float(u[1]))
-    if kind == "hmm":
-        a, b, c, d, e, f = hmm_params_from_uniforms(stream.uniforms(6))
-        return hmm_from_params(float(a), float(b), float(c),
-                               float(d), float(e), float(f))
-    if kind == "hqmm-proj":
-        phi = (2.0 * np.pi) * float(stream.uniforms(1)[0])
-        return projective_kraus(phi)
-    for attempt in range(MAX_ATTEMPTS):
-        c = stream.normals(16, attempt=attempt).view(np.complex128)
-        try:
-            a, b = orthonormalize_pair(c[:4], c[4:])
-        except DegenerateInput:
-            continue
-        return kraus_from_dilation(a, b)
-    raise SamplingError(
-        f"no usable dilation pair after {MAX_ATTEMPTS} attempts "
-        f"(seed={stream.seed}, trial={stream.trial}, slot={stream.slot})")
-
-
-def _slot_counters(trials: np.ndarray, slot: int, n_draws: int) -> np.ndarray:
-    """C-contiguous (n_draws, n) counters of one slot: row j is draw j of
-    every trial, so the trial axis is innermost."""
-    base = (trials.astype(np.uint64) * np.uint64(rng.TRIAL_STRIDE)
-            + np.uint64(slot * rng.SLOT_STRIDE))
-    return np.add(np.arange(n_draws, dtype=np.uint64)[:, None], base,
-                  out=np.empty((n_draws, base.shape[0]), dtype=np.uint64))
+    return machine_from_batch(
+        machines_batch(kind, stream.seed, [stream.trial], stream.slot), 0)
 
 
 def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
@@ -125,7 +86,7 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
             f"and dtype {np.dtype(dtype)}, got {out.shape} {out.dtype}")
     m = np.empty((2, 2, 2, n), dtype=dtype) if out is None else out
     if kind == "mm":
-        u = rng.uniform01(seed, _slot_counters(trials, slot, 2))
+        u = rng.uniform01(seed, rng.slot_counters(trials, slot, 2))
         a, b = u[0], u[1]
         m[0, 0, 0] = a
         m[0, 0, 1] = 1.0 - b
@@ -135,8 +96,14 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
         m[1, 1, 1] = b
         return m
     if kind == "hmm":
-        u = rng.uniform01(seed, _slot_counters(trials, slot, 6))
-        a, b, c, d, e, f = hmm_params_from_uniforms(u)
+        u = rng.uniform01(seed, rng.slot_counters(trials, slot, 6))
+        # Nested uniforms: b <= 1-a, c <= 1-a-b, and likewise for d, e, f.
+        a = u[0]
+        b = (1.0 - a) * u[1]
+        c = (1.0 - a - b) * u[2]
+        d = u[3]
+        e = (1.0 - d) * u[4]
+        f = (1.0 - d - e) * u[5]
         m[0, 0, 0] = a
         m[0, 0, 1] = d
         m[0, 1, 0] = b
@@ -147,7 +114,7 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
         m[1, 1, 1] = 1.0 - d - e - f
         return m
     if kind == "hqmm-proj":
-        u = rng.uniform01(seed, _slot_counters(trials, slot, 1))
+        u = rng.uniform01(seed, rng.slot_counters(trials, slot, 1))
         phi = (2.0 * np.pi) * u[0]
         c, s = np.cos(phi), np.sin(phi)
         m[0, 0, 0] = c * c
@@ -212,12 +179,22 @@ def _hqmm_batch(seed: int, trials: np.ndarray, slot: int,
         block = slice(start, start + HQMM_BLOCK)
         # Box-Muller pairs lie on the last axis: read the counters as their
         # (k, 16) transpose; raw64 copies them into a contiguous array.
-        z = rng.normals(seed, _slot_counters(trials[block], slot, 16).T)
+        z = rng.normals(seed, rng.slot_counters(trials[block], slot, 16).T)
         bad[block] = _hqmm_block(z, m[..., block])
-    for idx in np.nonzero(bad)[0]:
-        k = sample_machine("hqmm", rng.Stream(seed, int(trials[idx]), slot))
-        m[0, :, :, idx] = k.k_minus
-        m[1, :, :, idx] = k.k_plus
+    rows = np.flatnonzero(bad)
+    for attempt in range(1, MAX_ATTEMPTS):
+        if not rows.size:
+            break
+        z = rng.normals(seed, rng.slot_counters(trials[rows], slot, 16,
+                                                attempt).T)
+        redrawn = np.empty((2, 2, 2, rows.size), dtype=np.complex128)
+        bad = _hqmm_block(z, redrawn)
+        m[..., rows[~bad]] = redrawn[..., ~bad]
+        rows = rows[bad]
+    if rows.size:
+        raise SamplingError(
+            f"no usable dilation pair after {MAX_ATTEMPTS} attempts "
+            f"(seed={seed}, trial={int(trials[rows[0]])}, slot={slot})")
     return m
 
 
@@ -228,7 +205,7 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
         return None
     trials = np.asarray(trials)
     if is_quantum_kind(kind):
-        z = rng.normals(seed, _slot_counters(trials, rng.SLOT_INITIAL, 4).T)
+        z = rng.normals(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 4).T)
         sq = np.square(z)
         norm = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
         np.sqrt(norm, out=norm)
@@ -239,7 +216,7 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
         out = np.empty(psi.shape, dtype=np.complex128)
         return np.multiply(psi, (1.0 / np.where(bad, 1.0, norm))[None, :],
                            out=out)
-    u = rng.uniform01(seed, _slot_counters(trials, rng.SLOT_INITIAL, 1))[0]
+    u = rng.uniform01(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 1))[0]
     return np.stack([u, 1.0 - u])
 
 

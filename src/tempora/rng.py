@@ -19,8 +19,10 @@ Counter layout.  Trial k owns the counter block [k*TRIAL_STRIDE,
 (k+1)*TRIAL_STRIDE).  Within a trial, machine slot s (SLOT_* constants) owns
 counters [s*SLOT_STRIDE, (s+1)*SLOT_STRIDE) of the block, and resampling
 attempt a within a slot starts at offset a*ATTEMPT_STRIDE.  Retries of one
-machine therefore never shift any other machine's draws, and scalar and
-vectorized sampling agree by construction.
+machine therefore never shift any other machine's draws.  slot_counters is
+the one place that computes these counters (Salmon et al. 2011, "Parallel
+random numbers: as easy as 1, 2, 3"); every draw in the package goes
+through it.
 
 Derived values: uniform01 = (raw64 >> 11) * 2**-53 in [0, 1); normals come
 from Box-Muller over counter pairs (2j, 2j+1), with the radius uniform
@@ -120,21 +122,20 @@ def normals(seed: int, counters: np.ndarray) -> np.ndarray:
     return out.view(np.float64)
 
 
+def slot_counters(trials: np.ndarray, slot: int, n_draws: int,
+                  attempt: int = 0) -> np.ndarray:
+    """C-contiguous (n_draws, n) counters of one slot and attempt: row j is
+    draw j of every trial, so the trial axis is innermost."""
+    base = (np.asarray(trials).astype(np.uint64) * _U64(TRIAL_STRIDE)
+            + _U64(slot * SLOT_STRIDE + attempt * ATTEMPT_STRIDE))
+    return np.add(np.arange(n_draws, dtype=_U64)[:, None], base,
+                  out=np.empty((n_draws, base.shape[0]), dtype=_U64))
+
+
 @dataclass(frozen=True)
 class Stream:
-    """Addressable sub-stream for one machine slot of one trial."""
+    """Address of one machine slot of one trial."""
 
     seed: int
     trial: int
     slot: int = 0
-
-    def counters(self, n: int, attempt: int = 0, offset: int = 0) -> np.ndarray:
-        base = (self.trial * TRIAL_STRIDE + self.slot * SLOT_STRIDE
-                + attempt * ATTEMPT_STRIDE + offset)
-        return np.arange(base, base + n, dtype=np.uint64)
-
-    def uniforms(self, n: int, attempt: int = 0) -> np.ndarray:
-        return uniform01(self.seed, self.counters(n, attempt))
-
-    def normals(self, n: int, attempt: int = 0) -> np.ndarray:
-        return normals(self.seed, self.counters(n, attempt))

@@ -2,13 +2,16 @@
 import importlib.resources
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tempora
 from tempora import (MachineFile, PartySpec, machine_file_to_obj,
                      mm_from_params, rng, sample_machine, save_machine_file)
 from tempora.cli import main
@@ -364,7 +367,10 @@ def test_threads_flag_overrides_env(capsys, monkeypatch):
 
 
 def test_module_entry_point_subprocess():
+    src = str(Path(tempora.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "tempora.cli", "verify"],
-                          capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 3

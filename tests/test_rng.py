@@ -90,23 +90,19 @@ def test_normals_on_a_transposed_view_match_a_contiguous_copy():
 
 
 def test_stream_slots_do_not_overlap():
-    s0 = rng.Stream(seed=1, trial=0, slot=0)
-    s1 = rng.Stream(seed=1, trial=0, slot=1)
-    t1 = rng.Stream(seed=1, trial=1, slot=0)
-    c0 = s0.counters(rng.SLOT_STRIDE)
-    c1 = s1.counters(rng.SLOT_STRIDE)
-    ct = t1.counters(rng.SLOT_STRIDE)
+    c0 = rng.slot_counters([0], 0, rng.SLOT_STRIDE).ravel()
+    c1 = rng.slot_counters([0], 1, rng.SLOT_STRIDE).ravel()
+    ct = rng.slot_counters([1], 0, rng.SLOT_STRIDE).ravel()
     assert set(map(int, c0)).isdisjoint(map(int, c1))
     assert set(map(int, c0)).isdisjoint(map(int, ct))
 
 
 def test_stream_attempts_shift_only_within_slot():
-    s = rng.Stream(seed=1, trial=3, slot=2)
-    a0 = s.counters(16, attempt=0)
-    a1 = s.counters(16, attempt=1)
+    a0 = rng.slot_counters([3], 2, 16, attempt=0).ravel()
+    a1 = rng.slot_counters([3], 2, 16, attempt=1).ravel()
     assert int(a1[0]) - int(a0[0]) == rng.ATTEMPT_STRIDE
     # 17 attempts of 16 draws stay inside the slot
-    last = s.counters(16, attempt=16)
+    last = rng.slot_counters([3], 2, 16, attempt=16).ravel()
     assert int(last[-1]) - int(a0[0]) < rng.SLOT_STRIDE
 
 

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import tempora
-from tempora import (ConfigError, DelaySpec, Histogram, KrausPair, PartySpec,
-                     RangeError, ShapeMismatch, SweepConfig, TransitionPair,
-                     chsh_score, delayed_chsh_score, histogram_merge,
-                     run_delay_sweep, run_sweep, sample_machine,
-                     validate_classical, validate_kraus)
-from tempora import kernels
+from tempora import (ConfigError, DegenerateInput, DelaySpec, Histogram,
+                     KrausPair, PartySpec, RangeError, SamplingError,
+                     ShapeMismatch, SweepConfig, TransitionPair, chsh_score,
+                     delayed_chsh_score, histogram_merge, hmm_from_params,
+                     kraus_from_dilation, mm_from_params, orthonormalize_pair,
+                     projective_kraus, run_delay_sweep, run_sweep,
+                     sample_machine, validate_classical, validate_kraus)
+from tempora import kernels, rng
 from tempora.rng import (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2,
                          SLOT_CHARLIE, SLOT_INITIAL, Stream)
 from tempora.sampler import BATCH, KINDS
@@ -23,15 +25,48 @@ from tempora.sampler import BATCH, KINDS
 QUANTUM_KINDS = ("hqmm", "hqmm-proj")
 
 
+def trial_counters(trial, slot, n, attempt=0):
+    """The n counters of one (trial, slot, attempt), in draw order."""
+    return rng.slot_counters([trial], slot, n, attempt).ravel()
+
+
 def scalar_initial_state(kind, seed, trial):
     """Mirror of the batch initial-state draw, built through the scalar API."""
-    stream = Stream(seed, trial, SLOT_INITIAL)
     if kind in QUANTUM_KINDS:
-        z = stream.normals(4)
+        z = rng.normals(seed, trial_counters(trial, SLOT_INITIAL, 4))
         psi = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
         return psi / np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2))
-    u = float(stream.uniforms(1)[0])
+    u = float(rng.uniform01(seed, trial_counters(trial, SLOT_INITIAL, 1))[0])
     return np.array([u, 1.0 - u])
+
+
+def scalar_machine(kind, seed, trial, slot, first_attempt=0):
+    """One machine drawn one number at a time through the public scalar
+    constructors, independently of machines_batch."""
+    if kind == "mm":
+        a, b = rng.uniform01(seed, trial_counters(trial, slot, 2)).tolist()
+        return mm_from_params(a, b)
+    if kind == "hmm":
+        u = rng.uniform01(seed, trial_counters(trial, slot, 6)).tolist()
+        a = u[0]
+        b = (1.0 - a) * u[1]
+        c = (1.0 - a - b) * u[2]
+        d = u[3]
+        e = (1.0 - d) * u[4]
+        f = (1.0 - d - e) * u[5]
+        return hmm_from_params(a, b, c, d, e, f)
+    if kind == "hqmm-proj":
+        u = float(rng.uniform01(seed, trial_counters(trial, slot, 1))[0])
+        return projective_kraus((2.0 * np.pi) * u)
+    for attempt in range(first_attempt, kernels.MAX_ATTEMPTS):
+        c = rng.normals(seed, trial_counters(trial, slot, 16, attempt))
+        c = c.view(np.complex128)
+        try:
+            a, b = orthonormalize_pair(c[:4], c[4:])
+        except DegenerateInput:
+            continue
+        return kraus_from_dilation(a, b)
+    raise SamplingError(f"no usable dilation pair (trial={trial})")
 
 
 def scalar_parties(kind, seed, trial):
@@ -101,6 +136,30 @@ def test_machines_batch_equals_scalar_samples(kind, slot):
         got = kernels.machine_from_batch(batch, idx)
         np.testing.assert_array_equal(got.op(-1), m.op(-1))
         np.testing.assert_array_equal(got.op(+1), m.op(+1))
+    # sample_machine is the n=1 batch row, so both are checked against the
+    # reference built from the scalar constructors.
+    for idx in range(64):
+        ref = scalar_machine(kind, seed, int(trials[idx]), slot)
+        got = kernels.machine_from_batch(batch, idx)
+        m = sample_machine(kind, Stream(seed, int(trials[idx]), slot))
+        for symbol in (-1, +1):
+            np.testing.assert_array_equal(got.op(symbol), ref.op(symbol))
+            np.testing.assert_array_equal(m.op(symbol), ref.op(symbol))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [BATCH, 20000])
+def test_machines_batch_row_does_not_depend_on_the_batch_length(kind, n):
+    # sample_machine draws a one-trial batch, so every row of a sweep's
+    # batch must keep its bytes at n=1, across hqmm blocks and to the end.
+    batch = kernels.machines_batch(kind, 7, np.arange(n), SLOT_CHARLIE)
+    rows = np.r_[0:n:97, kernels.HQMM_BLOCK - 1, kernels.HQMM_BLOCK, n - 1]
+    ones = np.concatenate([kernels.machines_batch(kind, 7, [row],
+                                                  SLOT_CHARLIE)
+                           for row in rows], axis=-1)
+    np.testing.assert_array_equal(
+        ones.view(np.uint64),
+        np.ascontiguousarray(batch[..., rows]).view(np.uint64))
 
 
 def test_machines_batch_rejects_unknown_kind():
@@ -114,7 +173,7 @@ def test_slot_counters_are_the_trial_major_counters_transposed(n_draws):
     base = (trials.astype(np.uint64) * np.uint64(4096)
             + np.uint64(SLOT_BOB2 * 512))
     trial_major = base[:, None] + np.arange(n_draws, dtype=np.uint64)[None, :]
-    got = kernels._slot_counters(trials, SLOT_BOB2, n_draws)
+    got = rng.slot_counters(trials, SLOT_BOB2, n_draws)
     assert got.dtype == np.uint64 and got.flags.c_contiguous
     np.testing.assert_array_equal(got, trial_major.T)
 
@@ -146,12 +205,12 @@ def test_machines_batch_rejects_a_wrong_out(kind):
 
 def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
     # Raise the batch tolerance just past the shortest Gram-Schmidt norm of
-    # 64 trials, so exactly that row takes the scalar redraw fallback.
+    # 64 trials, so exactly that row is redrawn from its attempt-1 counters.
     seed, slot = 31, SLOT_BOB1
     trials = np.arange(64, dtype=np.int64)
     shortest = []
     for trial in trials:
-        z = Stream(seed, int(trial), slot).normals(16)
+        z = rng.normals(seed, trial_counters(int(trial), slot, 16))
         u, v = z[0:8:2] + 1j * z[1:8:2], z[8::2] + 1j * z[9::2]
         a = u / np.linalg.norm(u)
         shortest.append(min(np.linalg.norm(u),
@@ -160,20 +219,22 @@ def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
     row = int(np.argmin(shortest))
     plain = kernels.machines_batch("hqmm", seed, trials, slot)
 
-    redrawn = []
-    def spy(kind, stream):
-        redrawn.append((kind, stream))
-        return sample_machine(kind, stream)
     monkeypatch.setattr(kernels, "DEGENERACY_TOL", 0.5 * (first + second))
-    monkeypatch.setattr(kernels, "sample_machine", spy)
     batch = kernels.machines_batch("hqmm", seed, trials, slot)
 
-    assert redrawn == [("hqmm", Stream(seed, row, slot))]
-    m = sample_machine("hqmm", Stream(seed, row, slot))
+    m = scalar_machine("hqmm", seed, row, slot, first_attempt=1)
     np.testing.assert_array_equal(batch[0, :, :, row], m.k_minus)
     np.testing.assert_array_equal(batch[1, :, :, row], m.k_plus)
     others = np.arange(64) != row
     np.testing.assert_array_equal(batch[..., others], plain[..., others])
+
+
+def test_hqmm_batch_gives_up_after_max_attempts(monkeypatch):
+    # Every draw is degenerate, so rows 5..8 all fail their 17 attempts and
+    # the error names the first of them.
+    monkeypatch.setattr(kernels, "DEGENERACY_TOL", np.inf)
+    with pytest.raises(SamplingError, match=r"seed=31, trial=5, slot=2\)"):
+        kernels.machines_batch("hqmm", 31, np.arange(5, 9), SLOT_BOB1)
 
 
 @pytest.mark.parametrize("kind", KINDS)
