@@ -15,6 +15,11 @@ contiguous passes; rng.slot_counters, the one definition of the counter
 layout, builds them.  The scoring core draws the four party machines into
 one (4, 2, 2, 2, n) array and scores views of its trial blocks, so no block
 is copied.
+
+A channel delay has no products of its own: Phi is linear, so
+transfer_matrix takes it on six rank-one inputs through the branch vectors
+that score a first machine.  The scoring core builds each block's delay map
+in its block loop; over a whole batch, the stacked inputs leave the cache.
 """
 from __future__ import annotations
 
@@ -227,16 +232,6 @@ def machine_from_batch(m: np.ndarray, idx: int):
     return TransitionPair(m[0, :, :, idx], m[1, :, :, idx])
 
 
-def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(2,2,n) @ (2,2,n) batch matrix product."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
-    out[0, 0] = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
-    out[0, 1] = a[0, 0] * b[0, 1] + a[0, 1] * b[1, 1]
-    out[1, 0] = a[1, 0] * b[0, 0] + a[1, 1] * b[1, 0]
-    out[1, 1] = a[1, 0] * b[0, 1] + a[1, 1] * b[1, 1]
-    return out
-
-
 def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
     """{t: m^t} of a (k,k,n) batch for every t >= 1 in t_list.
 
@@ -258,52 +253,12 @@ def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
     return powers
 
 
-def _mat_mul_dag(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Entries (0,0), (0,1), (1,1) of the (2,2,n) batch product a @ b^dag.
-
-    Callers take products that are Hermitian, so entry (1,0) is not needed.
-    np.multiply, not x * np.conj(y): numpy evaluates that in place in a
-    temporary of 256 KiB or more, which moves the last bit with the size.
-    """
-    mul = np.multiply
-    return (mul(a[0, 0], np.conj(b[0, 0])) + mul(a[0, 1], np.conj(b[0, 1])),
-            mul(a[0, 0], np.conj(b[1, 0])) + mul(a[0, 1], np.conj(b[1, 1])),
-            mul(a[1, 0], np.conj(b[1, 0])) + mul(a[1, 1], np.conj(b[1, 1])))
-
-
-# Pauli basis (I, X, Y, Z) on axis 3, shaped (2, 2, 1, 4, 1) to broadcast
-# over (row, column, outcome, Pauli b, trial).
-PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                  [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-                 dtype=np.complex128).transpose(1, 2, 0)[:, :, None, :, None]
-
-
 def _pauli_coords(h00: np.ndarray, h01: np.ndarray,
                   h11: np.ndarray) -> np.ndarray:
     """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its
     entries (0,0), (0,1) and (1,1)."""
     return np.stack([(h00 + h11).real, 2.0 * h01.real, -2.0 * h01.imag,
                      (h00 - h11).real])
-
-
-def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
-    """(4,4,n) Pauli transfer matrix R_ab = 1/2 Tr[sigma_a Phi(sigma_b)].
-
-    Phi(X) = K- X K-^dag + K+ X K+^dag is charlie's Kraus channel.  With
-    Pauli coordinates r_a = Tr[sigma_a rho], Phi acts as r -> R r, so t
-    applications are R^t; trace preservation makes the first row (1,0,0,0).
-    """
-    # K sigma_b for both outcomes and all four b in one batch product.
-    m = _mat_mul(charlie.transpose(1, 2, 0, 3)[:, :, :, None], PAULI)
-    r = np.empty((4, 4, charlie.shape[-1]))
-    for b in range(4):
-        # One b at a time keeps the temporaries at n entries: batched over
-        # b, the same bytes took twice as long at 4219 and 16384 trials,
-        # although half as long at n=1.
-        minus = _mat_mul_dag(m[:, :, 0, b], charlie[0])
-        plus = _mat_mul_dag(m[:, :, 1, b], charlie[1])
-        r[:, b] = 0.5 * _pauli_coords(*(p + q for p, q in zip(minus, plus)))
-    return r
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -324,6 +279,36 @@ def _first_parts(v: np.ndarray, quantum: bool,
     # temporary of 256 KiB or more, which moves the last bit with the size.
     return (p[..., 0, :], np.multiply(v[..., 0, :], np.conj(v[..., 1, :])),
             p[..., 1, :])
+
+
+def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
+    """(4,4,n) Pauli transfer matrix R_ab = 1/2 Tr[sigma_a Phi(sigma_b)].
+
+    Phi(X) = K- X K-^dag + K+ X K+^dag is charlie's Kraus channel.  With
+    Pauli coordinates r_a = Tr[sigma_a rho], Phi acts as r -> R r, so t
+    applications are R^t; trace preservation makes the first row (1,0,0,0).
+
+    Phi is linear and takes u u^dag to the sum over outcomes of w w^dag,
+    where w = K_i u is a first-role branch vector.  With c0, c1 the columns
+    of K_i, u = e0 and e1 give the I and Z columns; X and Y, halved
+    differences of (e0 +- e1) and (e0 +- i e1) projectors, give quarter
+    differences of c0 +- c1 and c0 +- i c1.  This symmetric form keeps R as
+    accurate as a product with each Pauli; four inputs double its error.
+    Every step is elementwise per trial, so R does not depend on the batch
+    length; the scoring core calls this per block, where the six stacked
+    inputs stay in cache.
+    """
+    c0, c1 = charlie[:, :, 0], charlie[:, :, 1]
+    v = np.empty((6,) + c0.shape, dtype=np.complex128)
+    v[0], v[1], v[4], v[5] = c0 + c1, c0 - c1, c0, c1
+    # c0 +- i c1 on the real and imaginary parts: no complex product.
+    v[2].real, v[2].imag = c0.real - c1.imag, c0.imag + c1.real
+    v[3].real, v[3].imag = c0.real + c1.imag, c0.imag - c1.real
+    x = _pauli_coords(*_first_parts(v, True))
+    x = x[:, :, 0] + x[:, :, 1]
+    d = x[:, 0::2] - x[:, 1::2]  # 4 R_X, 4 R_Y and 2 R_Z
+    return np.concatenate([0.5 * (x[:, 4:5] + x[:, 5:]), 0.25 * d[:, :2],
+                           0.5 * d[:, 2:]], axis=1)
 
 
 def _second_parts(m: np.ndarray, quantum: bool) -> tuple:
@@ -400,7 +385,7 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     if delayed:
         charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE,
                                  out=np.empty_like(machines[0]))
-        step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
+        step_of = transfer_matrix if channel else lambda c: c[0] + c[1]
     out = np.empty((len(t_list), trials.shape[0]))
     for start in range(0, trials.shape[0], SCORE_BLOCK):
         b = slice(start, start + SCORE_BLOCK)
@@ -416,7 +401,8 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
             v = m[..., 0, :] * psi[0, b] + m[..., 1, :] * psi[1, b]
             x_parts = _first_parts(v, quantum)
         x_diff = _coords(x_parts, quantum, np.subtract)
-        powers = _mat_powers(step[..., b], t_list) if delayed else {}
+        powers = (_mat_powers(step_of(charlie[..., b]), t_list) if delayed
+                  else {})
         for row, t in enumerate(t_list):
             if t == 0:
                 ab, ba = _pairs(x_diff, o_diff)

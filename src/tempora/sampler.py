@@ -298,6 +298,8 @@ def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSummary]:
     """Score cfg.count random machines; deterministic for any worker count."""
     cfg.validate()
+    if cfg.t_list is not None:
+        raise ConfigError("a t_list needs run_delay_sweep")
     hist = Histogram.empty(cfg.bins, *cfg.range)
     sum_s = 0.0
     above2 = above2r2 = 0

@@ -460,8 +460,13 @@ def test_transfer_matrix_is_trace_preserving(kind):
     np.testing.assert_allclose(r[0, 1:], 0.0, rtol=0, atol=1e-12)
 
 
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                  dtype=np.complex128)
+
+
 def transfer_matrix_reference(charlie):
-    """The per-Pauli loop that kernels.transfer_matrix replaced."""
+    """R from the product of each Kraus operator with each Pauli in turn."""
     def mat_mul(a, b):
         out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=a.dtype)
         out[0, 0] = a[0, 0] * b[0, 0] + a[0, 1] * b[1, 0]
@@ -491,28 +496,76 @@ def transfer_matrix_reference(charlie):
         return np.stack([(h[0, 0] + h[1, 1]).real, 2.0 * h[0, 1].real,
                          -2.0 * h[0, 1].imag, (h[0, 0] - h[1, 1]).real])
 
-    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-                      dtype=np.complex128)[..., None]
     r = np.empty((4, 4, charlie.shape[-1]))
-    for b, sigma in enumerate(paulis):
+    for b, sigma in enumerate(PAULIS[..., None]):
         r[:, b] = 0.5 * pauli_coords(sandwich(charlie[0], sigma)
                                      + sandwich(charlie[1], sigma))
     return r
 
 
+def transfer_matrix_wide(charlie):
+    """R_ab = 1/2 Tr[sigma_a Phi(sigma_b)] straight from the definition, in
+    np.clongdouble."""
+    k = charlie.astype(np.clongdouble)
+    paulis = PAULIS.astype(np.clongdouble)
+    phi = np.einsum("irsn,bst,iutn->brun", k, paulis, np.conj(k))
+    return (0.5 * np.einsum("ars,bsrn->abn", paulis, phi)).real
+
+
 @pytest.mark.parametrize("seed", [401, 402, 403])
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
-def test_transfer_matrix_keeps_the_bytes_of_the_per_pauli_loop(kind, seed):
-    # The bit patterns are compared, so a zero's sign counts too.
+def test_transfer_matrix_matches_the_per_pauli_loop(kind, seed):
     for n in (1, 2, 7, 123, 4219, 16384):
         charlie = kernels.machines_batch(kind, seed, np.arange(n),
                                          SLOT_CHARLIE)
-        want = transfer_matrix_reference(charlie)
-        got = kernels.transfer_matrix(charlie)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      want.view(np.uint64))
+        np.testing.assert_allclose(kernels.transfer_matrix(charlie),
+                                   transfer_matrix_reference(charlie),
+                                   rtol=0, atol=1e-15)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64")
+@pytest.mark.parametrize("kind", QUANTUM_KINDS)
+def test_transfer_matrix_is_as_accurate_as_the_per_pauli_loop(kind):
+    # Building R from six rank-one inputs keeps the error of a product with
+    # each Pauli (about 1.2x here); the four-input form doubles it.
+    got = want = 0.0
+    for seed in (401, 402, 403):
+        charlie = kernels.machines_batch(kind, seed, np.arange(4219),
+                                         SLOT_CHARLIE)
+        exact = transfer_matrix_wide(charlie)
+        got = max(got, np.abs(kernels.transfer_matrix(charlie) - exact).max())
+        want = max(want,
+                   np.abs(transfer_matrix_reference(charlie) - exact).max())
+    assert got <= 1.5 * want
+
+
+ZERO = np.zeros((2, 2))
+
+
+def _kraus_batch(k_minus, k_plus):
+    return np.stack([k_minus, k_plus]).astype(np.complex128)[..., None]
+
+
+@pytest.mark.parametrize("kraus,want", [
+    ((PAULIS[0], ZERO), np.eye(4)),
+    ((PAULIS[1], ZERO), np.diag([1.0, 1, -1, -1])),
+    ((PAULIS[2], ZERO), np.diag([1.0, -1, 1, -1])),
+    ((PAULIS[3], ZERO), np.diag([1.0, -1, -1, 1])),
+    ((projective_kraus(0.0).k_minus, projective_kraus(0.0).k_plus),
+     np.diag([1.0, 0, 0, 1])),
+    (([[1, 0], [0, 0]], [[0, 1], [0, 0]]),
+     [[1.0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
+], ids=["identity", "X", "Y", "Z", "dephasing", "reset"])
+def test_transfer_matrix_of_closed_form_channels(kraus, want):
+    # The I, X, Y, Z columns in their signs, alone and as one row of a batch.
+    single = _kraus_batch(*kraus)
+    np.testing.assert_array_equal(kernels.transfer_matrix(single)[..., 0],
+                                  want)
+    batch = kernels.machines_batch("hqmm", 406, np.arange(64), SLOT_CHARLIE)
+    batch[..., 37] = single[..., 0]
+    np.testing.assert_array_equal(kernels.transfer_matrix(batch)[..., 37],
+                                  want)
 
 
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
@@ -524,6 +577,10 @@ def test_transfer_matrix_does_not_depend_on_the_batch_length(kind, n):
     blocks = np.concatenate([kernels.transfer_matrix(charlie[..., s:s + 1024])
                              for s in range(0, n, 1024)], axis=-1)
     assert whole.tobytes() == blocks.tobytes()
+    # One trial at a time, as tempora score builds R.
+    for trial in (0, 1, 1023, n - 1):
+        single = kernels.transfer_matrix(charlie[..., trial:trial + 1])
+        assert single.tobytes() == whole[..., trial:trial + 1].tobytes()
 
 
 def test_projective_channel_is_idempotent():
@@ -779,6 +836,13 @@ def test_run_delay_sweep_rejects_overflowing_vector_sum_delays():
 def test_run_delay_sweep_requires_t_list():
     with pytest.raises(ConfigError):
         run_delay_sweep(SweepConfig(kind="mm", count=10))
+
+
+def test_run_sweep_rejects_t_list():
+    # Scored at t=0, such a sweep's document would still name the t_list.
+    with pytest.raises(ConfigError):
+        run_sweep(SweepConfig(kind="mm", count=100, t_list=(4,),
+                              quantum_mode="channel"))
 
 
 def test_run_delay_sweep_worker_count_invariant():
