@@ -25,7 +25,12 @@ path: seven documents moved in their last digits (per-trial scores by at
 most 4.3e-15, no histogram count), and the hmm and hqmm-proj sample and
 the hqmm-proj channel delay documents kept their bytes.  The hqmm channel
 delay document was re-pinned when transfer_matrix stopped depending on the
-batch length: the scores of its full batch moved by at most 8.3e-16.
+batch length: the scores of its full batch moved by at most 8.3e-16.  Six
+channel digests were re-pinned when transfer_matrix came to be built from
+six rank-one inputs instead of a product with each Pauli: the hqmm and
+hqmm-proj channel delay documents (per-trial scores by at most 5.4e-15 and
+1.0e-14, both at t=16; every t=0 row kept its bytes) and their channel
+score documents at t=1 and t=8 (scores by at most 1.8e-15).
 """
 import ctypes
 import hashlib
@@ -67,11 +72,11 @@ DELAY_DIGESTS = {
     ("hqmm", "vector-sum"):
         "a2029e1547c967d336112a6e8995c0e72186f26e3e7098ae2cdf5d20a3c33cdd",
     ("hqmm", "channel"):
-        "fc1b324adb9ae4ae8e187f2f141b32dc66730e2c10f061551e84da93ba00f4d2",
+        "0c50bd1fada102c2b8e51ae68a690c29d32a9ca5be68433dda711a5a19024f04",
     ("hqmm-proj", "vector-sum"):
         "483159bbbb4a1818e119e7bdda37a73bb55a407ea088a9654d7d99a10a848433",
     ("hqmm-proj", "channel"):
-        "2e4d3535a79110a0858d098e6ec986f99ae4adc82f73b870440de7f46b13cae2",
+        "42c3c01ad6761978588ce35aa67c64410e0e41a28912361082d68817424edc0b",
 }
 
 
@@ -211,11 +216,11 @@ SCORE_DIGESTS = {
     ("hqmm", 0, "vector-sum"):
         "85448444d4c3a4855bfaaab97ad5f9408b5e0a49f7be4c14fa9f026d515eec9c",
     ("hqmm", 1, "channel"):
-        "eed427b9dfdd584e86a78e474c4620d22d480d731d8a1f3b0571213b47a70e33",
+        "bed76dfaaaf141290997c2fec0f65bb66348ec052c60e2c37c5d9e6baaf415a0",
     ("hqmm", 1, "vector-sum"):
         "3d4a9a42804646b5d4c6953a603634bb88e31bcc8dc44242b1389f0f6cb58974",
     ("hqmm", 8, "channel"):
-        "89c92a08a4e0880c852f882cb2135d9110a38dc2f92b19c2ef255e873f258fc0",
+        "6db3e130dd2ddcce5c065934c2e234aa2d0d8f897683769954fd77a65d157211",
     ("hqmm", 8, "vector-sum"):
         "ee92788c61704e9c37d7afc1ee9a0a554e53f0a76ca9f893e0330be200d09522",
     ("hqmm-proj", 0, "channel"):
@@ -223,11 +228,11 @@ SCORE_DIGESTS = {
     ("hqmm-proj", 0, "vector-sum"):
         "41a8c9c21a63718bccd4d0efdb2f0d12addca8ab9a72b7f1c55c1de774070727",
     ("hqmm-proj", 1, "channel"):
-        "db8a6cc3774b93fc4abd9bcd18b27c835e533e318924848de1fbc01a1e464694",
+        "1feca10fbcf89cd2da0221dcfabd87acb9401747909871b5e3b623ce2bd15617",
     ("hqmm-proj", 1, "vector-sum"):
         "ea9eb79bd7d92347079a4c92d2279f5d22d5bfa5a2c7a8fd95b9848cb674d3e5",
     ("hqmm-proj", 8, "channel"):
-        "756d2fa0e6c487ee697ee9848042fe8de6ad382df5674c4c10e2e1832c242ea7",
+        "9398c64250345b748446013f0463118f22b78066c4292c2564d924163a7b96d5",
     ("hqmm-proj", 8, "vector-sum"):
         "4c235f6e6756a2b299858dfd1a1f1b9b65894161b4639111883a26e38008d29e",
     ("mm", 0, "channel"):
