@@ -9,9 +9,9 @@ with sample_machine, in every ordering.
 
 The layer digests cover the dtype, shape and raw bytes of the arrays that
 feed those documents: the rng outputs over counters that do not start at 0,
-the hqmm machine batches of every slot and the random initial states.  A
-rewrite of one layer proves it kept the bytes there, not only through the
-end documents.
+the hqmm machine batches of every slot, the random initial states and the
+per-trial delay scores of the quantum kinds.  A rewrite of one layer proves
+it kept the bytes there, not only through the end documents.
 
 Pinned on an Intel Xeon (x86-64, 2 cores) with numpy 2.4.6.  Box-Muller
 uses np.log, np.cos and np.sin, which numpy may dispatch to CPU-specific
@@ -153,6 +153,18 @@ HQMM_MACHINE_DIGESTS = {
 HQMM_INITIAL_STATE_DIGEST = (
     "49230461c7de4bc8371b4c3258a5a16576f2658ba4de10c368d9cd234e7edb6d")
 
+# (kind, quantum_mode) -> digest of the batch_delay_scores rows of every
+# batch of QUANTUM_COUNT trials at T_LIST.  The documents see only sums,
+# maxima and histogram counts; these see every per-trial score.
+DELAY_SCORE_DIGESTS = {
+    ("hqmm", "channel"):
+        "7ce81d2043d116e810e811cc58a92327e8156f155f71570b3836230d0322b8df",
+    ("hqmm-proj", "channel"):
+        "b4c5d1013bf4d8d41813f41c41965c3945b208ad8a04acdabbf707fb241ef31c",
+    ("hqmm-proj", "vector-sum"):
+        "07348e841b6d4fd3233ac2f1a22cb9bd383e0c64979d68e7371339f40d87c9cf",
+}
+
 
 def _array_digest(arrays):
     h = hashlib.sha256()
@@ -185,6 +197,13 @@ def test_hqmm_initial_state_layer_digest():
     states = [kernels.initial_state_batch("hqmm", SEED, trials, True)
               for trials in _batches(QUANTUM_COUNT)]
     assert _array_digest(states) == HQMM_INITIAL_STATE_DIGEST
+
+
+@pytest.mark.parametrize("kind,quantum_mode", sorted(DELAY_SCORE_DIGESTS))
+def test_delay_score_layer_digest(kind, quantum_mode):
+    rows = [kernels.batch_delay_scores(kind, SEED, trials, T_LIST, quantum_mode)
+            for trials in _batches(QUANTUM_COUNT)]
+    assert _array_digest(rows) == DELAY_SCORE_DIGESTS[(kind, quantum_mode)]
 
 
 FIXTURE_SCORE_DIGESTS = {
