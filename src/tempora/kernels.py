@@ -23,6 +23,8 @@ in its block loop; over a whole batch, the stacked inputs leave the cache.
 """
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from . import rng
@@ -51,6 +53,18 @@ HQMM_BLOCK = 2048
 # a sweep's peak RSS by about 24 MiB and score hqmm-proj about 9% slower.
 SCORE_BLOCK = 1024
 
+# glibc mallopt parameters (malloc.h) and the values the scoring core sets.
+# The largest per-batch array is the party-machine array: 8 MiB for quantum
+# kinds and 4 MiB for classical ones.  Below the mmap threshold it comes from
+# the heap, and below the trim threshold freed heap pages stay mapped, so no
+# batch page-faults its memory in again.  32 MiB is the glibc maximum mmap
+# threshold on 64-bit.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+_heap_kept_resident = False
+
 
 def is_quantum_kind(kind: str) -> bool:
     return kind in ("hqmm", "hqmm-proj")
@@ -59,6 +73,27 @@ def is_quantum_kind(kind: str) -> bool:
 def check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _keep_heap_resident() -> None:
+    """Once per process, keep freed heap mapped across batches.
+
+    Sets glibc's mmap and trim thresholds with mallopt; this is process-wide
+    and changes no arithmetic.  Without a libc that has mallopt it does
+    nothing.
+    """
+    global _heap_kept_resident
+    if _heap_kept_resident:
+        return
+    _heap_kept_resident = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def sample_machine(kind: str, stream: rng.Stream):
@@ -367,8 +402,11 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     chsh._correlate.
 
     batch_scores and batch_delay_scores share this body, so that a profiler
-    wrapping one public name does not count the other inside it.
+    wrapping one public name does not count the other inside it.  Here,
+    and not in the sampler, so that every batch caller keeps its heap
+    resident.
     """
+    _keep_heap_resident()
     trials = np.asarray(trials)
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)

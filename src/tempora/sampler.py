@@ -9,7 +9,6 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 from dataclasses import dataclass, field
 
@@ -22,17 +21,6 @@ from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
 BATCH = 16384
 TWO_SQRT2 = float(2.0 * np.sqrt(2.0))
-
-# glibc mallopt parameters (malloc.h) and the values a sweep sets.  The
-# largest per-batch arrays are 2 MiB (a quantum machine batch, a 4x4 transfer
-# matrix); below the mmap threshold they come from the heap, and below the
-# trim threshold freed heap pages stay mapped, so no batch page-faults its
-# memory in again.  32 MiB is the glibc maximum mmap threshold on 64-bit.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 64 << 20
-_heap_kept_resident = False
 
 
 @dataclass(frozen=True)
@@ -238,30 +226,9 @@ def _batches(count: int) -> list[tuple[int, int]]:
     return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
 
 
-def _keep_heap_resident() -> None:
-    """Once per process, keep freed heap mapped across batches.
-
-    Sets glibc's mmap and trim thresholds with mallopt; this is process-wide
-    and changes no arithmetic.  Without a libc that has mallopt it does
-    nothing.
-    """
-    global _heap_kept_resident
-    if _heap_kept_resident:
-        return
-    _heap_kept_resident = True
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def _sweep_batch(args: tuple[SweepConfig, int, int]
                  ) -> tuple[Histogram, float, int, int]:
     """One batch's histogram, score sum and counts above 2 and 2*sqrt(2)."""
-    _keep_heap_resident()
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     scores = kernels.batch_scores(cfg.kind, cfg.master_seed, trials,
@@ -275,7 +242,6 @@ def _sweep_batch(args: tuple[SweepConfig, int, int]
 def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
     """Per t: one batch's score sum, max, count above 2, trials and
     non-finite trials."""
-    _keep_heap_resident()
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     rows = kernels.batch_delay_scores(

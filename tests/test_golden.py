@@ -42,7 +42,7 @@ import pytest
 
 from tempora import (MachineFile, PartySpec, SweepConfig, delay_result_to_obj,
                      kernels, result_to_obj, rng, run_delay_sweep, run_sweep,
-                     sample_machine, sampler, save_machine_file)
+                     sample_machine, save_machine_file)
 from tempora.chsh import ORDERING_MODES
 from tempora.cli import main
 from tempora.sampler import BATCH
@@ -105,7 +105,7 @@ def test_sample_document_digest_without_mallopt(cdll, monkeypatch):
     calls = []
     monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name)
                         or cdll(name))
-    monkeypatch.setattr(sampler, "_heap_kept_resident", False)
+    monkeypatch.setattr(kernels, "_heap_kept_resident", False)
     cfg = SweepConfig(kind="hqmm-proj", count=_count("hqmm-proj"),
                       master_seed=SEED)
     hist, summary = run_sweep(cfg)

@@ -1,4 +1,5 @@
 """Random machine sampling, batch kernels, histograms, and sweep plumbing."""
+import ctypes
 import json
 import os
 import platform
@@ -890,3 +891,57 @@ def test_sweep_batches_do_not_page_fault_their_memory_in_again():
     # When glibc returns freed batch memory to the OS, these sweeps take
     # about 2850 (hqmm-proj) and 1110 (mm) faults per batch.
     assert faults["hqmm-proj"] < 64 and faults["mm"] < 64, faults
+
+
+# Whether malloc serves a 24 MiB block with an mmap of its own, in a fresh
+# process that first calls only kernels.batch_scores, or nothing.
+MMAP_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from tempora import kernels
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes = ()
+libc.mallinfo2.restype = MallInfo2
+libc.malloc.argtypes = (ctypes.c_size_t,)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = (ctypes.c_void_p,)
+libc.free.restype = None
+if sys.argv[1] == "score":
+    kernels.batch_scores("hqmm-proj", 0, np.arange(64))
+before = libc.mallinfo2().hblks
+block = libc.malloc(24 << 20)
+mapped = libc.mallinfo2().hblks > before
+libc.free(block)
+print(mapped)
+"""
+
+
+def _has_mallinfo2():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not _has_mallinfo2(),
+                    reason="the heap policy is set through glibc mallopt")
+def test_direct_kernel_calls_keep_the_heap_resident():
+    src = str(Path(tempora.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def mapped(call):
+        return subprocess.run([sys.executable, "-c", MMAP_SCRIPT, call],
+                              env=env, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    # glibc's default threshold maps a 24 MiB block on its own; the policy's
+    # 32 MiB threshold serves it from the heap.
+    assert mapped("none") == "True"
+    assert mapped("score") == "False"
