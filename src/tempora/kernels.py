@@ -114,17 +114,21 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
 
     With out, every entry of out is written and out is returned; it must
     have that shape, float64 for classical kinds and complex128 for quantum
-    kinds, or ShapeMismatch is raised.
+    kinds, or ShapeMismatch is raised.  hqmm-proj Kraus operators are real,
+    so an hqmm-proj out may also be float64: it gets the real parts of the
+    complex draw, bit for bit.  Without out, quantum kinds are complex128.
     """
     check_kind(kind)
     trials = np.asarray(trials)
     n = trials.shape[0]
-    dtype = np.complex128 if is_quantum_kind(kind) else np.float64
-    if out is not None and (out.shape != (2, 2, 2, n) or out.dtype != dtype):
+    dtypes = {"hqmm": ("complex128",),
+              "hqmm-proj": ("complex128", "float64")}.get(kind, ("float64",))
+    if out is not None and (out.shape != (2, 2, 2, n)
+                            or out.dtype.name not in dtypes):
         raise ShapeMismatch(
             f"{kind} batch of {n} trials needs out of shape (2, 2, 2, {n}) "
-            f"and dtype {np.dtype(dtype)}, got {out.shape} {out.dtype}")
-    m = np.empty((2, 2, 2, n), dtype=dtype) if out is None else out
+            f"and dtype {' or '.join(dtypes)}, got {out.shape} {out.dtype}")
+    m = np.empty((2, 2, 2, n), dtype=dtypes[0]) if out is None else out
     if kind == "mm":
         u = rng.uniform01(seed, rng.slot_counters(trials, slot, 2))
         a, b = u[0], u[1]
@@ -157,14 +161,12 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
         u = rng.uniform01(seed, rng.slot_counters(trials, slot, 1))
         phi = (2.0 * np.pi) * u[0]
         c, s = np.cos(phi), np.sin(phi)
-        m[0, 0, 0] = c * c
-        m[0, 0, 1] = c * s
-        m[0, 1, 0] = c * s
-        m[0, 1, 1] = s * s
-        m[1, 0, 0] = s * s
-        m[1, 0, 1] = -c * s
-        m[1, 1, 0] = -c * s
-        m[1, 1, 1] = c * c
+        cs = c * s
+        m[0, 0, 0] = m[1, 1, 1] = c * c
+        m[0, 0, 1] = m[0, 1, 0] = cs
+        m[0, 1, 1] = m[1, 0, 0] = s * s
+        # Negation is exact: -(c * s) has the bits of (-c) * s.
+        m[1, 0, 1] = m[1, 1, 0] = np.negative(cs, out=cs)
         return m
     return _hqmm_batch(seed, trials, slot, m)
 
@@ -291,16 +293,26 @@ def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
 def _pauli_coords(h00: np.ndarray, h01: np.ndarray,
                   h11: np.ndarray) -> np.ndarray:
     """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its
-    entries (0,0), (0,1) and (1,1)."""
+    entries (0,0), (0,1) and (1,1); for real H, the three (I, X, Z), as its
+    Y coordinate is zero."""
+    if not np.iscomplexobj(h01):
+        return np.stack([h00 + h11, 2.0 * h01, h00 - h11])
     return np.stack([(h00 + h11).real, 2.0 * h01.real, -2.0 * h01.imag,
                      (h00 - h11).real])
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of a complex array."""
+    """|z|^2 of a real or complex array."""
+    if not np.iscomplexobj(z):
+        return np.square(z)
     p = np.square(z.real)
     p += np.square(z.imag)
     return p
+
+
+def _conj(z: np.ndarray) -> np.ndarray:
+    """np.conj(z), without the copy np.conj makes of a real array."""
+    return np.conj(z) if np.iscomplexobj(z) else z
 
 
 def _first_parts(v: np.ndarray, quantum: bool,
@@ -312,7 +324,7 @@ def _first_parts(v: np.ndarray, quantum: bool,
     p = _abs2(v) if p is None else p
     # np.multiply, not v0 * np.conj(v1): numpy evaluates that in place in a
     # temporary of 256 KiB or more, which moves the last bit with the size.
-    return (p[..., 0, :], np.multiply(v[..., 0, :], np.conj(v[..., 1, :])),
+    return (p[..., 0, :], np.multiply(v[..., 0, :], _conj(v[..., 1, :])),
             p[..., 1, :])
 
 
@@ -322,28 +334,34 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
     Phi(X) = K- X K-^dag + K+ X K+^dag is charlie's Kraus channel.  With
     Pauli coordinates r_a = Tr[sigma_a rho], Phi acts as r -> R r, so t
     applications are R^t; trace preservation makes the first row (1,0,0,0).
+    A real (float64) charlie gives the (3,3,n) matrix on (I, X, Z): its
+    channel keeps real states real, so the Y row and column of its complex
+    R are zero apart from R_YY, which no real state reaches.
 
     Phi is linear and takes u u^dag to the sum over outcomes of w w^dag,
     where w = K_i u is a first-role branch vector.  With c0, c1 the columns
     of K_i, u = e0 and e1 give the I and Z columns; X and Y, halved
     differences of (e0 +- e1) and (e0 +- i e1) projectors, give quarter
     differences of c0 +- c1 and c0 +- i c1.  This symmetric form keeps R as
-    accurate as a product with each Pauli; four inputs double its error.
-    Every step is elementwise per trial, so R does not depend on the batch
-    length; the scoring core calls this per block, where the six stacked
-    inputs stay in cache.
+    accurate as a product with each Pauli; four inputs double its error.  A
+    real charlie takes only c0 +- c1, c0 and c1, and each of its entries has
+    the bits of the complex R's.  Every step is elementwise per trial, so R
+    does not depend on the batch length; the scoring core calls this per
+    block, where the stacked inputs stay in cache.
     """
     c0, c1 = charlie[:, :, 0], charlie[:, :, 1]
-    v = np.empty((6,) + c0.shape, dtype=np.complex128)
-    v[0], v[1], v[4], v[5] = c0 + c1, c0 - c1, c0, c1
-    # c0 +- i c1 on the real and imaginary parts: no complex product.
-    v[2].real, v[2].imag = c0.real - c1.imag, c0.imag + c1.real
-    v[3].real, v[3].imag = c0.real + c1.imag, c0.imag - c1.real
+    real = not np.iscomplexobj(charlie)
+    v = np.empty((4 if real else 6,) + c0.shape, dtype=charlie.dtype)
+    v[0], v[1], v[-2], v[-1] = c0 + c1, c0 - c1, c0, c1
+    if not real:
+        # c0 +- i c1 on the real and imaginary parts: no complex product.
+        v[2].real, v[2].imag = c0.real - c1.imag, c0.imag + c1.real
+        v[3].real, v[3].imag = c0.real + c1.imag, c0.imag - c1.real
     x = _pauli_coords(*_first_parts(v, True))
     x = x[:, :, 0] + x[:, :, 1]
-    d = x[:, 0::2] - x[:, 1::2]  # 4 R_X, 4 R_Y and 2 R_Z
-    return np.concatenate([0.5 * (x[:, 4:5] + x[:, 5:]), 0.25 * d[:, :2],
-                           0.5 * d[:, 2:]], axis=1)
+    d = x[:, 0::2] - x[:, 1::2]  # 4 R_X, 4 R_Y unless real, and 2 R_Z
+    return np.concatenate([0.5 * (x[:, -2:-1] + x[:, -1:]), 0.25 * d[:, :-1],
+                           0.5 * d[:, -1:]], axis=1)
 
 
 def _second_parts(m: np.ndarray, quantum: bool) -> tuple:
@@ -353,7 +371,7 @@ def _second_parts(m: np.ndarray, quantum: bool) -> tuple:
         return (m[:, :, 0] + m[:, :, 1],), None
     p = _abs2(m)
     g = p[:, :, 0] + p[:, :, 1]  # the diagonal of K^dag K
-    h = np.multiply(np.conj(m[..., 0, :]), m[..., 1, :])
+    h = np.multiply(_conj(m[..., 0, :]), m[..., 1, :])
     return (g[..., 0, :], h[:, :, 0] + h[:, :, 1], g[..., 1, :]), p
 
 
@@ -408,12 +426,23 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     """
     _keep_heap_resident()
     trials = np.asarray(trials)
+    n = trials.shape[0]
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)
+    # hqmm-proj from the fixed state (1, 0) is real throughout: its machines,
+    # branch vectors and R are scored in float64 on (I, X, Z), with the bits
+    # of the complex path.  Its party machines take a buffer of the complex
+    # array's size, every row contiguous along the trial axis: a float64
+    # array of half the size fragments the resident heap that hqmm's complex
+    # array leaves behind, and raised the sample workload's peak RSS from
+    # 53.5-53.6 to 56.1-56.5 MiB.  Charlie's array is too small to matter.
+    real = kind == "hqmm-proj" and not random_initial
+    width = 2 * n if real else n
     # machines_batch is called by its module name, so a wrapper installed on
     # kernels.machines_batch sees every draw.
-    machines = np.empty((4, 2, 2, 2, trials.shape[0]),
-                        dtype=np.complex128 if quantum else np.float64)
+    machines = np.empty(
+        (4, 2, 2, 2, width),
+        dtype=np.complex128 if quantum and not real else np.float64)[..., :n]
     for i, slot in enumerate((rng.SLOT_ALICE1, rng.SLOT_ALICE2,
                               rng.SLOT_BOB1, rng.SLOT_BOB2)):
         machines_batch(kind, seed, trials, slot, out=machines[i])
@@ -424,8 +453,8 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
         charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE,
                                  out=np.empty_like(machines[0]))
         step_of = transfer_matrix if channel else lambda c: c[0] + c[1]
-    out = np.empty((len(t_list), trials.shape[0]))
-    for start in range(0, trials.shape[0], SCORE_BLOCK):
+    out = np.empty((len(t_list), n))
+    for start in range(0, n, SCORE_BLOCK):
         b = slice(start, start + SCORE_BLOCK)
         m = machines[..., b]
         o_parts, p = _second_parts(m, quantum)

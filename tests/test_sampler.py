@@ -193,15 +193,35 @@ def test_machines_batch_into_out_keeps_the_bytes(kind, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_machines_batch_rejects_a_wrong_out(kind):
-    dtype = np.complex128 if kind in QUANTUM_KINDS else np.float64
-    other = np.float64 if kind in QUANTUM_KINDS else np.complex128
+    # hqmm-proj also takes float64, the real parts of its draw; hqmm does not.
+    dtypes = {"hqmm": (np.complex128,),
+              "hqmm-proj": (np.complex128, np.float64)}.get(kind,
+                                                            (np.float64,))
     trials = np.arange(8)
-    for out in (np.empty((2, 2, 2, 8), dtype=other),
-                np.empty((2, 2, 2, 7), dtype=dtype),
-                np.empty((2, 2, 8), dtype=dtype),
-                np.empty((2, 2, 2, 8), dtype=np.float32)):
+    wrong = [np.empty((2, 2, 2, 8), dtype=other)
+             for other in (np.complex128, np.float64, np.float32)
+             if other not in dtypes]
+    for dtype in dtypes:
+        wrong += [np.empty((2, 2, 2, 7), dtype=dtype),
+                  np.empty((2, 2, 8), dtype=dtype)]
+    for out in wrong:
         with pytest.raises(ShapeMismatch):
             kernels.machines_batch(kind, 0, trials, SLOT_ALICE1, out=out)
+
+
+@pytest.mark.parametrize("n", [1, 123, BATCH + 123])
+def test_real_hqmm_proj_draw_is_the_real_part_of_the_complex_draw(n):
+    trials = np.arange(3 * n, 4 * n, dtype=np.int64)
+    fresh = kernels.machines_batch("hqmm-proj", 29, trials, SLOT_BOB2)
+    assert not fresh.imag.any()
+    # Laid out as the scoring core draws it: each row of n trials contiguous
+    # in a buffer twice as wide.
+    buffer = np.full((2, 2, 2, 2 * n), np.nan)
+    out = buffer[..., :n]
+    assert kernels.machines_batch("hqmm-proj", 29, trials, SLOT_BOB2,
+                                  out=out) is out
+    assert out.tobytes() == np.ascontiguousarray(fresh.real).tobytes()
+    assert np.isnan(buffer[..., n:]).all()
 
 
 def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
@@ -567,6 +587,32 @@ def test_transfer_matrix_of_closed_form_channels(kraus, want):
     batch[..., 37] = single[..., 0]
     np.testing.assert_array_equal(kernels.transfer_matrix(batch)[..., 37],
                                   want)
+    if single.imag.any():
+        return
+    # A real channel as a float64 charlie: R on (I, X, Z).
+    want = np.asarray(want)[np.ix_(XZ, XZ)]
+    real = np.ascontiguousarray(single.real)
+    np.testing.assert_array_equal(kernels.transfer_matrix(real)[..., 0], want)
+    batch = np.ascontiguousarray(kernels.machines_batch(
+        "hqmm-proj", 406, np.arange(64), SLOT_CHARLIE).real)
+    batch[..., 37] = real[..., 0]
+    np.testing.assert_array_equal(kernels.transfer_matrix(batch)[..., 37],
+                                  want)
+
+
+XZ = [0, 1, 3]  # the I, X and Z coordinates among (I, X, Y, Z)
+
+
+@pytest.mark.parametrize("seed", [20240, 5])
+def test_real_transfer_matrix_is_the_complex_one_without_y(seed):
+    charlie = kernels.machines_batch("hqmm-proj", seed, np.arange(4219),
+                                     SLOT_CHARLIE)
+    r = kernels.transfer_matrix(charlie)
+    real = kernels.transfer_matrix(charlie.real)
+    assert real.dtype == np.float64 and real.shape == (3, 3, 4219)
+    assert real.tobytes() == np.ascontiguousarray(r[np.ix_(XZ, XZ)]).tobytes()
+    # No real state reaches Y, and Y reaches no other coordinate.
+    assert not r[2, XZ].any() and not r[XZ, 2].any()
 
 
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
