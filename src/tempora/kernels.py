@@ -7,7 +7,12 @@ sample_machine returns its n=1 row, and every draw is a pure function of
 
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
-batches are float64, quantum batches complex128.
+batches are float64, quantum batches complex128, with one exception: the
+scoring core draws hqmm-proj as float64 when it scores from the fixed state
+(1, 0).  Its Kraus operators are real, and so are its branch vectors, so it
+is scored on the Pauli coordinates (I, X, Z) with a 3x3 transfer matrix; the
+Y coordinate it leaves out is an exact zero, so every score keeps its bits.
+The helpers choose real or complex arithmetic by the dtype of their arrays.
 
 Batch counters are stored draw-major, as an (n_draws, n) array with the trial
 axis innermost, so building them and reading one draw for every trial are
@@ -17,9 +22,14 @@ one (4, 2, 2, 2, n) array and scores views of its trial blocks, so no block
 is copied.
 
 A channel delay has no products of its own: Phi is linear, so
-transfer_matrix takes it on six rank-one inputs through the branch vectors
-that score a first machine.  The scoring core builds each block's delay map
-in its block loop; over a whole batch, the stacked inputs leave the cache.
+transfer_matrix takes it on six rank-one inputs (four for a real charlie)
+through the branch vectors that score a first machine.  The scoring core
+builds each block's delay map in its block loop; over a whole batch, the
+stacked inputs leave the cache.
+
+The scoring core also sets the process's resident-heap policy, so every
+caller of batch_scores and batch_delay_scores, not only the sweeps, scores
+without mapping its batch arrays in again.
 """
 from __future__ import annotations
 
@@ -431,18 +441,17 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     delayed = any(t_list)
     # hqmm-proj from the fixed state (1, 0) is real throughout: its machines,
     # branch vectors and R are scored in float64 on (I, X, Z), with the bits
-    # of the complex path.  Its party machines take a buffer of the complex
-    # array's size, every row contiguous along the trial axis: a float64
-    # array of half the size fragments the resident heap that hqmm's complex
-    # array leaves behind, and raised the sample workload's peak RSS from
-    # 53.5-53.6 to 56.1-56.5 MiB.  Charlie's array is too small to matter.
+    # of the complex path.  Its party machines fill the first half of a
+    # buffer of the complex array's size: an array of their own size
+    # fragments the resident heap that hqmm's complex array leaves behind,
+    # and raised the sample workload's peak RSS from 53.5-53.6 to 56.1-56.5
+    # MiB.  Charlie's array is too small to matter.
     real = kind == "hqmm-proj" and not random_initial
-    width = 2 * n if real else n
+    shape = (4, 2, 2, 2, n)
     # machines_batch is called by its module name, so a wrapper installed on
     # kernels.machines_batch sees every draw.
-    machines = np.empty(
-        (4, 2, 2, 2, width),
-        dtype=np.complex128 if quantum and not real else np.float64)[..., :n]
+    machines = (np.empty((2,) + shape)[0] if real else np.empty(
+        shape, dtype=np.complex128 if quantum else np.float64))
     for i, slot in enumerate((rng.SLOT_ALICE1, rng.SLOT_ALICE2,
                               rng.SLOT_BOB1, rng.SLOT_BOB2)):
         machines_batch(kind, seed, trials, slot, out=machines[i])

@@ -214,14 +214,13 @@ def test_real_hqmm_proj_draw_is_the_real_part_of_the_complex_draw(n):
     trials = np.arange(3 * n, 4 * n, dtype=np.int64)
     fresh = kernels.machines_batch("hqmm-proj", 29, trials, SLOT_BOB2)
     assert not fresh.imag.any()
-    # Laid out as the scoring core draws it: each row of n trials contiguous
-    # in a buffer twice as wide.
-    buffer = np.full((2, 2, 2, 2 * n), np.nan)
-    out = buffer[..., :n]
+    # As the scoring core draws it: the first half of a buffer twice its size.
+    buffer = np.full((2, 2, 2, 2, n), np.nan)
+    out = buffer[0]
     assert kernels.machines_batch("hqmm-proj", 29, trials, SLOT_BOB2,
                                   out=out) is out
     assert out.tobytes() == np.ascontiguousarray(fresh.real).tobytes()
-    assert np.isnan(buffer[..., n:]).all()
+    assert np.isnan(buffer[1]).all()
 
 
 def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
