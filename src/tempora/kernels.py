@@ -171,10 +171,10 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
         u = rng.uniform01(seed, rng.slot_counters(trials, slot, 1))
         phi = (2.0 * np.pi) * u[0]
         c, s = np.cos(phi), np.sin(phi)
-        cs = c * s
         m[0, 0, 0] = m[1, 1, 1] = c * c
-        m[0, 0, 1] = m[0, 1, 0] = cs
         m[0, 1, 1] = m[1, 0, 0] = s * s
+        cs = np.multiply(c, s, out=c)
+        m[0, 0, 1] = m[0, 1, 0] = cs
         # Negation is exact: -(c * s) has the bits of (-c) * s.
         m[1, 0, 1] = m[1, 1, 0] = np.negative(cs, out=cs)
         return m
