@@ -131,13 +131,15 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
     check_kind(kind)
     trials = np.asarray(trials)
     n = trials.shape[0]
-    dtypes = {"hqmm": ("complex128",),
-              "hqmm-proj": ("complex128", "float64")}.get(kind, ("float64",))
+    dtypes = {"hqmm": (np.complex128,),
+              "hqmm-proj": (np.complex128, np.float64)}.get(kind,
+                                                            (np.float64,))
     if out is not None and (out.shape != (2, 2, 2, n)
-                            or out.dtype.name not in dtypes):
+                            or out.dtype not in dtypes):
         raise ShapeMismatch(
             f"{kind} batch of {n} trials needs out of shape (2, 2, 2, {n}) "
-            f"and dtype {' or '.join(dtypes)}, got {out.shape} {out.dtype}")
+            f"and dtype {' or '.join(np.dtype(d).name for d in dtypes)}, "
+            f"got {out.shape} {out.dtype}")
     m = np.empty((2, 2, 2, n), dtype=dtypes[0]) if out is None else out
     if kind == "mm":
         u = rng.uniform01(seed, rng.slot_counters(trials, slot, 2))
@@ -173,6 +175,8 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
         c, s = np.cos(phi), np.sin(phi)
         m[0, 0, 0] = m[1, 1, 1] = c * c
         m[0, 1, 1] = m[1, 0, 0] = s * s
+        # c * s overwrites c: one more live array here touched more heap in
+        # a long sweep loop.
         cs = np.multiply(c, s, out=c)
         m[0, 0, 1] = m[0, 1, 0] = cs
         # Negation is exact: -(c * s) has the bits of (-c) * s.
@@ -430,9 +434,9 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     chsh._correlate.
 
     batch_scores and batch_delay_scores share this body, so that a profiler
-    wrapping one public name does not count the other inside it.  Here,
-    and not in the sampler, so that every batch caller keeps its heap
-    resident.
+    wrapping one public name does not count the other inside it.  It sets
+    the resident-heap policy, so that a direct caller keeps its heap
+    resident too.
     """
     _keep_heap_resident()
     trials = np.asarray(trials)
