@@ -126,7 +126,8 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
     have that shape, float64 for classical kinds and complex128 for quantum
     kinds, or ShapeMismatch is raised.  hqmm-proj Kraus operators are real,
     so an hqmm-proj out may also be float64: it gets the real parts of the
-    complex draw, bit for bit.  Without out, quantum kinds are complex128.
+    complex draw, bit for bit, for the scoring core (machine_from_batch
+    would read it as classical).  Without out, quantum kinds are complex128.
     """
     check_kind(kind)
     trials = np.asarray(trials)
@@ -446,10 +447,10 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     # hqmm-proj from the fixed state (1, 0) is real throughout: its machines,
     # branch vectors and R are scored in float64 on (I, X, Z), with the bits
     # of the complex path.  Its party machines fill the first half of a
-    # buffer of the complex array's size: an array of their own size
-    # fragments the resident heap that hqmm's complex array leaves behind,
-    # and raised the sample workload's peak RSS from 53.5-53.6 to 56.1-56.5
-    # MiB.  Charlie's array is too small to matter.
+    # buffer of the complex array's size: in an array of their own size
+    # they fragment the resident heap that hqmm's complex array leaves
+    # behind, and the sample benchmark's peak RSS rose from 53.56-53.85 to
+    # 56.29-56.59 MiB.  Charlie's array is too small to matter.
     real = kind == "hqmm-proj" and not random_initial
     shape = (4, 2, 2, 2, n)
     # machines_batch is called by its module name, so a wrapper installed on
