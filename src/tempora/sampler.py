@@ -20,6 +20,9 @@ from .errors import ConfigError, RangeError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
 BATCH = 16384
+# Children inherit the imported modules rather than import them again.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 TWO_SQRT2 = float(2.0 * np.sqrt(2.0))
 
 
@@ -258,12 +261,54 @@ def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
             for row in rows]
 
 
+def _run_share(conn, worker, jobs: list) -> None:
+    """Pool child: score a share of the jobs and send (ok, results-or-error)."""
+    try:
+        reply = (True, [worker(job) for job in jobs])
+    except Exception as exc:  # re-raised by the parent
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
 def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
+    """worker(job) for each batch's job, in batch order.
+
+    On more than one worker, one child per worker, forked for this call
+    and at most one per batch, scores the round-robin share
+    jobs[w::workers]; the parent joins every child before it returns or
+    raises.
+    """
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     jobs = [(cfg, start, stop) for start, stop in _batches(cfg.count)]
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(int(workers), len(jobs))
+    if workers <= 1:
         return [worker(job) for job in jobs]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(worker, jobs, chunksize=1)
+    procs, replies = [], []
+    try:
+        for w in range(workers):
+            recv, send = _CONTEXT.Pipe(duplex=False)
+            proc = _CONTEXT.Process(target=_run_share,
+                                    args=(send, worker, jobs[w::workers]))
+            proc.start()
+            procs.append((proc, recv))
+            send.close()
+        replies = [recv.recv() for _, recv in procs]
+    finally:
+        for proc, recv in procs:
+            if len(replies) < len(procs):
+                # Nothing reads the pipes now, and a child blocked on a
+                # full one would never exit.
+                proc.terminate()
+            proc.join()
+            recv.close()
+    results = [None] * len(jobs)
+    for w, (ok, value) in enumerate(replies):
+        if not ok:
+            raise value
+        results[w::workers] = value
+    return results
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSummary]:

@@ -1,6 +1,7 @@
 """Random machine sampling, batch kernels, histograms, and sweep plumbing."""
 import ctypes
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -18,10 +19,11 @@ from tempora import (ConfigError, DegenerateInput, DelaySpec, Histogram,
                      kraus_from_dilation, mm_from_params, orthonormalize_pair,
                      projective_kraus, run_delay_sweep, run_sweep,
                      sample_machine, validate_classical, validate_kraus)
-from tempora import kernels, rng
+from tempora import kernels, rng, sampler
 from tempora.rng import (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2,
                          SLOT_CHARLIE, SLOT_INITIAL, Stream)
 from tempora.sampler import BATCH, KINDS
+from tempora.serialize import delay_result_to_obj, result_to_obj
 
 QUANTUM_KINDS = ("hqmm", "hqmm-proj")
 
@@ -824,9 +826,15 @@ def test_run_sweep_spans_multiple_batches():
     assert summary.mean_s == pytest.approx(scores.mean(), rel=1e-12)
 
 
+def sweep_document(cfg, workers):
+    return json.dumps(result_to_obj(cfg, *run_sweep(cfg, workers=workers)))
+
+
 @pytest.mark.parametrize("kind,count,workers", [
     ("mm", 3 * BATCH, 4),
     ("hqmm", 2 * BATCH, 2),
+    ("mm", 4 * BATCH + 123, 3),  # shares of 2, 2 and 1 batches
+    ("mm", 4 * BATCH + 123, 8),  # more workers than batches
 ])
 def test_run_sweep_is_worker_count_invariant(kind, count, workers):
     cfg = SweepConfig(kind=kind, count=count, master_seed=6)
@@ -834,6 +842,82 @@ def test_run_sweep_is_worker_count_invariant(kind, count, workers):
     hist2, sum2 = run_sweep(cfg, workers=workers)
     assert hist1 == hist2
     assert sum1 == sum2
+    assert sweep_document(cfg, workers) == sweep_document(cfg, 1)
+
+
+def test_a_sweep_forks_no_more_children_than_batches(monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counting_start)
+    cfg = SweepConfig(kind="mm", count=2 * BATCH + 5, master_seed=4)
+    one = sweep_document(cfg, 1)
+    assert started == []
+    assert sweep_document(cfg, 8) == one
+    assert len(started) == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None])
+def test_sweeps_reject_a_worker_count_that_is_not_a_positive_integer(workers):
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        run_sweep(SweepConfig(kind="mm", count=10), workers=workers)
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        run_delay_sweep(SweepConfig(kind="mm", count=10, t_list=(0, 1)),
+                        workers=workers)
+
+
+def batch_and_pid(job):
+    """A test worker: the batch's first trial and the process that ran it."""
+    return job[1], os.getpid()
+
+
+def fail_on_second_batch(job):
+    if job[1] == BATCH:
+        raise RangeError(f"no score for the batch at {job[1]}")
+    return job[1]
+
+
+def exit_on_first_batch(job):
+    """A test worker that dies on batch 0 and sends 1 MiB per other batch,
+    more than a pipe holds."""
+    if job[1] == 0:
+        os._exit(3)
+    return bytes(1 << 20)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_map_batches_puts_round_robin_shares_back_in_batch_order(workers):
+    cfg = SweepConfig(kind="mm", count=4 * BATCH + 123)
+    results = sampler._map_batches(batch_and_pid, cfg, workers)
+    assert [start for start, _ in results] == [0, BATCH, 2 * BATCH,
+                                                3 * BATCH, 4 * BATCH]
+    pids = [pid for _, pid in results]
+    n = min(workers, 5)
+    assert len(set(pids)) == n and os.getpid() not in pids
+    assert all(pids[i] == pids[i % n] for i in range(5))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_exception_reaches_the_caller_and_no_child_is_left():
+    cfg = SweepConfig(kind="mm", count=4 * BATCH)
+    with pytest.raises(RangeError, match=f"no score for the batch at {BATCH}$"):
+        sampler._map_batches(fail_on_second_batch, cfg, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
+    # The other child is still blocked writing its reply when the parent
+    # gives up, so the parent must stop it rather than wait for it.
+    cfg = SweepConfig(kind="mm", count=4 * BATCH)
+    with pytest.raises(EOFError):
+        sampler._map_batches(exit_on_first_batch, cfg, 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_sweep_empty_count():
@@ -895,6 +979,12 @@ def test_run_delay_sweep_worker_count_invariant():
     cfg = SweepConfig(kind="hmm", count=2 * BATCH, master_seed=12,
                       t_list=(0, 1))
     assert run_delay_sweep(cfg, workers=1) == run_delay_sweep(cfg, workers=2)
+    # Shares of 2, 1 and 1 batches, in channel mode.
+    cfg = SweepConfig(kind="hqmm", count=3 * BATCH + 77, master_seed=12,
+                      t_list=(0, 1, 4), quantum_mode="channel")
+    docs = [json.dumps(delay_result_to_obj(cfg, run_delay_sweep(cfg, workers=w)))
+            for w in (1, 3)]
+    assert docs[1] == docs[0]
 
 
 def test_run_sweep_validates_config():
