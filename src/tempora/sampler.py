@@ -6,6 +6,13 @@ for delay sweeps, an intermediary) from counter sub-streams derived from
 is chunked into fixed-size batches whose partial results are reduced in
 batch order, which makes every output, including float summaries,
 bit-identical for any worker count.
+
+On N > 1 workers a sweep forks min(N, batches) child processes of its own
+and joins them all before it returns or raises; none outlives the call.
+Child w scores the fixed round-robin share of batches w, w + N, w + 2N, ...
+and sends its results back over a pipe; the parent puts them back in batch
+order and runs the same reduce as one worker.  An exception raised in a
+child is raised again in the caller.
 """
 from __future__ import annotations
 
@@ -20,7 +27,9 @@ from .errors import ConfigError, RangeError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
 BATCH = 16384
-# Children inherit the imported modules rather than import them again.
+# Forked sweep children inherit the imported modules instead of importing
+# them again.  Named, because fork is not the default start method everywhere
+# (Python 3.14 defaults to forkserver on Linux).
 _CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 TWO_SQRT2 = float(2.0 * np.sqrt(2.0))
@@ -262,7 +271,7 @@ def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
 
 
 def _run_share(conn, worker, jobs: list) -> None:
-    """Pool child: score a share of the jobs and send (ok, results-or-error)."""
+    """Sweep child: score a share of the jobs and send (ok, results-or-error)."""
     try:
         reply = (True, [worker(job) for job in jobs])
     except Exception as exc:  # re-raised by the parent
@@ -272,13 +281,8 @@ def _run_share(conn, worker, jobs: list) -> None:
 
 
 def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
-    """worker(job) for each batch's job, in batch order.
-
-    On more than one worker, one child per worker, forked for this call
-    and at most one per batch, scores the round-robin share
-    jobs[w::workers]; the parent joins every child before it returns or
-    raises.
-    """
+    """worker(job) for each batch's job, in batch order; on more than one
+    worker, child w scores jobs[w::workers] (see the module docstring)."""
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     jobs = [(cfg, start, stop) for start, stop in _batches(cfg.count)]
