@@ -17,9 +17,11 @@ The helpers choose real or complex arithmetic by the dtype of their arrays.
 Batch counters are stored draw-major, as an (n_draws, n) array with the trial
 axis innermost, so building them and reading one draw for every trial are
 contiguous passes; rng.slot_counters, the one definition of the counter
-layout, builds them.  The scoring core draws the four party machines into
-one (4, 2, 2, 2, n) array and scores views of its trial blocks, so no block
-is copied.
+layout, builds them.  machines_batch and slot_counters take one slot or a
+sequence of slots.  The scoring core draws each SCORE_BLOCK-trial block's
+four party machines, and charlie under a delay, with one machines_batch call
+into one (slots, 2, 2, 2, SCORE_BLOCK) buffer that every block reuses, so no
+array holds the machines of a whole batch.
 
 A channel delay has no products of its own: Phi is linear, so
 transfer_matrix takes it on six rank-one inputs (four for a real charlie)
@@ -52,23 +54,20 @@ RENORM_TOL = 1e-9
 # Resampling attempts for a degenerate Gaussian draw: 1 initial + 16 retries.
 MAX_ATTEMPTS = 17
 
-# Trials per block of an hqmm draw.  Each block's temporaries (at most
-# 2048 x 16 words) stay in cache: one whole-batch pass draws a slot about 9%
-# slower and raises a sweep's peak RSS by about 8 MiB.  Every step is
-# elementwise per trial, so blocks give the same bytes as one whole-batch
-# pass (the layer digests check this).
-HQMM_BLOCK = 2048
-
-# Trials per block of the scoring core.  Whole-batch temporaries would raise
-# a sweep's peak RSS by about 24 MiB and score hqmm-proj about 9% slower.
+# Trials per block of the scoring core, which draws each block's machines
+# in the block.  Whole-batch temporaries would raise a sweep's peak RSS by
+# about 24 MiB and score hqmm-proj about 9% slower.  Every draw and score is
+# elementwise per trial, so the block size changes no bytes.
 SCORE_BLOCK = 1024
 
 # glibc mallopt parameters (malloc.h) and the values the scoring core sets.
-# The largest per-batch array is the party-machine array: 8 MiB for quantum
-# kinds and 4 MiB for classical ones.  Below the mmap threshold it comes from
-# the heap, and below the trim threshold freed heap pages stay mapped, so no
-# batch page-faults its memory in again.  32 MiB is the glibc maximum mmap
-# threshold on 64-bit.
+# The largest per-batch arrays are the score rows, 128 KiB per t at 16384
+# trials, and the trial array, 128 KiB; a block's machine buffer and draw
+# temporaries are at most 640 KiB each.  glibc maps arrays of 128 KiB and
+# more on their own until its dynamic threshold rises.  Below the mmap
+# threshold they come from the heap, and below the trim threshold freed heap
+# pages stay mapped, so no batch page-faults its memory in again.  32 MiB is
+# the glibc maximum mmap threshold on 64-bit.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20
@@ -118,9 +117,13 @@ def sample_machine(kind: str, stream: rng.Stream):
         machines_batch(kind, stream.seed, [stream.trial], stream.slot), 0)
 
 
-def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
+def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Machine batch of shape (2, 2, 2, n) for one slot of many trials.
+
+    A sequence of slots gives (len(slots), 2, 2, 2, n), entry i with the
+    bytes of a call for slots[i] alone: one counter build, one uniform or
+    normal pass and one Gram-Schmidt pass serve every slot.
 
     With out, every entry of out is written and out is returned; it must
     have that shape, float64 for classical kinds and complex128 for quantum
@@ -132,28 +135,31 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
     check_kind(kind)
     trials = np.asarray(trials)
     n = trials.shape[0]
+    single = np.ndim(slot) == 0
+    slots = (slot,) if single else tuple(slot)
+    shape = (2, 2, 2, n) if single else (len(slots), 2, 2, 2, n)
     dtypes = {"hqmm": (np.complex128,),
               "hqmm-proj": (np.complex128, np.float64)}.get(kind,
                                                             (np.float64,))
-    if out is not None and (out.shape != (2, 2, 2, n)
-                            or out.dtype not in dtypes):
+    if out is not None and (out.shape != shape or out.dtype not in dtypes):
         raise ShapeMismatch(
-            f"{kind} batch of {n} trials needs out of shape (2, 2, 2, {n}) "
+            f"{kind} batch of {n} trials needs out of shape {shape} "
             f"and dtype {' or '.join(np.dtype(d).name for d in dtypes)}, "
             f"got {out.shape} {out.dtype}")
-    m = np.empty((2, 2, 2, n), dtype=dtypes[0]) if out is None else out
+    m = np.empty(shape, dtype=dtypes[0]) if out is None else out
+    ms = m[None] if single else m  # slot, outcome, matrix, trial
     if kind == "mm":
-        u = rng.uniform01(seed, rng.slot_counters(trials, slot, 2))
+        u = rng.uniform01(seed, rng.slot_counters(trials, slots, 2))
         a, b = u[0], u[1]
-        m[0, 0, 0] = a
-        m[0, 0, 1] = 1.0 - b
-        m[0, 1] = 0.0
-        m[1, 0] = 0.0
-        m[1, 1, 0] = 1.0 - a
-        m[1, 1, 1] = b
+        ms[:, 0, 0, 0] = a
+        ms[:, 0, 0, 1] = 1.0 - b
+        ms[:, 0, 1] = 0.0
+        ms[:, 1, 0] = 0.0
+        ms[:, 1, 1, 0] = 1.0 - a
+        ms[:, 1, 1, 1] = b
         return m
     if kind == "hmm":
-        u = rng.uniform01(seed, rng.slot_counters(trials, slot, 6))
+        u = rng.uniform01(seed, rng.slot_counters(trials, slots, 6))
         # Nested uniforms: b <= 1-a, c <= 1-a-b, and likewise for d, e, f.
         a = u[0]
         b = (1.0 - a) * u[1]
@@ -161,29 +167,30 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot: int,
         d = u[3]
         e = (1.0 - d) * u[4]
         f = (1.0 - d - e) * u[5]
-        m[0, 0, 0] = a
-        m[0, 0, 1] = d
-        m[0, 1, 0] = b
-        m[0, 1, 1] = e
-        m[1, 0, 0] = c
-        m[1, 0, 1] = f
-        m[1, 1, 0] = 1.0 - a - b - c
-        m[1, 1, 1] = 1.0 - d - e - f
+        ms[:, 0, 0, 0] = a
+        ms[:, 0, 0, 1] = d
+        ms[:, 0, 1, 0] = b
+        ms[:, 0, 1, 1] = e
+        ms[:, 1, 0, 0] = c
+        ms[:, 1, 0, 1] = f
+        ms[:, 1, 1, 0] = 1.0 - a - b - c
+        ms[:, 1, 1, 1] = 1.0 - d - e - f
         return m
     if kind == "hqmm-proj":
-        u = rng.uniform01(seed, rng.slot_counters(trials, slot, 1))
+        u = rng.uniform01(seed, rng.slot_counters(trials, slots, 1))
         phi = (2.0 * np.pi) * u[0]
         c, s = np.cos(phi), np.sin(phi)
-        m[0, 0, 0] = m[1, 1, 1] = c * c
-        m[0, 1, 1] = m[1, 0, 0] = s * s
+        ms[:, 0, 0, 0] = ms[:, 1, 1, 1] = c * c
+        ms[:, 0, 1, 1] = ms[:, 1, 0, 0] = s * s
         # c * s overwrites c: one more live array here touched more heap in
         # a long sweep loop.
         cs = np.multiply(c, s, out=c)
-        m[0, 0, 1] = m[0, 1, 0] = cs
+        ms[:, 0, 0, 1] = ms[:, 0, 1, 0] = cs
         # Negation is exact: -(c * s) has the bits of (-c) * s.
-        m[1, 0, 1] = m[1, 1, 0] = np.negative(cs, out=cs)
+        ms[:, 1, 0, 1] = ms[:, 1, 1, 0] = np.negative(cs, out=cs)
         return m
-    return _hqmm_batch(seed, trials, slot, m)
+    _hqmm_batch(seed, trials, slots, ms)
+    return m
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -200,10 +207,11 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _hqmm_block(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt (k, 16) normals into the (2, 2, 2, k) view m.
+def _gram_schmidt(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt (s*k, 16) normals, slot-major, into the (s, 2, 2, 2, k)
+    view m.
 
-    Returns the mask of degenerate rows, which the caller redraws.
+    Returns the (s, k) mask of degenerate rows, which the caller redraws.
     """
     c = z.view(np.complex128)
     u, v = c[:, :4], c[:, 4:]
@@ -222,37 +230,35 @@ def _hqmm_block(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     bad = bad_u | (nw < DEGENERACY_TOL)
     w *= (1.0 / np.where(bad, 1.0, nw))[:, None]
     # k_minus columns are the ancilla -1 halves, k_plus the +1 halves.
-    k = z.shape[0]
-    m[:, :, 0] = a.T.reshape(2, 2, k)
-    m[:, :, 1] = w.T.reshape(2, 2, k)
-    return bad
+    s, k = m.shape[0], m.shape[-1]
+    m[..., 0, :] = a.reshape(s, k, 2, 2).transpose(0, 2, 3, 1)
+    m[..., 1, :] = w.reshape(s, k, 2, 2).transpose(0, 2, 3, 1)
+    return bad.reshape(s, k)
 
 
-def _hqmm_batch(seed: int, trials: np.ndarray, slot: int,
-                m: np.ndarray) -> np.ndarray:
-    n = trials.shape[0]
-    bad = np.empty(n, dtype=bool)
-    for start in range(0, n, HQMM_BLOCK):
-        block = slice(start, start + HQMM_BLOCK)
-        # Box-Muller pairs lie on the last axis: read the counters as their
-        # (k, 16) transpose; raw64 copies them into a contiguous array.
-        z = rng.normals(seed, rng.slot_counters(trials[block], slot, 16).T)
-        bad[block] = _hqmm_block(z, m[..., block])
-    rows = np.flatnonzero(bad)
-    for attempt in range(1, MAX_ATTEMPTS):
-        if not rows.size:
-            break
-        z = rng.normals(seed, rng.slot_counters(trials[rows], slot, 16,
-                                                attempt).T)
-        redrawn = np.empty((2, 2, 2, rows.size), dtype=np.complex128)
-        bad = _hqmm_block(z, redrawn)
-        m[..., rows[~bad]] = redrawn[..., ~bad]
-        rows = rows[bad]
-    if rows.size:
-        raise SamplingError(
-            f"no usable dilation pair after {MAX_ATTEMPTS} attempts "
-            f"(seed={seed}, trial={int(trials[rows[0]])}, slot={slot})")
-    return m
+def _hqmm_batch(seed: int, trials: np.ndarray, slots: tuple,
+                m: np.ndarray) -> None:
+    """Draw hqmm machines of every slot into the (slots, 2, 2, 2, n) m."""
+    # Box-Muller pairs lie on the last axis: read the counters as their
+    # (slots, n, 16) transpose; raw64 copies them into a contiguous array.
+    z = rng.normals(seed, rng.slot_counters(trials, slots, 16)
+                    .transpose(1, 2, 0))
+    bad = _gram_schmidt(z.reshape(-1, 16), m)
+    for i, slot in enumerate(slots):
+        rows = np.flatnonzero(bad[i])
+        for attempt in range(1, MAX_ATTEMPTS):
+            if not rows.size:
+                break
+            z = rng.normals(seed, rng.slot_counters(trials[rows], slot, 16,
+                                                    attempt).T)
+            redrawn = np.empty((1, 2, 2, 2, rows.size), dtype=np.complex128)
+            ok = ~_gram_schmidt(z, redrawn)[0]
+            m[i][..., rows[ok]] = redrawn[0][..., ok]
+            rows = rows[~ok]
+        if rows.size:
+            raise SamplingError(
+                f"no usable dilation pair after {MAX_ATTEMPTS} attempts "
+                f"(seed={seed}, trial={int(trials[rows[0]])}, slot={slot})")
 
 
 def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
@@ -444,33 +450,29 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     n = trials.shape[0]
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)
-    # hqmm-proj from the fixed state (1, 0) is real throughout: its machines,
-    # branch vectors and R are scored in float64 on (I, X, Z), with the bits
-    # of the complex path.  Its party machines fill the first half of a
-    # buffer of the complex array's size: in an array of their own size
-    # they fragment the resident heap that hqmm's complex array leaves
-    # behind, and the sample benchmark's peak RSS rose from 53.56-53.85 to
-    # 56.29-56.59 MiB.  Charlie's array is too small to matter.
-    real = kind == "hqmm-proj" and not random_initial
-    shape = (4, 2, 2, 2, n)
-    # machines_batch is called by its module name, so a wrapper installed on
-    # kernels.machines_batch sees every draw.
-    machines = (np.empty((2,) + shape)[0] if real else np.empty(
-        shape, dtype=np.complex128 if quantum else np.float64))
-    for i, slot in enumerate((rng.SLOT_ALICE1, rng.SLOT_ALICE2,
-                              rng.SLOT_BOB1, rng.SLOT_BOB2)):
-        machines_batch(kind, seed, trials, slot, out=machines[i])
-    psi = initial_state_batch(kind, seed, trials, random_initial)
     channel = quantum and quantum_mode == "channel"
     renorm = quantum and not channel and delayed
     if delayed:
-        charlie = machines_batch(kind, seed, trials, rng.SLOT_CHARLIE,
-                                 out=np.empty_like(machines[0]))
         step_of = transfer_matrix if channel else lambda c: c[0] + c[1]
+    # Each block draws its machines into one buffer: the four parties, then
+    # charlie under a delay.  hqmm-proj from the fixed state (1, 0) is real
+    # throughout: its machines, branch vectors and R are scored in float64
+    # on (I, X, Z), with the bits of the complex path.
+    slots = (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1,
+             rng.SLOT_BOB2) + ((rng.SLOT_CHARLIE,) if delayed else ())
+    real = kind == "hqmm-proj" and not random_initial
+    drawn = np.empty((len(slots), 2, 2, 2, min(n, SCORE_BLOCK)),
+                     dtype=np.complex128 if quantum and not real
+                     else np.float64)
     out = np.empty((len(t_list), n))
     for start in range(0, n, SCORE_BLOCK):
         b = slice(start, start + SCORE_BLOCK)
-        m = machines[..., b]
+        block = drawn[..., :min(n - start, SCORE_BLOCK)]
+        # machines_batch is called by its module name, so a wrapper
+        # installed on kernels.machines_batch sees every draw.
+        machines_batch(kind, seed, trials[b], slots, out=block)
+        m = block[:4]
+        psi = initial_state_batch(kind, seed, trials[b], random_initial)
         o_parts, p = _second_parts(m, quantum)
         o_diff = _coords(o_parts, quantum, np.subtract)
         o_sum = _coords(o_parts, quantum, np.add) if renorm else None
@@ -479,11 +481,10 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
             x_parts = _first_parts(v, quantum,
                                    None if p is None else p[..., 0, :])
         else:
-            v = m[..., 0, :] * psi[0, b] + m[..., 1, :] * psi[1, b]
+            v = m[..., 0, :] * psi[0] + m[..., 1, :] * psi[1]
             x_parts = _first_parts(v, quantum)
         x_diff = _coords(x_parts, quantum, np.subtract)
-        powers = (_mat_powers(step_of(charlie[..., b]), t_list) if delayed
-                  else {})
+        powers = _mat_powers(step_of(block[4]), t_list) if delayed else {}
         for row, t in enumerate(t_list):
             if t == 0:
                 ab, ba = _pairs(x_diff, o_diff)

@@ -22,7 +22,8 @@ attempt a within a slot starts at offset a*ATTEMPT_STRIDE.  Retries of one
 machine therefore never shift any other machine's draws.  slot_counters is
 the one place that computes these counters (Salmon et al. 2011, "Parallel
 random numbers: as easy as 1, 2, 3"); every draw in the package goes
-through it.
+through it.  It takes one slot or a sequence of slots, so one call builds
+the counters of every machine a batch block draws.
 
 Derived values: uniform01 = (raw64 >> 11) * 2**-53 in [0, 1); normals come
 from Box-Muller over counter pairs (2j, 2j+1), with the radius uniform
@@ -122,14 +123,21 @@ def normals(seed: int, counters: np.ndarray) -> np.ndarray:
     return out.view(np.float64)
 
 
-def slot_counters(trials: np.ndarray, slot: int, n_draws: int,
+def slot_counters(trials: np.ndarray, slot, n_draws: int,
                   attempt: int = 0) -> np.ndarray:
     """C-contiguous (n_draws, n) counters of one slot and attempt: row j is
-    draw j of every trial, so the trial axis is innermost."""
-    base = (np.asarray(trials).astype(np.uint64) * _U64(TRIAL_STRIDE)
-            + _U64(slot * SLOT_STRIDE + attempt * ATTEMPT_STRIDE))
-    return np.add(np.arange(n_draws, dtype=_U64)[:, None], base,
-                  out=np.empty((n_draws, base.shape[0]), dtype=_U64))
+    draw j of every trial, so the trial axis is innermost.
+
+    A sequence of slots gives (n_draws, len(slots), n): entry [:, i] holds
+    the counters of slot slots[i], as one slot's call gives them.
+    """
+    offsets = (np.asarray(slot, dtype=_U64) * _U64(SLOT_STRIDE)
+               + _U64(attempt * ATTEMPT_STRIDE))
+    base = np.add.outer(offsets, np.asarray(trials).astype(np.uint64)
+                        * _U64(TRIAL_STRIDE))
+    draws = np.arange(n_draws, dtype=_U64).reshape((-1,) + (1,) * base.ndim)
+    return np.add(draws, base,
+                  out=np.empty((n_draws,) + base.shape, dtype=_U64))
 
 
 @dataclass(frozen=True)

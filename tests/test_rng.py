@@ -89,6 +89,18 @@ def test_normals_on_a_transposed_view_match_a_contiguous_copy():
     assert got.tobytes() == want.tobytes()
 
 
+def test_multi_slot_counters_stack_the_single_slot_counters():
+    trials = np.arange(10**9, 10**9 + 37, dtype=np.int64)
+    slots = (rng.SLOT_CHARLIE, rng.SLOT_ALICE1, rng.SLOT_BOB1)
+    for attempt in (0, 3):
+        got = rng.slot_counters(trials, slots, 16, attempt)
+        want = np.stack([rng.slot_counters(trials, slot, 16, attempt)
+                         for slot in slots], axis=1)
+        assert got.shape == (16, 3, 37)
+        assert got.dtype == np.uint64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
 def test_stream_slots_do_not_overlap():
     c0 = rng.slot_counters([0], 0, rng.SLOT_STRIDE).ravel()
     c1 = rng.slot_counters([0], 1, rng.SLOT_STRIDE).ravel()

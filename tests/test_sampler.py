@@ -154,9 +154,9 @@ def test_machines_batch_equals_scalar_samples(kind, slot):
 @pytest.mark.parametrize("n", [BATCH, 20000])
 def test_machines_batch_row_does_not_depend_on_the_batch_length(kind, n):
     # sample_machine draws a one-trial batch, so every row of a sweep's
-    # batch must keep its bytes at n=1, across hqmm blocks and to the end.
+    # batch must keep its bytes at n=1, across score blocks and to the end.
     batch = kernels.machines_batch(kind, 7, np.arange(n), SLOT_CHARLIE)
-    rows = np.r_[0:n:97, kernels.HQMM_BLOCK - 1, kernels.HQMM_BLOCK, n - 1]
+    rows = np.r_[0:n:97, kernels.SCORE_BLOCK - 1, kernels.SCORE_BLOCK, n - 1]
     ones = np.concatenate([kernels.machines_batch(kind, 7, [row],
                                                   SLOT_CHARLIE)
                            for row in rows], axis=-1)
@@ -216,7 +216,7 @@ def test_real_hqmm_proj_draw_is_the_real_part_of_the_complex_draw(n):
     trials = np.arange(3 * n, 4 * n, dtype=np.int64)
     fresh = kernels.machines_batch("hqmm-proj", 29, trials, SLOT_BOB2)
     assert not fresh.imag.any()
-    # As the scoring core draws it: the first half of a buffer twice its size.
+    # Into a view of a larger buffer, which keeps the rest of its entries.
     buffer = np.full((2, 2, 2, 2, n), np.nan)
     out = buffer[0]
     assert kernels.machines_batch("hqmm-proj", 29, trials, SLOT_BOB2,
@@ -257,6 +257,74 @@ def test_hqmm_batch_gives_up_after_max_attempts(monkeypatch):
     monkeypatch.setattr(kernels, "DEGENERACY_TOL", np.inf)
     with pytest.raises(SamplingError, match=r"seed=31, trial=5, slot=2\)"):
         kernels.machines_batch("hqmm", 31, np.arange(5, 9), SLOT_BOB1)
+
+
+ALL_SLOTS = (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2, SLOT_CHARLIE)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 123, kernels.SCORE_BLOCK + 1])
+def test_multi_slot_draw_stacks_the_single_slot_draws(kind, n):
+    trials = np.arange(2 * n, 3 * n, dtype=np.int64)
+    for slots in (ALL_SLOTS, (SLOT_CHARLIE, SLOT_ALICE1, SLOT_BOB2)):
+        stacked = np.stack([kernels.machines_batch(kind, 29, trials, slot)
+                            for slot in slots])
+        got = kernels.machines_batch(kind, 29, trials, slots)
+        assert got.shape == (len(slots), 2, 2, 2, n)
+        assert got.dtype == stacked.dtype
+        assert got.tobytes() == stacked.tobytes()
+    # Into a block view of a wider buffer, as the scoring core draws; an
+    # hqmm-proj float64 out gets the real parts.
+    dtypes = [stacked.dtype] + [np.float64] * (kind == "hqmm-proj")
+    for dtype in dtypes:
+        buffer = np.full((len(slots), 2, 2, 2, n + 3), np.nan, dtype=dtype)
+        out = buffer[..., :n]
+        assert kernels.machines_batch(kind, 29, trials, slots, out=out) is out
+        want = stacked.real if dtype == np.float64 else stacked
+        assert (np.ascontiguousarray(out).tobytes()
+                == np.ascontiguousarray(want).tobytes())
+        assert np.isnan(buffer[..., n:]).all()
+
+
+def test_multi_slot_draw_rejects_a_wrong_out():
+    trials = np.arange(8)
+    for out in (np.empty((4, 2, 2, 2, 8)), np.empty((2, 2, 2, 8)),
+                np.empty((5, 2, 2, 2, 7)), np.empty((5, 2, 2, 2, 8),
+                                                    dtype=np.complex128)):
+        with pytest.raises(ShapeMismatch):
+            kernels.machines_batch("mm", 0, trials, ALL_SLOTS, out=out)
+
+
+def test_multi_slot_hqmm_redraws_a_degenerate_row_from_its_own_slot(
+        monkeypatch):
+    # Raise the tolerance just past the shortest Gram-Schmidt norm of 64
+    # trials in five slots, and draw that row's slot last, so only it is
+    # redrawn, from its own slot's attempt-1 counters.
+    seed, trials = 31, np.arange(64, dtype=np.int64)
+    shortest = {}
+    for slot in ALL_SLOTS:
+        for trial in trials:
+            z = rng.normals(seed, trial_counters(int(trial), slot, 16))
+            u, v = z[0:8:2] + 1j * z[1:8:2], z[8::2] + 1j * z[9::2]
+            a = u / np.linalg.norm(u)
+            shortest[slot, int(trial)] = min(
+                np.linalg.norm(u), np.linalg.norm(v - np.vdot(a, v) * a))
+    (slot, row), *_ = sorted(shortest, key=shortest.get)
+    first, second = sorted(shortest.values())[:2]
+    slots = tuple(s for s in ALL_SLOTS if s != slot) + (slot,)
+    plain = kernels.machines_batch("hqmm", seed, trials, slots)
+
+    monkeypatch.setattr(kernels, "DEGENERACY_TOL", 0.5 * (first + second))
+    batch = kernels.machines_batch("hqmm", seed, trials, slots)
+
+    m = scalar_machine("hqmm", seed, row, slot, first_attempt=1)
+    np.testing.assert_array_equal(batch[-1, 0, :, :, row], m.k_minus)
+    np.testing.assert_array_equal(batch[-1, 1, :, :, row], m.k_plus)
+    assert not np.array_equal(batch[-1, ..., row], plain[-1, ..., row])
+    others = np.ones(batch.shape[::4], dtype=bool)
+    others[-1, row] = False
+    np.testing.assert_array_equal(batch.transpose(0, 4, 1, 2, 3)[others],
+                                  plain.transpose(0, 4, 1, 2, 3)[others])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -690,10 +758,13 @@ def test_every_batch_draws_its_machines_through_machines_batch(
         t_list, draws, monkeypatch):
     # A traced benchmark run times the draws by wrapping
     # kernels.machines_batch; a draw made under another name would go unseen.
+    # Each score block draws its parties, and charlie under a delay, in one
+    # call into its block buffer.
     events = []
     for name in ("machines_batch", "batch_scores", "batch_delay_scores"):
         def spy(*args, fn=getattr(kernels, name), name=name, **kw):
-            events.append("out=" if name == "machines_batch" and "out" in kw
+            events.append((tuple(args[3]), len(args[2]))
+                          if name == "machines_batch" and "out" in kw
                           else name)
             return fn(*args, **kw)
         monkeypatch.setattr(kernels, name, spy)
@@ -705,7 +776,10 @@ def test_every_batch_draws_its_machines_through_machines_batch(
     else:
         run_delay_sweep(cfg)
         batch = ["batch_delay_scores"]
-    assert events == (batch + ["out="] * draws) * 3
+    slots = ALL_SLOTS[:draws]
+    full = batch + [(slots, kernels.SCORE_BLOCK)] * (BATCH
+                                                      // kernels.SCORE_BLOCK)
+    assert events == full * 2 + batch + [(slots, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1101,65 @@ def test_sweep_batches_do_not_page_fault_their_memory_in_again():
     # When glibc returns freed batch memory to the OS, these sweeps take
     # about 2850 (hqmm-proj) and 1110 (mm) faults per batch.
     assert faults["hqmm-proj"] < 64 and faults["mm"] < 64, faults
+
+
+# Tracemalloc peak of batch_delay_scores at 4 and 16 score blocks of trials
+# (the trial array made inside the trace), per configuration, in a fresh
+# process after one warm-up call of each.
+PEAK_SCRIPT = """
+import json, sys, tracemalloc
+import numpy as np
+from tempora import kernels
+
+out = {}
+for kind, t_list, quantum_mode, random_initial in json.loads(sys.argv[1]):
+    def score(n):
+        kernels.batch_delay_scores(kind, 5, np.arange(n), tuple(t_list),
+                                   quantum_mode,
+                                   random_initial=random_initial)
+    score(2 * kernels.SCORE_BLOCK + 5)
+    peaks = []
+    for blocks in (4, 16):
+        tracemalloc.start()
+        score(blocks * kernels.SCORE_BLOCK)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    out[kind, len(t_list), quantum_mode, random_initial] = peaks
+print(json.dumps([[list(key), peaks] for key, peaks in out.items()]))
+"""
+PEAK_CONFIGS = [(kind, t_list, quantum_mode, random_initial)
+                for kind in KINDS
+                for t_list in ((0,), (0, 1, 2, 4, 8, 16))
+                for quantum_mode in (("vector-sum", "channel")
+                                     if kind in QUANTUM_KINDS
+                                     else ("vector-sum",))
+                for random_initial in (False, True)]
+
+
+@pytest.fixture(scope="module")
+def scoring_peaks():
+    src = str(Path(tempora.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT,
+                           json.dumps(PEAK_CONFIGS)], env=env,
+                          capture_output=True, text=True, check=True)
+    return {tuple(key): peaks for key, peaks in json.loads(proc.stdout)}
+
+
+@pytest.mark.parametrize(
+    "kind,t_list,quantum_mode,random_initial", PEAK_CONFIGS,
+    ids=[f"{kind}-t{max(t_list)}-{mode}-{'random' if random else 'fixed'}"
+         for kind, t_list, mode, random in PEAK_CONFIGS])
+def test_scoring_memory_does_not_grow_with_the_batch(
+        scoring_peaks, kind, t_list, quantum_mode, random_initial):
+    # Each block draws its own machines, so only the trial array and the
+    # score rows grow with the batch, by 8 bytes per trial each.  A
+    # whole-batch machine array grows it by 274-696 bytes per trial.
+    small, large = scoring_peaks[kind, len(t_list), quantum_mode,
+                                 random_initial]
+    per_trial = (large - small) / (12 * kernels.SCORE_BLOCK)
+    assert per_trial <= 8 * (len(t_list) + 1) + 8, (small, large)
 
 
 # Whether malloc serves a 24 MiB block with an mmap of its own, in a fresh
