@@ -1155,7 +1155,7 @@ def test_scoring_memory_does_not_grow_with_the_batch(
         scoring_peaks, kind, t_list, quantum_mode, random_initial):
     # Each block draws its own machines, so only the trial array and the
     # score rows grow with the batch, by 8 bytes per trial each.  A
-    # whole-batch machine array grows it by 274-696 bytes per trial.
+    # whole-batch machine array grows it by 274-728 bytes per trial.
     small, large = scoring_peaks[kind, len(t_list), quantum_mode,
                                  random_initial]
     per_trial = (large - small) / (12 * kernels.SCORE_BLOCK)
