@@ -9,18 +9,15 @@ from .algebra import ket2, ket4, orthonormalize_pair
 from .chsh import (ChshResult, DelaySpec, Machine, PartySpec,
                    chsh_from_correlators, chsh_score, correlator,
                    delayed_chsh_score, expectation_seq,
-                   joint_prob_classical, joint_prob_quantum,
                    spatial_reference_score)
-from .classical import (TransitionPair, classical_outcome_step,
-                        hmm_from_params, mm_from_params, prob_vector,
-                        validate_classical)
+from .classical import (TransitionPair, hmm_from_params, mm_from_params,
+                        prob_vector, validate_classical)
 from .errors import (CompletenessError, ConfigError, DegenerateInput,
                      KindMismatch, OrthonormalityError, ParseError,
                      RangeError, SamplingError, ShapeMismatch, TemporaError,
                      ValidationError)
 from .quantum import (KrausPair, kraus_from_dilation, observable_of,
-                      projective_kraus, quantum_outcome_step, qubit_state,
-                      validate_kraus)
+                      projective_kraus, qubit_state, validate_kraus)
 from .sampler import (DelayPoint, DelayStats, Histogram, SweepConfig,
                       SweepSummary, histogram_merge, run_delay_sweep,
                       run_sweep, sample_machine)
@@ -40,15 +37,13 @@ __all__ = [
     "ParseError", "PartySpec", "RangeError", "SamplingError",
     "ShapeMismatch", "SweepConfig", "SweepSummary", "TemporaError",
     "TransitionPair", "ValidationError", "chsh_from_correlators",
-    "chsh_score", "classical_outcome_step", "correlator", "delay_csv",
-    "delay_result_to_obj", "delayed_chsh_score", "expectation_seq",
-    "histogram_csv", "histogram_merge", "hmm_from_params",
-    "joint_prob_classical", "joint_prob_quantum", "ket2", "ket4",
+    "chsh_score", "correlator", "delay_csv", "delay_result_to_obj",
+    "delayed_chsh_score", "expectation_seq", "histogram_csv",
+    "histogram_merge", "hmm_from_params", "ket2", "ket4",
     "kraus_from_dilation", "load_machine_file", "machine_file_from_obj",
     "machine_file_to_obj", "machine_from_obj", "machine_to_obj",
-    "mm_from_params", "observable_of",
-    "orthonormalize_pair", "prob_vector", "projective_kraus",
-    "quantum_outcome_step", "qubit_state", "result_to_obj",
+    "mm_from_params", "observable_of", "orthonormalize_pair",
+    "prob_vector", "projective_kraus", "qubit_state", "result_to_obj",
     "run_delay_sweep", "run_sweep", "sample_machine", "save_machine_file",
     "spatial_reference_score", "state_from_obj", "state_to_obj",
     "validate_classical", "validate_kraus",

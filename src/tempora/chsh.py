@@ -11,7 +11,8 @@ sum with a single minus sign:
   canonical score maximised over relabelings of either party's bases.
 
 An optional intermediary ("charlie") can act t times between the two
-measurements; see delayed_chsh_score.
+measurements; see delayed_chsh_score.  Every score here is the one-trial
+call of kernels._score_block, the body the sweeps score with.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .classical import TransitionPair
-from .errors import KindMismatch
+from .errors import KindMismatch, ShapeMismatch
 from .quantum import KrausPair
 
 Machine = Union[TransitionPair, KrausPair]
@@ -133,105 +134,38 @@ def chsh_from_correlators(c11: float, c12: float, c21: float,
     return placements[3], max(placements)
 
 
-def joint_prob_classical(first: TransitionPair, second: TransitionPair,
-                         eta: np.ndarray, i: int, j: int,
-                         mid: np.ndarray | None = None) -> float:
-    """P(first emits i, then second emits j) from state eta.
-
-    Composes the raw sub-transition matrices (no intermediate
-    renormalisation, which would be algebraically redundant).  `mid` is an
-    optional matrix applied between the two measurements.
-    """
-    v = first.op(i) @ np.asarray(eta, dtype=np.float64)
-    if mid is not None:
-        v = mid @ v
-    w = second.op(j) @ v
-    return float(w[0] + w[1])
-
-
-def joint_prob_quantum(first: KrausPair, second: KrausPair,
-                       psi: np.ndarray, i: int, j: int,
-                       mid: np.ndarray | None = None) -> float:
-    """P(first emits i, then second emits j) from pure state psi.
-
-    Returns the raw squared norm |K2^(j) mid K1^(i) psi|^2; with mid absent
-    the four outcomes sum to 1 for valid machines.
-    """
-    v = first.op(i) @ np.asarray(psi, dtype=np.complex128)
-    if mid is not None:
-        v = mid @ v
-    w = second.op(j) @ v
-    return float(np.sum(w.real ** 2 + w.imag ** 2))
-
-
 def _correlate(machines: tuple, state: np.ndarray, mode: str,
                delay: DelaySpec | None = None) -> tuple[list[float], dict | None]:
     """Correlators c11, c12, c21, c22 of machines (a1, a2, b1, b2), raw sums.
 
-    Each machine gets its role vectors once.  As the first machine, outcome i
-    leaves the branch state x_i = T_i eta (K_i psi), taken after the delay,
-    as a vector (classical) or as the Pauli coordinates Tr[sigma_a rho_i] of
-    rho_i = K_i psi psi^dag K_i^dag.  As the second, outcome j detects a
-    branch state x with probability o_j . x, where o_j = 1^T T_j
-    (1/2 coords(K_j^dag K_j)).  The ordered pair (first, second) scores
-    E = (o+ - o-) . (x+ - x-), and (o+ + o-) . (x+ + x-) is its raw
-    four-outcome sum.
-
-    Each delay semantics is one linear map raised to the power t (none at
-    t=0): t_minus + t_plus or k_minus + k_plus on the state vector, or the
-    channel's Pauli transfer matrix on the coordinates.  In vector-sum mode
-    the raw sum renormalises E when it strays from 1 by more than
-    kernels.RENORM_TOL (a zero sum leaves E as it is), the rule the sweeps
-    share, and is returned per correlator and ordering; otherwise the raw
-    sums are None.
+    The one-trial call of kernels._score_block, which holds the observable
+    form and its delay maps.  In vector-sum mode with a quantum charlie the
+    raw four-outcome sums are returned per correlator and ordering;
+    otherwise they are None.
     """
     _check_mode(mode)
     charlie = () if delay is None else (delay.charlie,)
     quantum = _same_kind(*machines, *charlie) == "quantum"
-    state = np.asarray(state, dtype=np.complex128 if quantum else np.float64)
-    state_map = coord_map = None
-    renorm = False
-    if delay is not None and delay.t > 0:
-        if quantum and delay.quantum_mode == "channel":
-            kraus = np.stack((delay.charlie.k_minus, delay.charlie.k_plus))
-            coord_map = np.linalg.matrix_power(
-                kernels.transfer_matrix(kraus[..., None])[..., 0], delay.t)
-        else:
-            state_map = np.linalg.matrix_power(delay.charlie.total(), delay.t)
-            renorm = quantum
-    # (machine, outcome, row, column), outcomes in the order (-1, +1)
-    ops = np.stack([(m.op(-1), m.op(+1)) for m in machines])
-    x = ops @ state
-    if state_map is not None:
-        x = x @ state_map.T
-    if quantum:
-        # Pauli coordinates on the last axis, as the transpose of a
-        # (4, machine, outcome) array: the layout the products below had
-        # when the score documents were pinned.
-        x0, x1 = x[..., 0], x[..., 1]
-        x = kernels._pauli_coords(x0 * np.conj(x0), x0 * np.conj(x1),
-                                  x1 * np.conj(x1)).transpose(1, 2, 0)
-        if coord_map is not None:
-            x = x @ coord_map.T
-        g = np.conj(ops).swapaxes(-1, -2) @ ops
-        o = 0.5 * kernels._pauli_coords(g[..., 0, 0], g[..., 0, 1],
-                                        g[..., 1, 1]).transpose(1, 2, 0)
-    else:
-        o = ops.sum(axis=-2)
-    e = (x[:, 1] - x[:, 0]) @ (o[:, 1] - o[:, 0]).T
-    raw = None
-    if renorm:
-        total = (x[:, 1] + x[:, 0]) @ (o[:, 1] + o[:, 0]).T
-        e = kernels._renormalise(e, total)
-        orders = [order for order in ("a-first", "b-first")
-                  if mode in (order, "symmetrized")]
-        raw = {f"c{an + 1}{bm - 1}": {
-                   order: float(total[an, bm] if order == "a-first"
-                                else total[bm, an])
-                   for order in orders}
-               for an in (0, 1) for bm in (2, 3)}
-    cs = kernels._correlators(e[:2, 2:], e[2:, :2], mode)
-    return cs.ravel().tolist(), raw
+    dtype = np.complex128 if quantum else np.float64
+    psi = np.asarray(state, dtype=dtype)
+    if psi.shape != (2,):
+        raise ShapeMismatch(f"state must have shape (2,), got {psi.shape}")
+    t = 0 if delay is None else delay.t
+    # (machine, outcome, row, column, trial), outcomes in the order (-1, +1)
+    m = np.array([(x.op(-1), x.op(+1)) for x in machines], dtype)[..., None]
+    c_op = (np.array((delay.charlie.op(-1), delay.charlie.op(+1)))[..., None]
+            if t else None)
+    channel = quantum and delay is not None and delay.quantum_mode == "channel"
+    c, raw = kernels._score_block(m, c_op, psi[:, None], (t,), quantum,
+                                  channel, mode)
+    raw_sums = None
+    if raw is not None:
+        by_order = {"a-first": raw[0, 0, ..., 0], "b-first": raw[0, 1, ..., 0].T}
+        orders = [o for o in by_order if mode in (o, "symmetrized")]
+        raw_sums = {f"c{n + 1}{k + 1}": {o: float(by_order[o][n, k])
+                                         for o in orders}
+                    for n in (0, 1) for k in (0, 1)}
+    return c[0, ..., 0].ravel().tolist(), raw_sums
 
 
 def expectation_seq(first: Machine, second: Machine, state: np.ndarray) -> float:

@@ -20,8 +20,6 @@ from .errors import CompletenessError, RangeError
 
 # Allowed deviation of column sums of t_minus + t_plus from 1.
 COMPLETENESS_TOL = 1e-9
-# Below this probability an outcome branch is treated as impossible.
-ZERO_BRANCH_TOL = 1e-12
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -128,17 +126,3 @@ def validate_classical(m: TransitionPair) -> None:
             f"column {col} of t_minus + t_plus sums to {sums[col]!r}",
             column=col, residual=residuals[col])
 
-
-def classical_outcome_step(m: TransitionPair, eta: np.ndarray,
-                           symbol: int) -> tuple[float, np.ndarray | None]:
-    """Emit one symbol: return (probability, renormalised post-state).
-
-    Callers must pass a valid machine and state.  A branch with probability
-    <= 1e-12 is reported as (0.0, None): the outcome cannot occur and no
-    post-state exists.
-    """
-    v = m.op(symbol) @ np.asarray(eta, dtype=np.float64)
-    p = float(v[0] + v[1])
-    if p <= ZERO_BRANCH_TOL:
-        return 0.0, None
-    return p, v / p

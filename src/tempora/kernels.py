@@ -4,6 +4,9 @@ Everything here is plain vectorized numpy over a 1-d array of trial indices.
 machines_batch is the only code that draws a machine: the scalar entry point
 sample_machine returns its n=1 row, and every draw is a pure function of
 (seed, trial, slot), so a row does not depend on the batch around it.
+Likewise _score_block is the only code that forms correlators: the sweeps
+call it per block of drawn machines, and chsh scores one configuration as
+its n=1 call.
 
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
@@ -313,13 +316,21 @@ def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
 
 def _pauli_coords(h00: np.ndarray, h01: np.ndarray,
                   h11: np.ndarray) -> np.ndarray:
-    """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its
-    entries (0,0), (0,1) and (1,1); for real H, the three (I, X, Z), as its
-    Y coordinate is zero."""
-    if not np.iscomplexobj(h01):
-        return np.stack([h00 + h11, 2.0 * h01, h00 - h11])
-    return np.stack([(h00 + h11).real, 2.0 * h01.real, -2.0 * h01.imag,
-                     (h00 - h11).real])
+    """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its real
+    diagonal entries h00, h11 and its entry (0,1); for real H, the three
+    (I, X, Z), as its Y coordinate is zero."""
+    # Written into one array: np.stack's temporaries cost a fifth of a
+    # one-trial score.
+    real = not np.iscomplexobj(h01)
+    out = np.empty((3 if real else 4,) + h01.shape)
+    np.add(h00, h11, out=out[0])
+    if real:
+        np.multiply(2.0, h01, out=out[1])
+    else:
+        np.multiply(2.0, h01.real, out=out[1])
+        np.multiply(-2.0, h01.imag, out=out[2])
+    np.subtract(h00, h11, out=out[-1])
+    return out
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -403,10 +414,13 @@ def _coords(parts: tuple, quantum: bool, op) -> np.ndarray:
     return _pauli_coords(*parts) if quantum else parts[0].swapaxes(0, 1)
 
 
-def _pairs(x: np.ndarray, o: np.ndarray):
-    """o_second . x_first with alice first, [a_n, b_m], and bob first."""
-    return (np.einsum("ain,ajn->ijn", x[:, :2], o[:, 2:]),
-            np.einsum("ain,ajn->ijn", x[:, 2:], o[:, :2]))
+def _pairs(x: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """(order, 2, 2, n) o_second . x_first: order 0 is alice first,
+    [a_n, b_m], order 1 bob first, [b_m, a_n]."""
+    out = np.empty((2, 2, 2, x.shape[-1]))
+    np.einsum("ain,ajn->ijn", x[:, :2], o[:, 2:], out=out[0])
+    np.einsum("ain,ajn->ijn", x[:, 2:], o[:, :2], out=out[1])
+    return out
 
 
 def _renormalise(e: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -416,9 +430,11 @@ def _renormalise(e: np.ndarray, total: np.ndarray) -> np.ndarray:
                         total, 1.0)
 
 
-def _correlators(ab: np.ndarray, ba: np.ndarray, mode: str) -> np.ndarray:
-    """(2, 2, ...) correlators c_nm from the expectations ab[n, m] with
-    alice's machine n measured first and ba[m, n] with bob's m first."""
+def _correlators(e: np.ndarray, mode: str) -> np.ndarray:
+    """(2, 2, ...) correlators c_nm from the (order, 2, 2, ...) expectations
+    of _pairs: ab[n, m] with alice's machine n measured first and ba[m, n]
+    with bob's m first."""
+    ab, ba = e
     if mode == "a-first":
         return ab
     if mode == "b-first":
@@ -434,11 +450,87 @@ def _select_scores(c: np.ndarray, convention: str) -> np.ndarray:
     return np.abs(total - 2.0 * c).max(axis=(0, 1))
 
 
+def _score_block(m: np.ndarray, charlie: np.ndarray | None,
+                 psi: np.ndarray | None, t_list, quantum: bool,
+                 channel: bool, mode: str):
+    """Correlators of one block of trials, and its halved raw sums.
+
+    The one scoring body: the sweeps call it per block of drawn machines,
+    and chsh scores one configuration as its n=1 call.  m holds the
+    (4, 2, 2, 2, n) machines of alice's bases 1, 2 and bob's 1, 2; charlie,
+    (2, 2, 2, n), acts between the measurements and is None when every t is
+    0; psi is the (2, n) initial state, or None for the fixed (1, 0).
+    channel selects a quantum charlie's Kraus channel over its vector sum.
+
+    As the first machine, outcome i leaves the branch state x_i = T_i eta
+    (K_i psi), taken after the delay, as a vector (classical) or as the
+    Pauli coordinates Tr[sigma_a rho_i] of rho_i = K_i psi psi^dag K_i^dag.
+    As the second, outcome j detects a branch state x with probability
+    o_j . x, where o_j = 1^T T_j (the coordinates of K_j^dag K_j).  The
+    ordered pair (first, second) scores E = (o+ - o-) . (x+ - x-), halved
+    for quantum machines, and (o+ + o-) . (x+ + x-) is its raw four-outcome
+    sum.  Each delay is one linear map raised to the power t: the vector
+    sum of charlie's operators on the branch vectors, or the channel's
+    Pauli transfer matrix on the coordinates.
+
+    Returns the (t, 2, 2, n) correlators c_nm under the ordering mode.  In
+    vector-sum mode with a quantum charlie it also returns the halved raw
+    sums, (t, order, 2, 2, n): order 0 is alice first, [a_n, b_m], order 1
+    bob first, [b_m, a_n].  A delayed row's expectation is divided by its
+    raw sum when that strays from 1 by more than RENORM_TOL (a zero sum
+    leaves it as it is); a t=0 row is never divided.  In every other mode
+    the raw sums are None.
+    """
+    renorm = quantum and not channel and charlie is not None
+    o_parts, p = _second_parts(m, quantum)
+    o_diff = _coords(o_parts, quantum, np.subtract)
+    o_sum = _coords(o_parts, quantum, np.add) if renorm else None
+    if psi is None:  # the branch vectors are column 0
+        v = m[..., 0, :]
+        x_parts = _first_parts(v, quantum, None if p is None else p[..., 0, :])
+    else:
+        v = m[..., 0, :] * psi[0] + m[..., 1, :] * psi[1]
+        x_parts = _first_parts(v, quantum)
+    x_diff = (_coords(x_parts, quantum, np.subtract)
+              if channel or not all(t_list) else None)
+    powers = {}
+    if charlie is not None:
+        step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
+        powers = _mat_powers(step, t_list)
+    c = np.empty((len(t_list), 2, 2, m.shape[-1]))
+    raw = np.empty((len(t_list), 2) + c.shape[1:]) if renorm else None
+    if mode == "b-first":
+        # c_nm = ba[m, n] is stored in the memory order of ba: numpy sums
+        # the four correlators of a score in memory order.
+        c = c.swapaxes(1, 2)
+    for row, t in enumerate(t_list):
+        y_parts = x_parts
+        if t == 0:
+            e = _pairs(x_diff, o_diff)
+        elif channel:
+            e = _pairs(np.einsum("abn,bin->ain", powers[int(t)], x_diff),
+                       o_diff)
+        else:
+            power = powers[int(t)]
+            y_parts = _first_parts(power[:, 0] * v[..., 0, None, :]
+                                   + power[:, 1] * v[..., 1, None, :],
+                                   quantum)
+            e = _pairs(_coords(y_parts, quantum, np.subtract), o_diff)
+        if renorm:  # the raw sums, halved like E below
+            np.multiply(0.5, _pairs(_coords(y_parts, quantum, np.add), o_sum),
+                        out=raw[row])
+            if t:
+                e = _renormalise(e, raw[row])
+        c[row] = _correlators(e, mode)
+    if quantum:
+        c *= 0.5  # Tr[O rho] is half the dot product of coordinates
+    return c, raw
+
+
 def _score_rows(kind: str, seed: int, trials: np.ndarray,
                 t_list: tuple[int, ...], quantum_mode: str, mode: str,
                 convention: str, random_initial: bool) -> np.ndarray:
-    """Selected scores per (t, trial), in the observable form of
-    chsh._correlate.
+    """Selected scores per (t, trial): _score_block per drawn block.
 
     batch_scores and batch_delay_scores share this body, so that a profiler
     wrapping one public name does not count the other inside it.  It sets
@@ -451,9 +543,6 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)
     channel = quantum and quantum_mode == "channel"
-    renorm = quantum and not channel and delayed
-    if delayed:
-        step_of = transfer_matrix if channel else lambda c: c[0] + c[1]
     # Each block draws its machines into one buffer: the four parties, then
     # charlie under a delay.  hqmm-proj from the fixed state (1, 0) is real
     # throughout: its machines, branch vectors and R are scored in float64
@@ -471,41 +560,11 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
         # machines_batch is called by its module name, so a wrapper
         # installed on kernels.machines_batch sees every draw.
         machines_batch(kind, seed, trials[b], slots, out=block)
-        m = block[:4]
         psi = initial_state_batch(kind, seed, trials[b], random_initial)
-        o_parts, p = _second_parts(m, quantum)
-        o_diff = _coords(o_parts, quantum, np.subtract)
-        o_sum = _coords(o_parts, quantum, np.add) if renorm else None
-        if psi is None:  # the branch vectors are column 0
-            v = m[..., 0, :]
-            x_parts = _first_parts(v, quantum,
-                                   None if p is None else p[..., 0, :])
-        else:
-            v = m[..., 0, :] * psi[0] + m[..., 1, :] * psi[1]
-            x_parts = _first_parts(v, quantum)
-        x_diff = _coords(x_parts, quantum, np.subtract)
-        powers = _mat_powers(step_of(block[4]), t_list) if delayed else {}
-        for row, t in enumerate(t_list):
-            if t == 0:
-                ab, ba = _pairs(x_diff, o_diff)
-            elif channel:
-                ab, ba = _pairs(np.einsum("abn,bin->ain", powers[int(t)],
-                                          x_diff), o_diff)
-            else:
-                power = powers[int(t)]
-                y_parts = _first_parts(power[:, 0] * v[..., 0, None, :]
-                                       + power[:, 1] * v[..., 1, None, :],
-                                       quantum)
-                ab, ba = _pairs(_coords(y_parts, quantum, np.subtract), o_diff)
-                if renorm:  # the raw sums, halved like E below
-                    ab_sum, ba_sum = _pairs(
-                        _coords(y_parts, quantum, np.add), o_sum)
-                    ab = _renormalise(ab, 0.5 * ab_sum)
-                    ba = _renormalise(ba, 0.5 * ba_sum)
-            c = _correlators(ab, ba, mode)
-            if quantum:
-                c *= 0.5  # Tr[O rho] is half the dot product of coordinates
-            out[row, b] = _select_scores(c, convention)
+        c, _ = _score_block(block[:4], block[4] if delayed else None, psi,
+                            t_list, quantum, channel, mode)
+        for row, cs in enumerate(c):
+            out[row, b] = _select_scores(cs, convention)
     return out
 
 

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .algebra import ORTHONORMALITY_TOL, dagger, symbol_index
-from .classical import COMPLETENESS_TOL, ZERO_BRANCH_TOL
+from .classical import COMPLETENESS_TOL
 from .errors import CompletenessError, OrthonormalityError, RangeError
 
 
@@ -155,16 +155,3 @@ def observable_of(k: KrausPair) -> np.ndarray:
     """Outcome-weighted observable K(+1)^dag K(+1) - K(-1)^dag K(-1)."""
     return dagger(k.k_plus) @ k.k_plus - dagger(k.k_minus) @ k.k_minus
 
-
-def quantum_outcome_step(k: KrausPair, psi: np.ndarray,
-                         symbol: int) -> tuple[float, np.ndarray | None]:
-    """Measure one symbol: return (probability, renormalised post-state).
-
-    Callers must pass a valid machine and a unit state.  A branch with
-    probability <= 1e-12 is reported as (0.0, None).
-    """
-    v = k.op(symbol) @ np.asarray(psi, dtype=np.complex128)
-    p = float(np.sum(v.real ** 2 + v.imag ** 2))
-    if p <= ZERO_BRANCH_TOL:
-        return 0.0, None
-    return p, v / np.sqrt(p)

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from oracles import (classical_outcome_step, joint_prob_classical,
+                     joint_prob_quantum)
 from tempora import kernels
 from tempora import (DelaySpec, KrausPair, PartySpec, SweepConfig,
-                     TransitionPair, chsh_score, classical_outcome_step,
-                     correlator, delayed_chsh_score, joint_prob_classical,
-                     joint_prob_quantum, ket2, observable_of,
+                     TransitionPair, chsh_score, correlator,
+                     delayed_chsh_score, ket2, observable_of,
                      projective_kraus, run_delay_sweep, run_sweep,
                      sample_machine, spatial_reference_score,
                      validate_classical, validate_kraus)

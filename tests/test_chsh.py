@@ -1,22 +1,24 @@
 """Sequential correlators and CHSH scoring, checked against slow oracles.
 
-The oracles recompute joint probabilities by stepping machines one outcome
-at a time (renormalising in between, then multiplying the conditionals),
-which must agree with the raw operator-composition route used by the
-library.  Channel-mode delays are checked against a density matrix stepped
-t times, and every score against the 2x2 joint tables of joint_prob_*.
+The oracles of tests/oracles.py take routes the package does not: they step
+machines one outcome at a time (renormalising in between, then multiplying
+the conditionals), compose the raw outcome operators into 2x2 joint tables
+(joint_prob_*), and step a density matrix t times through a Kraus channel.
+The first two must agree with each other, and every score with the tables.
 Projective pairs additionally admit a closed-form correlator.
 """
 import numpy as np
 import pytest
 
+from oracles import (channel_stepped_table, classical_outcome_step,
+                     joint_prob_classical, joint_prob_quantum,
+                     stepwise_joint, table_correlators)
 from tempora import (ChshResult, DelaySpec, KindMismatch, KrausPair,
-                     PartySpec, TransitionPair, chsh_from_correlators,
-                     chsh_score, classical_outcome_step, correlator,
-                     delayed_chsh_score, expectation_seq,
-                     joint_prob_classical, joint_prob_quantum, ket2,
+                     PartySpec, ShapeMismatch, TransitionPair,
+                     chsh_from_correlators, chsh_score, correlator,
+                     delayed_chsh_score, expectation_seq, ket2,
                      mm_from_params, observable_of, projective_kraus,
-                     quantum_outcome_step, spatial_reference_score)
+                     spatial_reference_score)
 from tempora.rng import (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2,
                          SLOT_CHARLIE, Stream)
 from tempora.sampler import sample_machine
@@ -25,60 +27,7 @@ TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-def stepwise_joint(first, second, state, i, j):
-    """Joint outcome probability via normalise-then-multiply stepping."""
-    step = (classical_outcome_step if first.kind == "classical"
-            else quantum_outcome_step)
-    p1, post = step(first, state, i)
-    if post is None:
-        return 0.0
-    p2, _ = step(second, post, j)
-    return p1 * p2
-
-
-def channel_stepped_table(first, second, psi, charlie, t):
-    """Joint outcome table with charlie stepping the density matrix t times
-    through its Kraus channel."""
-    cm, cp = charlie.k_minus, charlie.k_plus
-    p = np.empty((2, 2))
-    for i, symbol_i in enumerate((-1, +1)):
-        v = first.op(symbol_i) @ psi
-        rho = np.outer(v, np.conj(v))
-        for _ in range(t):
-            rho = cm @ rho @ np.conj(cm).T + cp @ rho @ np.conj(cp).T
-        for j, symbol_j in enumerate((-1, +1)):
-            kj = second.op(symbol_j)
-            p[i, j] = np.trace(kj @ rho @ np.conj(kj).T).real
-    return p
-
-
-def table_correlators(alice, bob, mode, table, renorm=False):
-    """Correlators c11..c22 and raw sums from table(first, second).
-
-    With renorm, a table whose sum strays from 1 by more than 1e-9 is divided
-    by its sum, unless the sum is 0.
-    """
-    cs, raw = [], {}
-    for n in (1, 2):
-        for m in (1, 2):
-            pairs = {"a-first": (alice.basis(n), bob.basis(m)),
-                     "b-first": (bob.basis(m), alice.basis(n))}
-            es, sums = [], {}
-            for order, (first, second) in pairs.items():
-                if mode not in (order, "symmetrized"):
-                    continue
-                p = table(first, second)
-                total = float(p.sum())
-                if renorm and total != 0.0 and abs(total - 1.0) > 1e-9:
-                    p = p / total
-                es.append(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
-                sums[order] = total
-            cs.append(float(np.mean(es)))
-            raw[f"c{n}{m}"] = sums
-    return cs, raw
-
+# inputs
 
 def random_prob_state(rs):
     u = rs.rand()
@@ -534,6 +483,24 @@ def test_mode_and_convention_are_validated():
         correlator(alice.basis1, bob.basis1, eta, mode="first")
     with pytest.raises(ValueError):
         alice.basis(3)
+
+
+@pytest.mark.parametrize("kind", ["mm", "hqmm"])
+@pytest.mark.parametrize("shape", [(3,), (2, 1)], ids=["length-3", "column"])
+def test_scoring_rejects_a_state_of_the_wrong_shape(kind, shape):
+    alice = sampled_party(kind, 117, 0, (SLOT_ALICE1, SLOT_ALICE2))
+    bob = sampled_party(kind, 117, 0, (SLOT_BOB1, SLOT_BOB2))
+    charlie = sample_machine(kind, Stream(117, 0, SLOT_CHARLIE))
+    state = np.zeros(shape)
+    state.flat[0] = 1.0
+    calls = (lambda: chsh_score(alice, bob, state),
+             lambda: delayed_chsh_score(alice, bob, state,
+                                        DelaySpec(charlie, 2)),
+             lambda: correlator(alice.basis1, bob.basis1, state),
+             lambda: expectation_seq(alice.basis1, bob.basis1, state))
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match=r"shape \(2,\)"):
+            call()
 
 
 def test_delay_spec_validation():

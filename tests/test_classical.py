@@ -1,10 +1,12 @@
-"""Classical machine constructors, validation, and outcome stepping."""
+"""Classical machine constructors, validation, and the tests' outcome
+stepping oracle."""
 import numpy as np
 import pytest
 
+from oracles import classical_outcome_step
 from tempora import (CompletenessError, RangeError, TransitionPair,
-                     classical_outcome_step, hmm_from_params, mm_from_params,
-                     prob_vector, validate_classical)
+                     hmm_from_params, mm_from_params, prob_vector,
+                     validate_classical)
 
 
 def test_mm_deterministic_corner():

@@ -1,11 +1,12 @@
-"""Kraus pairs: dilation construction, validation, observables, stepping."""
+"""Kraus pairs: dilation construction, validation, observables, and the
+tests' outcome stepping oracle."""
 import numpy as np
 import pytest
 
+from oracles import quantum_outcome_step
 from tempora import (CompletenessError, KrausPair, OrthonormalityError,
                      ket2, ket4, kraus_from_dilation, observable_of,
-                     projective_kraus, quantum_outcome_step, qubit_state,
-                     validate_kraus)
+                     projective_kraus, qubit_state, validate_kraus)
 from tempora.rng import Stream
 from tempora.sampler import sample_machine
 

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import tempora
-from tempora import (ConfigError, DegenerateInput, DelaySpec, Histogram,
-                     KrausPair, PartySpec, RangeError, SamplingError,
-                     ShapeMismatch, SweepConfig, TransitionPair, chsh_score,
-                     delayed_chsh_score, histogram_merge, hmm_from_params,
-                     kraus_from_dilation, mm_from_params, orthonormalize_pair,
-                     projective_kraus, run_delay_sweep, run_sweep,
-                     sample_machine, validate_classical, validate_kraus)
+from oracles import (channel_stepped_table, selected_score,
+                     table_correlators, table_score)
+from tempora import (ConfigError, DegenerateInput, Histogram, KrausPair,
+                     PartySpec, RangeError, SamplingError, ShapeMismatch,
+                     SweepConfig, TransitionPair, histogram_merge,
+                     hmm_from_params, kraus_from_dilation, mm_from_params,
+                     orthonormalize_pair, projective_kraus, run_delay_sweep,
+                     run_sweep, sample_machine, validate_classical,
+                     validate_kraus)
 from tempora import kernels, rng, sampler
 from tempora.rng import (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2,
                          SLOT_CHARLIE, SLOT_INITIAL, Stream)
@@ -344,14 +346,15 @@ def test_initial_state_batch_matches_scalar(kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
 def test_batch_scores_match_scalar_scoring(kind, convention):
+    # Scores of the stepped outcome tables of each trial's machine objects.
     seed = 37
     trials = np.arange(32, dtype=np.int64)
     scores = kernels.batch_scores(kind, seed, trials, "symmetrized", convention)
     for trial in (0, 5, 19, 31):
         alice, bob = scalar_parties(kind, seed, trial)
-        res = chsh_score(alice, bob, np.array([1.0, 0.0]),
-                         "symmetrized", convention)
-        assert scores[trial] == pytest.approx(res.s, abs=1e-12)
+        want = table_score(alice, bob, np.array([1.0, 0.0]), "symmetrized",
+                           convention)
+        assert scores[trial] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["hmm", "hqmm"])
@@ -362,8 +365,8 @@ def test_batch_scores_match_scalar_across_modes(kind, mode):
     scores = kernels.batch_scores(kind, seed, trials, mode, "canonical")
     for trial in range(8):
         alice, bob = scalar_parties(kind, seed, trial)
-        res = chsh_score(alice, bob, np.array([1.0, 0.0]), mode, "canonical")
-        assert scores[trial] == pytest.approx(res.s_canonical, abs=1e-12)
+        want = table_score(alice, bob, np.array([1.0, 0.0]), mode)
+        assert scores[trial] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -374,8 +377,8 @@ def test_batch_scores_with_random_initial_match_scalar(kind):
     for trial in (0, 7, 15):
         alice, bob = scalar_parties(kind, seed, trial)
         state = scalar_initial_state(kind, seed, trial)
-        res = chsh_score(alice, bob, state)
-        assert scores[trial] == pytest.approx(res.s_canonical, abs=1e-12)
+        assert scores[trial] == pytest.approx(table_score(alice, bob, state),
+                                              abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,quantum_mode", [
@@ -384,6 +387,8 @@ def test_batch_scores_with_random_initial_match_scalar(kind):
     ("hqmm-proj", "vector-sum"), ("hqmm-proj", "channel"),
 ])
 def test_batch_delay_scores_match_scalar(kind, quantum_mode):
+    # Delays against the raw outcome tables with the operator sum's matrix
+    # power between the measurements, or the density matrix stepped t times.
     seed = 47
     trials = np.arange(8, dtype=np.int64)
     t_list = (0, 1, 3)
@@ -393,17 +398,18 @@ def test_batch_delay_scores_match_scalar(kind, quantum_mode):
         alice, bob = scalar_parties(kind, seed, trial)
         charlie = sample_machine(kind, Stream(seed, trial, SLOT_CHARLIE))
         for row, t in enumerate(t_list):
-            res = delayed_chsh_score(alice, bob, np.array([1.0, 0.0]),
-                                     DelaySpec(charlie, t, quantum_mode))
-            assert rows[row, trial] == pytest.approx(res.s_canonical, abs=1e-12)
+            want = table_score(alice, bob, np.array([1.0, 0.0]),
+                               charlie=charlie, t=t, quantum_mode=quantum_mode)
+            assert rows[row, trial] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
 @pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
 @pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
 def test_batch_channel_scores_match_scalar_stepping(kind, mode, convention):
-    # odd and non-power-of-two t exercise every branch of the squaring loop;
-    # the density-matrix stepping reference lives in test_chsh's oracle
+    # Each trial's density matrix is stepped t times through charlie's
+    # channel, one trial at a time; odd and non-power-of-two t exercise
+    # every branch of the squaring loop.
     seed = 59
     trials = np.arange(8, dtype=np.int64)
     t_list = (0, 1, 2, 5, 16, 37)
@@ -414,10 +420,11 @@ def test_batch_channel_scores_match_scalar_stepping(kind, mode, convention):
         charlie = sample_machine(kind, Stream(seed, trial, SLOT_CHARLIE))
         state = scalar_initial_state(kind, seed, trial)
         for row, t in enumerate(t_list):
-            res = delayed_chsh_score(alice, bob, state,
-                                     DelaySpec(charlie, t, "channel"),
-                                     mode, convention)
-            assert rows[row, trial] == pytest.approx(res.s, abs=1e-12)
+            cs, _ = table_correlators(
+                alice, bob, mode,
+                lambda f, s: channel_stepped_table(f, s, state, charlie, t))
+            assert rows[row, trial] == pytest.approx(
+                selected_score(cs, convention), abs=1e-12)
 
 
 def apply_reference(m, v0, v1):
@@ -535,10 +542,9 @@ def test_full_batch_delay_scores_match_scalar(kind, quantum_mode):
             state = (scalar_initial_state(kind, seed, trial) if random_initial
                      else np.array([1.0, 0.0]))
             for row, t in enumerate(t_list):
-                res = delayed_chsh_score(alice, bob, state,
-                                         DelaySpec(charlie, t, quantum_mode))
-                assert rows[row, trial] == pytest.approx(res.s_canonical,
-                                                         abs=1e-12)
+                want = table_score(alice, bob, state, charlie=charlie, t=t,
+                                   quantum_mode=quantum_mode)
+                assert rows[row, trial] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", QUANTUM_KINDS)
