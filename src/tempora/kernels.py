@@ -486,13 +486,12 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
     o_diff = _coords(o_parts, quantum, np.subtract)
     o_sum = _coords(o_parts, quantum, np.add) if renorm else None
     if psi is None:  # the branch vectors are column 0
-        v = m[..., 0, :]
-        x_parts = _first_parts(v, quantum, None if p is None else p[..., 0, :])
+        v, pv = m[..., 0, :], None if p is None else p[..., 0, :]
     else:
-        v = m[..., 0, :] * psi[0] + m[..., 1, :] * psi[1]
-        x_parts = _first_parts(v, quantum)
-    x_diff = (_coords(x_parts, quantum, np.subtract)
-              if channel or not all(t_list) else None)
+        v, pv = m[..., 0, :] * psi[0] + m[..., 1, :] * psi[1], None
+    if channel or not all(t_list):  # a row reads the undelayed branches
+        x_parts = _first_parts(v, quantum, pv)
+        x_diff = _coords(x_parts, quantum, np.subtract)
     powers = {}
     if charlie is not None:
         step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
@@ -504,9 +503,8 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
         # the four correlators of a score in memory order.
         c = c.swapaxes(1, 2)
     for row, t in enumerate(t_list):
-        y_parts = x_parts
         if t == 0:
-            e = _pairs(x_diff, o_diff)
+            y_parts, e = x_parts, _pairs(x_diff, o_diff)
         elif channel:
             e = _pairs(np.einsum("abn,bin->ain", powers[int(t)], x_diff),
                        o_diff)
