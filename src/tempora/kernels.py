@@ -314,15 +314,15 @@ def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
     return powers
 
 
-def _pauli_coords(h00: np.ndarray, h01: np.ndarray,
-                  h11: np.ndarray) -> np.ndarray:
+def _pauli_coords(diag: np.ndarray, h01: np.ndarray) -> np.ndarray:
     """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its real
-    diagonal entries h00, h11 and its entry (0,1); for real H, the three
-    (I, X, Z), as its Y coordinate is zero."""
+    diagonal (..., 2, n) and its entry (0,1), (..., n); for real H, the
+    three (I, X, Z), as its Y coordinate is zero."""
     # Written into one array: np.stack's temporaries cost a fifth of a
     # one-trial score.
     real = not np.iscomplexobj(h01)
     out = np.empty((3 if real else 4,) + h01.shape)
+    h00, h11 = diag[..., 0, :], diag[..., 1, :]
     np.add(h00, h11, out=out[0])
     if real:
         np.multiply(2.0, h01, out=out[1])
@@ -350,14 +350,14 @@ def _conj(z: np.ndarray) -> np.ndarray:
 def _first_parts(v: np.ndarray, quantum: bool,
                  p: np.ndarray | None = None) -> tuple:
     """Parts (machine, outcome, ..., n) of the first-role vectors: the branch
-    vectors v, or the entries of v v^dag, taking |v|^2 = p if given."""
+    vectors v, or the diagonal |v|^2 of v v^dag (p if given) and its entry
+    (0,1)."""
     if not quantum:
         return (v,)
-    p = _abs2(v) if p is None else p
     # np.multiply, not v0 * np.conj(v1): numpy evaluates that in place in a
     # temporary of 256 KiB or more, which moves the last bit with the size.
-    return (p[..., 0, :], np.multiply(v[..., 0, :], _conj(v[..., 1, :])),
-            p[..., 1, :])
+    return (_abs2(v) if p is None else p,
+            np.multiply(v[..., 0, :], _conj(v[..., 1, :])))
 
 
 def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
@@ -398,13 +398,13 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
 
 def _second_parts(m: np.ndarray, quantum: bool) -> tuple:
     """Parts (machine, outcome, ..., n) of the second-role vectors, 1^T T_j or
-    the entries of K_j^dag K_j, and |K|^2 of quantum machines m."""
+    the diagonal and entry (0,1) of K_j^dag K_j, and |K|^2 of quantum
+    machines m."""
     if not quantum:
         return (m[:, :, 0] + m[:, :, 1],), None
     p = _abs2(m)
-    g = p[:, :, 0] + p[:, :, 1]  # the diagonal of K^dag K
     h = np.multiply(_conj(m[..., 0, :]), m[..., 1, :])
-    return (g[..., 0, :], h[:, :, 0] + h[:, :, 1], g[..., 1, :]), p
+    return (p[:, :, 0] + p[:, :, 1], h[:, :, 0] + h[:, :, 1]), p
 
 
 def _coords(parts: tuple, quantum: bool, op) -> np.ndarray:
@@ -417,10 +417,10 @@ def _coords(parts: tuple, quantum: bool, op) -> np.ndarray:
 def _pairs(x: np.ndarray, o: np.ndarray) -> np.ndarray:
     """(order, 2, 2, n) o_second . x_first: order 0 is alice first,
     [a_n, b_m], order 1 bob first, [b_m, a_n]."""
-    out = np.empty((2, 2, 2, x.shape[-1]))
-    np.einsum("ain,ajn->ijn", x[:, :2], o[:, 2:], out=out[0])
-    np.einsum("ain,ajn->ijn", x[:, 2:], o[:, :2], out=out[1])
-    return out
+    k, n = x.shape[0], x.shape[-1]
+    # Views of (k, party, basis, n): alice's bases meet bob's, and back.
+    return np.einsum("aoin,aojn->oijn", x.reshape(k, 2, 2, n),
+                     o.reshape(k, 2, 2, n)[:, ::-1])
 
 
 def _renormalise(e: np.ndarray, total: np.ndarray) -> np.ndarray:
