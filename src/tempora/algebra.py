@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInput
-
 SYMBOLS = (-1, +1)
 
-# Below this norm a vector is considered zero for orthonormalization.
-DEGENERACY_TOL = 1e-12
 # Allowed deviation of inner products from exact orthonormality.
 ORTHONORMALITY_TOL = 1e-10
 
@@ -48,23 +44,3 @@ def ket4(ancilla: int, memory: int) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(np.asarray(m)).T
-
-
-def orthonormalize_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt an (unnormalised) pair into an orthonormal pair (a, b).
-
-    a = u/|u|, b = (v - <a|v> a) normalised.  Raises DegenerateInput when
-    |u| < 1e-12 or when the residual of v after projection is shorter than
-    1e-12 (v parallel to u, or zero).
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    nu = np.sqrt(np.sum(u.real ** 2 + u.imag ** 2))
-    if nu < DEGENERACY_TOL:
-        raise DegenerateInput(f"first vector norm {nu:.3e} below {DEGENERACY_TOL}")
-    a = u / nu
-    w = v - np.sum(np.conj(a) * v) * a
-    nw = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2))
-    if nw < DEGENERACY_TOL:
-        raise DegenerateInput(f"residual norm {nw:.3e} below {DEGENERACY_TOL}")
-    return a, w / nw

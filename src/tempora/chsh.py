@@ -22,9 +22,9 @@ from typing import Union
 import numpy as np
 
 from . import kernels
-from .classical import TransitionPair
-from .errors import KindMismatch, ShapeMismatch
-from .quantum import KrausPair
+from .classical import TransitionPair, prob_vector
+from .errors import KindMismatch, RangeError, ShapeMismatch
+from .quantum import KrausPair, qubit_state
 
 Machine = Union[TransitionPair, KrausPair]
 
@@ -128,10 +128,11 @@ class ChshResult:
 
 def chsh_from_correlators(c11: float, c12: float, c21: float,
                           c22: float) -> tuple[float, float]:
-    """(s_canonical, s_max) from a correlator matrix."""
-    total = c11 + c12 + c21 + c22
-    placements = tuple(abs(total - 2.0 * c) for c in (c11, c12, c21, c22))
-    return placements[3], max(placements)
+    """(s_canonical, s_max) from a correlator matrix: kernels.select_score,
+    the selection the sweeps score with."""
+    c = (c11, c12, c21, c22)
+    return (float(kernels.select_score(*c, "canonical")),
+            float(kernels.select_score(*c, "max-relabel")))
 
 
 def _correlate(machines: tuple, state: np.ndarray, mode: str,
@@ -146,13 +147,20 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     _check_mode(mode)
     charlie = () if delay is None else (delay.charlie,)
     quantum = _same_kind(*machines, *charlie) == "quantum"
-    dtype = np.complex128 if quantum else np.float64
-    psi = np.asarray(state, dtype=dtype)
+    psi = np.asarray(state)
     if psi.shape != (2,):
         raise ShapeMismatch(f"state must have shape (2,), got {psi.shape}")
+    # The checks a machine file's initial state passes.
+    if quantum:
+        psi = qubit_state(*psi)
+    elif np.iscomplexobj(psi):
+        raise RangeError(f"a classical state must be real, got {psi!r}")
+    else:
+        psi = prob_vector(*psi)
     t = 0 if delay is None else delay.t
     # (machine, outcome, row, column, trial), outcomes in the order (-1, +1)
-    m = np.array([(x.op(-1), x.op(+1)) for x in machines], dtype)[..., None]
+    m = np.array([(x.op(-1), x.op(+1)) for x in machines],
+                 psi.dtype)[..., None]
     c_op = (np.array((delay.charlie.op(-1), delay.charlie.op(+1)))[..., None]
             if t else None)
     channel = quantum and delay is not None and delay.quantum_mode == "channel"

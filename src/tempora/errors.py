@@ -24,10 +24,6 @@ class CompletenessError(TemporaError, ValueError):
         self.residual = residual
 
 
-class DegenerateInput(TemporaError, ValueError):
-    """Input vectors too short or too parallel to orthonormalize."""
-
-
 class OrthonormalityError(TemporaError, ValueError):
     """A dilation pair is not orthonormal within tolerance."""
 

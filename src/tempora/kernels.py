@@ -6,7 +6,9 @@ sample_machine returns its n=1 row, and every draw is a pure function of
 (seed, trial, slot), so a row does not depend on the batch around it.
 Likewise _score_block is the only code that forms correlators: the sweeps
 call it per block of drawn machines, and chsh scores one configuration as
-its n=1 call.
+its n=1 call.  select_score is the only code that turns correlators into a
+score, with its sum written out, so a trial's scalar and sweep scores have
+the same bits in every ordering.
 
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
@@ -43,12 +45,15 @@ import ctypes
 import numpy as np
 
 from . import rng
-from .algebra import DEGENERACY_TOL
 from .classical import TransitionPair
 from .errors import RangeError, SamplingError, ShapeMismatch
 from .quantum import KrausPair
 
 KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
+
+# Below this norm a Gaussian draw is degenerate: a Gram-Schmidt input or a
+# random initial state that is redrawn or pinned.
+DEGENERACY_TOL = 1e-12
 
 # Four-outcome sums further than this from 1 trigger renormalisation in
 # vector-sum delay mode.
@@ -442,12 +447,26 @@ def _correlators(e: np.ndarray, mode: str) -> np.ndarray:
     return 0.5 * (ab + ba.swapaxes(0, 1))
 
 
-def _select_scores(c: np.ndarray, convention: str) -> np.ndarray:
-    """The canonical or max-relabel score of (2, 2, n) correlators."""
-    total = c.sum(axis=(0, 1))
+def select_score(c11, c12, c21, c22, convention: str):
+    """The canonical or max-relabel CHSH score of correlators c_nm, given as
+    floats or as (n,) arrays.
+
+    The sum is written out as ((c11 + c12) + c21) + c22, so a score's bits
+    follow from this code, not from how its correlators lie in memory; the
+    scalar scores and the sweeps both call it.  canonical puts the minus
+    sign on c22; max-relabel takes the largest of the four placements.
+    """
+    total = ((c11 + c12) + c21) + c22
     if convention == "canonical":
-        return np.abs(total - 2.0 * c[1, 1])
-    return np.abs(total - 2.0 * c).max(axis=(0, 1))
+        return abs(total - 2.0 * c22)
+    return np.maximum(
+        np.maximum(abs(total - 2.0 * c11), abs(total - 2.0 * c12)),
+        np.maximum(abs(total - 2.0 * c21), abs(total - 2.0 * c22)))
+
+
+def _select_scores(c: np.ndarray, convention: str) -> np.ndarray:
+    """The selected score of (2, 2, n) correlators."""
+    return select_score(c[0, 0], c[0, 1], c[1, 0], c[1, 1], convention)
 
 
 def _score_block(m: np.ndarray, charlie: np.ndarray | None,
@@ -473,13 +492,13 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
     sum of charlie's operators on the branch vectors, or the channel's
     Pauli transfer matrix on the coordinates.
 
-    Returns the (t, 2, 2, n) correlators c_nm under the ordering mode.  In
-    vector-sum mode with a quantum charlie it also returns the halved raw
-    sums, (t, order, 2, 2, n): order 0 is alice first, [a_n, b_m], order 1
-    bob first, [b_m, a_n].  A delayed row's expectation is divided by its
-    raw sum when that strays from 1 by more than RENORM_TOL (a zero sum
-    leaves it as it is); a t=0 row is never divided.  In every other mode
-    the raw sums are None.
+    Returns the (t, 2, 2, n) correlators c_nm under the ordering mode, in
+    one layout for every ordering.  In vector-sum mode with a quantum
+    charlie it also returns the halved raw sums, (t, order, 2, 2, n): order
+    0 is alice first, [a_n, b_m], order 1 bob first, [b_m, a_n].  A
+    delayed row's expectation is divided by its raw sum when that strays
+    from 1 by more than RENORM_TOL (a zero sum leaves it as it is); a t=0
+    row is never divided.  In every other mode the raw sums are None.
     """
     renorm = quantum and not channel and charlie is not None
     o_parts, p = _second_parts(m, quantum)
@@ -498,10 +517,6 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
         powers = _mat_powers(step, t_list)
     c = np.empty((len(t_list), 2, 2, m.shape[-1]))
     raw = np.empty((len(t_list), 2) + c.shape[1:]) if renorm else None
-    if mode == "b-first":
-        # c_nm = ba[m, n] is stored in the memory order of ba: numpy sums
-        # the four correlators of a score in memory order.
-        c = c.swapaxes(1, 2)
     for row, t in enumerate(t_list):
         if t == 0:
             y_parts, e = x_parts, _pairs(x_diff, o_diff)

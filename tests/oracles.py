@@ -1,16 +1,44 @@
-"""Slow references for the scoring tests, independent of the scoring body.
+"""Slow references for the tests, independent of the code they check.
 
 The package scores every configuration in one observable form
 (kernels._score_block).  These oracles take other routes to the same
 numbers: stepping a machine one outcome at a time, composing the raw
-outcome operators into 2x2 joint tables, and stepping a density matrix t
-times through a Kraus channel.  They use only the machine objects' own
-matrices and numpy's matmul.
+outcome operators into 2x2 joint tables, stepping a density matrix t
+times through a Kraus channel, and the closed form of projective
+machines.  They use only the machine objects' own matrices and numpy's
+matmul.  orthonormalize_pair is a one-pair Gram-Schmidt, the reference the
+batch draw of hqmm machines is checked against.
 """
 import numpy as np
 
 # Below this probability an outcome branch is treated as impossible.
 ZERO_BRANCH_TOL = 1e-12
+# Below this norm a vector is considered zero for orthonormalization.
+DEGENERACY_TOL = 1e-12
+
+
+class DegenerateInput(ValueError):
+    """Input vectors too short or too parallel to orthonormalize."""
+
+
+def orthonormalize_pair(u, v):
+    """Gram-Schmidt an (unnormalised) pair into an orthonormal pair (a, b).
+
+    a = u/|u|, b = (v - <a|v> a) normalised.  Raises DegenerateInput when
+    |u| < 1e-12 or when the residual of v after projection is shorter than
+    1e-12 (v parallel to u, or zero).
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    nu = np.sqrt(np.sum(u.real ** 2 + u.imag ** 2))
+    if nu < DEGENERACY_TOL:
+        raise DegenerateInput(f"first vector norm {nu:.3e} below {DEGENERACY_TOL}")
+    a = u / nu
+    w = v - np.sum(np.conj(a) * v) * a
+    nw = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2))
+    if nw < DEGENERACY_TOL:
+        raise DegenerateInput(f"residual norm {nw:.3e} below {DEGENERACY_TOL}")
+    return a, w / nw
 
 
 def classical_outcome_step(m, eta, symbol):
@@ -154,3 +182,21 @@ def selected_score(cs, convention):
     total = sum(cs)
     placements = [abs(total - 2.0 * c) for c in cs]
     return placements[3] if convention == "canonical" else max(placements)
+
+
+def projective_correlators(phi_a, phi_b, phi_c=None):
+    """Closed-form (2, 2, ...) correlators c_nm of projective machines.
+
+    A projective machine of angle phi measures the Pauli observable whose
+    Bloch axis lies at angle 2 phi in the x-z plane.  Two Lüders
+    measurements in sequence correlate as the dot product of their axes,
+    c_nm = cos(2 (phi_a,n - phi_b,m)), whatever the state and the ordering.
+    A projective charlie of angle phi_c acting as a channel (any t >= 1)
+    dephases onto its axis, so c_nm = cos(2 (phi_a,n - phi_c))
+    cos(2 (phi_c - phi_b,m)).  phi_a and phi_b are (2, ...) arrays of the
+    parties' two angles.
+    """
+    a, b = np.asarray(phi_a)[:, None], np.asarray(phi_b)[None, :]
+    if phi_c is None:
+        return np.cos(2.0 * (a - b))
+    return np.cos(2.0 * (a - phi_c)) * np.cos(2.0 * (phi_c - b))

@@ -1,8 +1,9 @@
-"""Basis helpers and Gram-Schmidt orthonormalization."""
+"""Basis helpers, and the one-pair Gram-Schmidt of the test oracles."""
 import numpy as np
 import pytest
 
-from tempora import DegenerateInput, ket2, ket4, orthonormalize_pair
+from oracles import DegenerateInput, orthonormalize_pair
+from tempora import ket2, ket4
 from tempora.algebra import symbol_index
 
 

@@ -14,7 +14,7 @@ from oracles import (channel_stepped_table, classical_outcome_step,
                      joint_prob_classical, joint_prob_quantum,
                      stepwise_joint, table_correlators)
 from tempora import (ChshResult, DelaySpec, KindMismatch, KrausPair,
-                     PartySpec, ShapeMismatch, TransitionPair,
+                     PartySpec, RangeError, ShapeMismatch, TransitionPair,
                      chsh_from_correlators, chsh_score, correlator,
                      delayed_chsh_score, expectation_seq, ket2,
                      mm_from_params, observable_of, projective_kraus,
@@ -500,6 +500,34 @@ def test_scoring_rejects_a_state_of_the_wrong_shape(kind, shape):
              lambda: expectation_seq(alice.basis1, bob.basis1, state))
     for call in calls:
         with pytest.raises(ShapeMismatch, match=r"shape \(2,\)"):
+            call()
+
+
+@pytest.mark.parametrize("kind,state", [
+    ("mm", [np.nan, 0.0]),
+    ("mm", [2.0, -1.0]),
+    ("mm", [0.5, 0.25]),
+    ("mm", np.array([1.0 + 0.0j, 0.0j])),
+    ("mm", np.array([1.0, 1.0j])),
+    ("hqmm", [np.nan, 0.0]),
+    ("hqmm", [1.0, 1.0]),
+    ("hqmm", [0.5j, 0.0]),
+], ids=["mm-nan", "mm-negative", "mm-unnormalised", "mm-complex-zero-imag",
+        "mm-complex", "hqmm-nan", "hqmm-unnormalised",
+        "hqmm-unnormalised-complex"])
+def test_scoring_rejects_an_invalid_state(kind, state):
+    # The checks of a machine file's initial state: a classical state is a
+    # real probability vector, a quantum one a unit vector.
+    alice = sampled_party(kind, 117, 0, (SLOT_ALICE1, SLOT_ALICE2))
+    bob = sampled_party(kind, 117, 0, (SLOT_BOB1, SLOT_BOB2))
+    charlie = sample_machine(kind, Stream(117, 0, SLOT_CHARLIE))
+    calls = (lambda: chsh_score(alice, bob, state),
+             lambda: delayed_chsh_score(alice, bob, state,
+                                        DelaySpec(charlie, 2)),
+             lambda: correlator(alice.basis1, bob.basis1, state),
+             lambda: expectation_seq(alice.basis1, bob.basis1, state))
+    for call in calls:
+        with pytest.raises(RangeError):
             call()
 
 

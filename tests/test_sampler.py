@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import tempora
-from oracles import (channel_stepped_table, selected_score,
-                     table_correlators, table_score)
-from tempora import (ConfigError, DegenerateInput, Histogram, KrausPair,
-                     PartySpec, RangeError, SamplingError, ShapeMismatch,
-                     SweepConfig, TransitionPair, histogram_merge,
-                     hmm_from_params, kraus_from_dilation, mm_from_params,
-                     orthonormalize_pair, projective_kraus, run_delay_sweep,
+from oracles import (DegenerateInput, channel_stepped_table,
+                     orthonormalize_pair, projective_correlators,
+                     selected_score, table_correlators, table_score)
+from tempora import (ConfigError, DelaySpec, Histogram, KrausPair, PartySpec,
+                     RangeError, SamplingError, ShapeMismatch, SweepConfig,
+                     TransitionPair, chsh_score, delayed_chsh_score,
+                     histogram_merge, hmm_from_params, kraus_from_dilation,
+                     mm_from_params, projective_kraus, run_delay_sweep,
                      run_sweep, sample_machine, validate_classical,
                      validate_kraus)
 from tempora import kernels, rng, sampler
@@ -719,6 +720,80 @@ def test_delay_row_at_t0_is_bitwise_plain_scoring(kind):
     rows = kernels.batch_delay_scores(kind, 53, trials, (0,))
     plain = kernels.batch_scores(kind, 53, trials)
     np.testing.assert_array_equal(rows[0], plain)
+
+
+@pytest.mark.parametrize("kind,quantum_mode", [
+    ("mm", "vector-sum"), ("hmm", "vector-sum"),
+    ("hqmm", "vector-sum"), ("hqmm", "channel"),
+    ("hqmm-proj", "vector-sum"), ("hqmm-proj", "channel"),
+])
+@pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
+def test_scalar_scores_equal_the_sweep_scores_bit_for_bit(kind, quantum_mode,
+                                                          mode):
+    # Both paths select a score from their correlators with one written-out
+    # sum, so a trial scores the same bits in tempora score as in a sweep.
+    seed = 97
+    trials = np.arange(32, dtype=np.int64)
+    t_list = (0, 1, 3, 16)
+    state = np.array([1.0, 0.0])
+    conventions = ("canonical", "max-relabel")
+    rows = {cv: kernels.batch_delay_scores(kind, seed, trials, t_list,
+                                           quantum_mode, mode, cv)
+            for cv in conventions}
+    plain = {cv: kernels.batch_scores(kind, seed, trials, mode, cv)
+             for cv in conventions}
+    for cv in conventions:
+        scalar = np.empty(rows[cv].shape)
+        canonical = np.empty(rows[cv].shape)
+        zero_delay = np.empty(trials.shape)
+        for trial in trials:
+            alice, bob = scalar_parties(kind, seed, trial)
+            charlie = sample_machine(kind, Stream(seed, trial, SLOT_CHARLIE))
+            zero_delay[trial] = chsh_score(alice, bob, state, mode, cv).s
+            for row, t in enumerate(t_list):
+                res = delayed_chsh_score(
+                    alice, bob, state, DelaySpec(charlie, t, quantum_mode),
+                    mode, cv)
+                scalar[row, trial] = res.s
+                canonical[row, trial] = res.s_canonical
+        np.testing.assert_array_equal(zero_delay, plain[cv])
+        np.testing.assert_array_equal(scalar, rows[cv])
+        np.testing.assert_array_equal(canonical, rows["canonical"])
+
+
+@pytest.mark.parametrize("quantum_mode", ["vector-sum", "channel"])
+@pytest.mark.parametrize("mode", ["a-first", "b-first", "symmetrized"])
+@pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
+@pytest.mark.parametrize("random_initial", [False, True],
+                         ids=["fixed-state", "random-state"])
+def test_projective_scores_match_the_closed_form(quantum_mode, mode,
+                                                 convention, random_initial):
+    # c_nm = cos(2 (phi_a,n - phi_b,m)) for any state and ordering; a channel
+    # delay by a projective charlie factorises it at every t >= 1, so no
+    # score can pass the classical bound 2 there.
+    seed = 7
+    trials = np.arange(10**5, dtype=np.int64)
+    t_list = (0, 1, 2, 16)
+    rows = kernels.batch_delay_scores("hqmm-proj", seed, trials, t_list,
+                                      quantum_mode, mode, convention,
+                                      random_initial)
+
+    def angles(slot):
+        return 2.0 * np.pi * rng.uniform01(
+            seed, rng.slot_counters(trials, slot, 1))[0]
+    phi_a = np.stack([angles(SLOT_ALICE1), angles(SLOT_ALICE2)])
+    phi_b = np.stack([angles(SLOT_BOB1), angles(SLOT_BOB2)])
+    phi_c = angles(SLOT_CHARLIE)
+    channel = quantum_mode == "channel"
+    for row, t in enumerate(t_list):
+        c = projective_correlators(phi_a, phi_b,
+                                   phi_c if t and channel else None)
+        placements = np.abs(c.sum(axis=(0, 1)) - 2.0 * c)
+        want = (placements[1, 1] if convention == "canonical"
+                else placements.max(axis=(0, 1)))
+        np.testing.assert_allclose(rows[row], want, rtol=0, atol=1e-13)
+        bound = 2.0 if t and channel else 2.0 * np.sqrt(2.0)
+        assert rows[row].max() <= bound + 1e-12
 
 
 def test_batch_delay_scores_rejects_a_negative_t():
