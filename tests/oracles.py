@@ -5,8 +5,8 @@ The package scores every configuration in one observable form
 numbers: stepping a machine one outcome at a time, composing the raw
 outcome operators into 2x2 joint tables, stepping a density matrix t
 times through a Kraus channel, and the closed form of projective
-machines.  They use only the machine objects' own matrices and numpy's
-matmul.  orthonormalize_pair is a one-pair Gram-Schmidt, the reference the
+machines.  The stepping oracles use only the machine objects' own
+matrices and numpy's matmul.  orthonormalize_pair is a one-pair Gram-Schmidt, the reference the
 batch draw of hqmm machines is checked against.
 """
 import numpy as np
