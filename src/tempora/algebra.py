@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SYMBOLS = (-1, +1)
-
 # Allowed deviation of inner products from exact orthonormality.
 ORTHONORMALITY_TOL = 1e-10
 

@@ -23,25 +23,10 @@ import numpy as np
 
 from . import kernels
 from .classical import TransitionPair, prob_vector
-from .errors import KindMismatch, RangeError, ShapeMismatch
+from .errors import KindMismatch, ShapeMismatch
 from .quantum import KrausPair, qubit_state
 
 Machine = Union[TransitionPair, KrausPair]
-
-ORDERING_MODES = ("a-first", "b-first", "symmetrized")
-SCORE_CONVENTIONS = ("canonical", "max-relabel")
-QUANTUM_DELAY_MODES = ("vector-sum", "channel")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ORDERING_MODES:
-        raise ValueError(f"mode must be one of {ORDERING_MODES}, got {mode!r}")
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in SCORE_CONVENTIONS:
-        raise ValueError(
-            f"convention must be one of {SCORE_CONVENTIONS}, got {convention!r}")
 
 
 def _same_kind(*machines: Machine) -> str:
@@ -88,10 +73,7 @@ class DelaySpec:
     def __post_init__(self):
         if not isinstance(self.t, (int, np.integer)) or self.t < 0:
             raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
-        if self.quantum_mode not in QUANTUM_DELAY_MODES:
-            raise ValueError(
-                f"quantum_mode must be one of {QUANTUM_DELAY_MODES}, "
-                f"got {self.quantum_mode!r}")
+        kernels.check_options(quantum_mode=self.quantum_mode)
 
 
 @dataclass(frozen=True)
@@ -144,19 +126,14 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     raw four-outcome sums are returned per correlator and ordering;
     otherwise they are None.
     """
-    _check_mode(mode)
+    kernels.check_options(mode=mode)
     charlie = () if delay is None else (delay.charlie,)
     quantum = _same_kind(*machines, *charlie) == "quantum"
     psi = np.asarray(state)
     if psi.shape != (2,):
         raise ShapeMismatch(f"state must have shape (2,), got {psi.shape}")
     # The checks a machine file's initial state passes.
-    if quantum:
-        psi = qubit_state(*psi)
-    elif np.iscomplexobj(psi):
-        raise RangeError(f"a classical state must be real, got {psi!r}")
-    else:
-        psi = prob_vector(*psi)
+    psi = qubit_state(*psi) if quantum else prob_vector(*psi)
     t = 0 if delay is None else delay.t
     # (machine, outcome, row, column, trial), outcomes in the order (-1, +1)
     m = np.array([(x.op(-1), x.op(+1)) for x in machines],
@@ -195,7 +172,7 @@ def correlator(alice_machine: Machine, bob_machine: Machine,
 
 def _score(alice: PartySpec, bob: PartySpec, state: np.ndarray, mode: str,
            convention: str, delay: DelaySpec | None = None) -> ChshResult:
-    _check_convention(convention)
+    kernels.check_options(convention=convention)
     c, raw = _correlate((alice.basis1, alice.basis2, bob.basis1, bob.basis2),
                         state, mode, delay)
     return ChshResult(*c, *chsh_from_correlators(*c), mode=mode,

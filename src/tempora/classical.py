@@ -57,7 +57,11 @@ class TransitionPair:
 
 def prob_vector(p_minus: float, p_plus: float) -> np.ndarray:
     """Probability vector over the two internal states."""
-    eta = np.array([p_minus, p_plus], dtype=np.float64)
+    eta = np.array([p_minus, p_plus])
+    if eta.dtype.kind == "c":
+        raise RangeError(
+            f"a probability vector must be real, got ({p_minus}, {p_plus})")
+    eta = eta.astype(np.float64, copy=False)
     p0, p1 = eta.tolist()
     # Written to fail on NaN, which compares false with everything.
     if not (p0 >= 0.0 and p1 >= 0.0

@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from .chsh import (DelaySpec, ORDERING_MODES, QUANTUM_DELAY_MODES,
-                   SCORE_CONVENTIONS, chsh_score, delayed_chsh_score,
+from .chsh import (DelaySpec, chsh_score, delayed_chsh_score,
                    spatial_reference_score)
 from .errors import ConfigError, RangeError, TemporaError, ValidationError
-from .kernels import KINDS
+from .kernels import (KINDS, ORDERING_MODES, QUANTUM_DELAY_MODES,
+                      SCORE_CONVENTIONS)
 from .sampler import TWO_SQRT2, SweepConfig, run_delay_sweep, run_sweep
 from .serialize import (delay_csv, delay_result_to_obj, histogram_csv,
                         load_machine_file, machine_file_from_obj,

@@ -36,7 +36,10 @@ stacked inputs leave the cache.
 
 The scoring core also sets the process's resident-heap policy, so every
 caller of batch_scores and batch_delay_scores, not only the sweeps, scores
-without mapping its batch arrays in again.
+without mapping its batch arrays in again; no other code sets it.
+
+KINDS, ORDERING_MODES, SCORE_CONVENTIONS and QUANTUM_DELAY_MODES are the
+option vocabularies of the package, and check_options is their one check.
 """
 from __future__ import annotations
 
@@ -46,10 +49,18 @@ import numpy as np
 
 from . import rng
 from .classical import TransitionPair
-from .errors import RangeError, SamplingError, ShapeMismatch
+from .errors import ConfigError, RangeError, SamplingError, ShapeMismatch
 from .quantum import KrausPair
 
+# Machine kinds, orderings of the two measurements, score conventions and
+# the delay maps of a quantum charlie.
 KINDS = ("mm", "hmm", "hqmm", "hqmm-proj")
+ORDERING_MODES = ("a-first", "b-first", "symmetrized")
+SCORE_CONVENTIONS = ("canonical", "max-relabel")
+QUANTUM_DELAY_MODES = ("vector-sum", "channel")
+_VOCABULARIES = {"kind": KINDS, "mode": ORDERING_MODES,
+                 "convention": SCORE_CONVENTIONS,
+                 "quantum_mode": QUANTUM_DELAY_MODES}
 
 # Below this norm a Gaussian draw is degenerate: a Gram-Schmidt input or a
 # random initial state that is redrawn or pinned.
@@ -87,9 +98,16 @@ def is_quantum_kind(kind: str) -> bool:
     return kind in ("hqmm", "hqmm-proj")
 
 
-def check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+def check_options(**values: str) -> None:
+    """Raise ConfigError for a value outside its vocabulary.
+
+    The keywords are kind, mode, convention and quantum_mode; every public
+    entry that takes one of them checks it here before it draws or scores.
+    """
+    for name, value in values.items():
+        choices = _VOCABULARIES[name]
+        if value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _keep_heap_resident() -> None:
@@ -140,7 +158,7 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
     complex draw, bit for bit, for the scoring core (machine_from_batch
     would read it as classical).  Without out, quantum kinds are complex128.
     """
-    check_kind(kind)
+    check_options(kind=kind)
     trials = np.asarray(trials)
     n = trials.shape[0]
     single = np.ndim(slot) == 0
@@ -272,6 +290,7 @@ def _hqmm_batch(seed: int, trials: np.ndarray, slots: tuple,
 def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
                         random_initial: bool) -> np.ndarray | None:
     """Per-trial initial states, or None for the fixed (1, 0) default."""
+    check_options(kind=kind)
     if not random_initial:
         return None
     trials = np.asarray(trials)
@@ -456,6 +475,7 @@ def select_score(c11, c12, c21, c22, convention: str):
     scalar scores and the sweeps both call it.  canonical puts the minus
     sign on c22; max-relabel takes the largest of the four placements.
     """
+    check_options(convention=convention)
     total = ((c11 + c12) + c21) + c22
     if convention == "canonical":
         return abs(total - 2.0 * c22)
@@ -550,6 +570,8 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     the resident-heap policy, so that a direct caller keeps its heap
     resident too.
     """
+    check_options(kind=kind, mode=mode, convention=convention,
+                  quantum_mode=quantum_mode)
     _keep_heap_resident()
     trials = np.asarray(trials)
     n = trials.shape[0]
@@ -596,7 +618,8 @@ def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
                        convention: str = "canonical",
                        random_initial: bool = False) -> np.ndarray:
     """Selected scores per (t, trial); machines are reused across t."""
-    if any(t < 0 for t in t_list):
-        raise RangeError(f"t_list must be non-negative, got {t_list!r}")
+    if any(not isinstance(t, (int, np.integer)) or t < 0 for t in t_list):
+        raise RangeError(
+            f"t_list must be non-negative integers, got {t_list!r}")
     return _score_rows(kind, seed, trials, t_list, quantum_mode, mode,
                        convention, random_initial)

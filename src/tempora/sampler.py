@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .chsh import ORDERING_MODES, QUANTUM_DELAY_MODES, SCORE_CONVENTIONS
 from .errors import ConfigError, RangeError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
@@ -51,8 +50,9 @@ class SweepConfig:
     quantum_mode: str = "vector-sum"
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        kernels.check_options(kind=self.kind, mode=self.mode,
+                              convention=self.convention,
+                              quantum_mode=self.quantum_mode)
         if not isinstance(self.count, (int, np.integer)) or self.count < 0:
             raise ConfigError(f"count must be a non-negative integer, got {self.count!r}")
         if not isinstance(self.bins, (int, np.integer)) or self.bins < 1:
@@ -60,15 +60,6 @@ class SweepConfig:
         lo, hi = self.range
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ConfigError(f"range must satisfy lo < hi, got {self.range!r}")
-        if self.mode not in ORDERING_MODES:
-            raise ConfigError(f"mode must be one of {ORDERING_MODES}, got {self.mode!r}")
-        if self.convention not in SCORE_CONVENTIONS:
-            raise ConfigError(
-                f"convention must be one of {SCORE_CONVENTIONS}, got {self.convention!r}")
-        if self.quantum_mode not in QUANTUM_DELAY_MODES:
-            raise ConfigError(
-                f"quantum_mode must be one of {QUANTUM_DELAY_MODES}, "
-                f"got {self.quantum_mode!r}")
         if self.t_list is not None:
             ts = tuple(self.t_list)
             if not ts or any(not isinstance(t, (int, np.integer)) or t < 0
@@ -230,9 +221,6 @@ class DelayStats:
                 return p
         raise KeyError(f"no statistics for t={t}")
 
-    def as_dict(self) -> dict:
-        return {"points": [p.as_dict() for p in self.points]}
-
 
 def _batches(count: int) -> list[tuple[int, int]]:
     return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
@@ -241,10 +229,6 @@ def _batches(count: int) -> list[tuple[int, int]]:
 def _sweep_batch(args: tuple[SweepConfig, int, int]
                  ) -> tuple[Histogram, float, int, int]:
     """One batch's histogram, score sum and counts above 2 and 2*sqrt(2)."""
-    # Before the batch's trial array: the scoring core sets the policy too,
-    # but a first 128 KiB array mapped on its own shifts the heap and raised
-    # the sample benchmark's peak RSS by 0.1-0.3 MiB.
-    kernels._keep_heap_resident()
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     scores = kernels.batch_scores(cfg.kind, cfg.master_seed, trials,
@@ -258,7 +242,6 @@ def _sweep_batch(args: tuple[SweepConfig, int, int]
 def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
     """Per t: one batch's score sum, max, count above 2, trials and
     non-finite trials."""
-    kernels._keep_heap_resident()  # before the trial array, as above
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     rows = kernels.batch_delay_scores(

@@ -13,11 +13,11 @@ import pytest
 from oracles import (channel_stepped_table, classical_outcome_step,
                      joint_prob_classical, joint_prob_quantum,
                      stepwise_joint, table_correlators)
-from tempora import (ChshResult, DelaySpec, KindMismatch, KrausPair,
-                     PartySpec, RangeError, ShapeMismatch, TransitionPair,
-                     chsh_from_correlators, chsh_score, correlator,
-                     delayed_chsh_score, expectation_seq, ket2,
-                     mm_from_params, observable_of, projective_kraus,
+from tempora import (ChshResult, ConfigError, DelaySpec, KindMismatch,
+                     KrausPair, PartySpec, RangeError, ShapeMismatch,
+                     TransitionPair, chsh_from_correlators, chsh_score,
+                     correlator, delayed_chsh_score, expectation_seq, ket2,
+                     kernels, mm_from_params, observable_of, projective_kraus,
                      spatial_reference_score)
 from tempora.rng import (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2,
                          SLOT_CHARLIE, Stream)
@@ -483,6 +483,19 @@ def test_mode_and_convention_are_validated():
         correlator(alice.basis1, bob.basis1, eta, mode="first")
     with pytest.raises(ValueError):
         alice.basis(3)
+    # The scoring core checks every value it interprets, before any draw.
+    trials = np.arange(4)
+    kernel_calls = (
+        lambda: kernels.machines_batch("qmm", 1, trials, SLOT_ALICE1),
+        lambda: kernels.initial_state_batch("qmm", 1, trials, True),
+        lambda: kernels.batch_scores("mm", 1, trials, mode="bogus"),
+        lambda: kernels.batch_scores("mm", 1, trials, convention="best"),
+        lambda: kernels.batch_delay_scores("hqmm", 1, trials, (0, 1),
+                                           quantum_mode="chanel"),
+        lambda: kernels.select_score(0.5, 0.5, 0.5, -0.5, "typo"))
+    for call in kernel_calls:
+        with pytest.raises(ConfigError, match="must be one of"):
+            call()
 
 
 @pytest.mark.parametrize("kind", ["mm", "hqmm"])

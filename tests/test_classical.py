@@ -106,6 +106,10 @@ def test_prob_vector_validation():
         prob_vector(0.7, 0.7)
     with pytest.raises(RangeError):
         prob_vector(-0.1, 1.1)
+    with pytest.raises(RangeError):
+        prob_vector(1j, 0)
+    with pytest.raises(RangeError):
+        prob_vector(np.complex128(1), 0)
 
 
 @pytest.mark.parametrize("p", [(float("nan"), 0.5), (0.5, float("nan")),

@@ -47,8 +47,8 @@ import pytest
 from tempora import (MachineFile, PartySpec, SweepConfig, delay_result_to_obj,
                      kernels, result_to_obj, rng, run_delay_sweep, run_sweep,
                      sample_machine, save_machine_file)
-from tempora.chsh import ORDERING_MODES
 from tempora.cli import main
+from tempora.kernels import ORDERING_MODES
 from tempora.sampler import BATCH
 
 SEED = 20240

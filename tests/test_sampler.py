@@ -797,8 +797,10 @@ def test_projective_scores_match_the_closed_form(quantum_mode, mode,
 
 
 def test_batch_delay_scores_rejects_a_negative_t():
-    with pytest.raises(RangeError):
-        kernels.batch_delay_scores("mm", 1, np.arange(4), (0, -1))
+    # A t that is not an integer is rejected too, not truncated.
+    for t in (-1, 0.5, 1.5):
+        with pytest.raises(RangeError):
+            kernels.batch_delay_scores("mm", 1, np.arange(4), (0, t))
 
 
 def mat_pow_reference(m, t):
