@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import RangeError
+
 # Allowed deviation of inner products from exact orthonormality.
 ORTHONORMALITY_TOL = 1e-10
 
@@ -22,7 +24,7 @@ def symbol_index(symbol: int) -> int:
         return 0
     if symbol == 1:
         return 1
-    raise ValueError(f"outcome symbol must be -1 or +1, got {symbol!r}")
+    raise RangeError(f"outcome symbol must be -1 or +1, got {symbol!r}")
 
 
 def ket2(symbol: int) -> np.ndarray:

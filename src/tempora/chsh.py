@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .classical import TransitionPair, prob_vector
-from .errors import KindMismatch, ShapeMismatch
+from .errors import KindMismatch, RangeError, ShapeMismatch
 from .quantum import KrausPair, qubit_state
 
 Machine = Union[TransitionPair, KrausPair]
@@ -52,7 +52,7 @@ class PartySpec:
 
     def basis(self, n: int) -> Machine:
         if n not in (1, 2):
-            raise ValueError(f"basis index must be 1 or 2, got {n!r}")
+            raise RangeError(f"basis index must be 1 or 2, got {n!r}")
         return self.basis1 if n == 1 else self.basis2
 
 
@@ -72,7 +72,7 @@ class DelaySpec:
 
     def __post_init__(self):
         if not isinstance(self.t, (int, np.integer)) or self.t < 0:
-            raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
+            raise RangeError(f"t must be a non-negative integer, got {self.t!r}")
         kernels.check_options(quantum_mode=self.quantum_mode)
 
 

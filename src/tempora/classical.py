@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .algebra import symbol_index
-from .errors import CompletenessError, RangeError
+from .errors import CompletenessError, RangeError, ShapeMismatch
 
 # Allowed deviation of column sums of t_minus + t_plus from 1.
 COMPLETENESS_TOL = 1e-9
@@ -25,7 +25,7 @@ COMPLETENESS_TOL = 1e-9
 def _as_matrix(m, name: str) -> np.ndarray:
     m = np.array(m, dtype=np.float64)
     if m.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+        raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
     row0, row1 = m.tolist()
     if not all(map(math.isfinite, row0 + row1)):
         raise RangeError(f"{name} contains non-finite entries")

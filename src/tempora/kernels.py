@@ -23,10 +23,14 @@ Batch counters are stored draw-major, as an (n_draws, n) array with the trial
 axis innermost, so building them and reading one draw for every trial are
 contiguous passes; rng.slot_counters, the one definition of the counter
 layout, builds them.  machines_batch and slot_counters take one slot or a
-sequence of slots.  The scoring core draws each SCORE_BLOCK-trial block's
-four party machines, and charlie under a delay, with one machines_batch call
-into one (slots, 2, 2, 2, SCORE_BLOCK) buffer that every block reuses, so no
-array holds the machines of a whole batch.
+sequence of slots.  The scoring core draws each block's four party
+machines, and charlie under a delay, with one machines_batch call into one
+(slots, 2, 2, 2, k) buffer that every block reuses, so no array holds the
+machines of a whole batch.  A block's k trials are sized by bytes: its
+buffer takes at most SCORE_BLOCK_BYTES, so real kinds, at half the bytes
+per trial, pay a block's fixed cost half as often.  The hqmm draw stays
+draw-major too: rng.normals pairs the counters along their first axis, and
+Gram-Schmidt runs on contiguous (8, slots * k) rows.
 
 A channel delay has no products of its own: Phi is linear, so
 transfer_matrix takes it on six rank-one inputs (four for a real charlie)
@@ -73,16 +77,18 @@ RENORM_TOL = 1e-9
 # Resampling attempts for a degenerate Gaussian draw: 1 initial + 16 retries.
 MAX_ATTEMPTS = 17
 
-# Trials per block of the scoring core, which draws each block's machines
-# in the block.  Whole-batch temporaries would raise a sweep's peak RSS by
-# about 24 MiB and score hqmm-proj about 9% slower.  Every draw and score is
+# Bytes of a score block's machine buffer.  The scoring core draws each
+# block's machines in the block, and a block holds as many trials as fit:
+# 1024 for four complex parties, 2048 for four real ones, 819 or 1638 with
+# charlie.  Whole-batch temporaries would raise a sweep's peak RSS by about
+# 24 MiB and score hqmm-proj about 9% slower.  Every draw and score is
 # elementwise per trial, so the block size changes no bytes.
-SCORE_BLOCK = 1024
+SCORE_BLOCK_BYTES = 512 << 10
 
 # glibc mallopt parameters (malloc.h) and the values the scoring core sets.
 # The largest per-batch arrays are the score rows, 128 KiB per t at 16384
 # trials, and the trial array, 128 KiB; a block's machine buffer and draw
-# temporaries are at most 640 KiB each.  glibc maps arrays of 128 KiB and
+# temporaries are at most 512 KiB each.  glibc maps arrays of 128 KiB and
 # more on their own until its dynamic threshold rises.  Below the mmap
 # threshold they come from the heap, and below the trim threshold freed heap
 # pages stay mapped, so no batch page-faults its memory in again.  32 MiB is
@@ -220,63 +226,61 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (n, 4) complex array.
+    """Euclidean norms of the columns of a (4, n) complex array.
 
     The squares are summed as ((q0 + q1) + q2) + q3, the order numpy's sum
-    uses along a length-4 axis, so the bits match np.sum(..., axis=1).
+    uses along a length-4 axis, so the bits match np.sum(..., axis=0).
     """
-    sq = np.square(x.view(np.float64))
-    q = sq[:, 0::2] + sq[:, 1::2]
-    total = q[:, 0] + q[:, 1]
-    total += q[:, 2]
-    total += q[:, 3]
+    q = np.square(x.real)
+    q += np.square(x.imag)
+    total = q[0] + q[1]
+    total += q[2]
+    total += q[3]
     return np.sqrt(total, out=total)
 
 
 def _gram_schmidt(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt (s*k, 16) normals, slot-major, into the (s, 2, 2, 2, k)
-    view m.
+    """Gram-Schmidt (8, s, k) complex normals into the (s, 2, 2, 2, k) view
+    m: rows 0-3 are the first vector of each trial, rows 4-7 the second.
 
-    Returns the (s, k) mask of degenerate rows, which the caller redraws.
+    Returns the (s, k) mask of degenerate columns, which the caller redraws.
     """
-    c = z.view(np.complex128)
-    u, v = c[:, :4], c[:, 4:]
+    s, k = m.shape[0], m.shape[-1]
+    z = z.reshape(8, s * k)
+    u, v = z[:4], z[4:]
     nu = _norms(u)
     bad_u = nu < DEGENERACY_TOL
     # A product with the reciprocal has the bits of numpy's complex-by-real
     # division; the factor stays an array, as a 0-d operand changes them.
-    a = u * (1.0 / np.where(bad_u, 1.0, nu))[:, None]
+    a = u * (1.0 / np.where(bad_u, 1.0, nu))
     p = np.conj(a) * v
     # numpy sums a length-4 complex axis as (p0 + p1) + (p2 + p3).
-    dot = p[:, 0] + p[:, 1]
-    dot += p[:, 2] + p[:, 3]
-    w = dot[:, None] * a
+    dot = p[0] + p[1]
+    dot += p[2] + p[3]
+    w = dot * a
     np.subtract(v, w, out=w)
     nw = _norms(w)
     bad = bad_u | (nw < DEGENERACY_TOL)
-    w *= (1.0 / np.where(bad, 1.0, nw))[:, None]
+    w *= 1.0 / np.where(bad, 1.0, nw)
     # k_minus columns are the ancilla -1 halves, k_plus the +1 halves.
-    s, k = m.shape[0], m.shape[-1]
-    m[..., 0, :] = a.reshape(s, k, 2, 2).transpose(0, 2, 3, 1)
-    m[..., 1, :] = w.reshape(s, k, 2, 2).transpose(0, 2, 3, 1)
+    m[..., 0, :] = a.reshape(2, 2, s, k).transpose(2, 0, 1, 3)
+    m[..., 1, :] = w.reshape(2, 2, s, k).transpose(2, 0, 1, 3)
     return bad.reshape(s, k)
 
 
 def _hqmm_batch(seed: int, trials: np.ndarray, slots: tuple,
                 m: np.ndarray) -> None:
     """Draw hqmm machines of every slot into the (slots, 2, 2, 2, n) m."""
-    # Box-Muller pairs lie on the last axis: read the counters as their
-    # (slots, n, 16) transpose; raw64 copies them into a contiguous array.
-    z = rng.normals(seed, rng.slot_counters(trials, slots, 16)
-                    .transpose(1, 2, 0))
-    bad = _gram_schmidt(z.reshape(-1, 16), m)
+    # Box-Muller pairs the draw-major counters along their first axis.
+    bad = _gram_schmidt(rng.normals(seed, rng.slot_counters(trials, slots,
+                                                            16)), m)
     for i, slot in enumerate(slots):
         rows = np.flatnonzero(bad[i])
         for attempt in range(1, MAX_ATTEMPTS):
             if not rows.size:
                 break
             z = rng.normals(seed, rng.slot_counters(trials[rows], slot, 16,
-                                                    attempt).T)
+                                                    attempt))
             redrawn = np.empty((1, 2, 2, 2, rows.size), dtype=np.complex128)
             ok = ~_gram_schmidt(z, redrawn)[0]
             m[i][..., rows[ok]] = redrawn[0][..., ok]
@@ -295,17 +299,16 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
         return None
     trials = np.asarray(trials)
     if is_quantum_kind(kind):
-        z = rng.normals(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 4).T)
-        sq = np.square(z)
-        norm = (sq[:, 0] + sq[:, 1]) + (sq[:, 2] + sq[:, 3])
+        psi = rng.normals(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 4))
+        sq = np.square(psi.real)
+        sq += np.square(psi.imag)
+        norm = np.add(sq[0], sq[1], out=sq[0])
         np.sqrt(norm, out=norm)
-        psi = z.view(np.complex128).T
         # A zero draw has ~1e-300 probability; pin it to the basis state.
         bad = norm < DEGENERACY_TOL
         psi[:, bad] = np.array([[1.0], [0.0]])
-        out = np.empty(psi.shape, dtype=np.complex128)
-        return np.multiply(psi, (1.0 / np.where(bad, 1.0, norm))[None, :],
-                           out=out)
+        psi *= 1.0 / np.where(bad, 1.0, norm)
+        return psi
     u = rng.uniform01(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 1))[0]
     return np.stack([u, 1.0 - u])
 
@@ -473,15 +476,23 @@ def select_score(c11, c12, c21, c22, convention: str):
     The sum is written out as ((c11 + c12) + c21) + c22, so a score's bits
     follow from this code, not from how its correlators lie in memory; the
     scalar scores and the sweeps both call it.  canonical puts the minus
-    sign on c22; max-relabel takes the largest of the four placements.
+    sign on c22; max-relabel takes the largest of the four placements, the
+    first NaN among them if there is one.
     """
     check_options(convention=convention)
     total = ((c11 + c12) + c21) + c22
     if convention == "canonical":
         return abs(total - 2.0 * c22)
-    return np.maximum(
-        np.maximum(abs(total - 2.0 * c11), abs(total - 2.0 * c12)),
-        np.maximum(abs(total - 2.0 * c21), abs(total - 2.0 * c22)))
+    p = (abs(total - 2.0 * c11), abs(total - 2.0 * c12),
+         abs(total - 2.0 * c21), abs(total - 2.0 * c22))
+    if isinstance(total, np.ndarray):
+        return np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+    # On floats, np.maximum would box every operand.  max skips a NaN that
+    # is not first, where np.maximum keeps the first NaN it meets.
+    for x in p:
+        if x != x:
+            return x
+    return max(p)
 
 
 def _select_scores(c: np.ndarray, convention: str) -> np.ndarray:
@@ -560,6 +571,24 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
     return c, raw
 
 
+def _block_layout(kind: str, delayed: bool, random_initial: bool) -> tuple:
+    """(slots, dtype, trials) of the scoring core's blocks.
+
+    Each block draws its machines into one buffer: the four parties, then
+    charlie under a delay.  hqmm-proj from the fixed state (1, 0) is real
+    throughout: its machines, branch vectors and R are scored in float64 on
+    (I, X, Z), with the bits of the complex path.  A block holds as many
+    trials as SCORE_BLOCK_BYTES of that buffer fit, and at least one.
+    """
+    slots = (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1,
+             rng.SLOT_BOB2) + ((rng.SLOT_CHARLIE,) if delayed else ())
+    real = not is_quantum_kind(kind) or (kind == "hqmm-proj"
+                                         and not random_initial)
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    return slots, dtype, max(1, SCORE_BLOCK_BYTES
+                             // (len(slots) * 8 * dtype.itemsize))
+
+
 def _score_rows(kind: str, seed: int, trials: np.ndarray,
                 t_list: tuple[int, ...], quantum_mode: str, mode: str,
                 convention: str, random_initial: bool) -> np.ndarray:
@@ -578,20 +607,12 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)
     channel = quantum and quantum_mode == "channel"
-    # Each block draws its machines into one buffer: the four parties, then
-    # charlie under a delay.  hqmm-proj from the fixed state (1, 0) is real
-    # throughout: its machines, branch vectors and R are scored in float64
-    # on (I, X, Z), with the bits of the complex path.
-    slots = (rng.SLOT_ALICE1, rng.SLOT_ALICE2, rng.SLOT_BOB1,
-             rng.SLOT_BOB2) + ((rng.SLOT_CHARLIE,) if delayed else ())
-    real = kind == "hqmm-proj" and not random_initial
-    drawn = np.empty((len(slots), 2, 2, 2, min(n, SCORE_BLOCK)),
-                     dtype=np.complex128 if quantum and not real
-                     else np.float64)
+    slots, dtype, size = _block_layout(kind, delayed, random_initial)
+    drawn = np.empty((len(slots), 2, 2, 2, min(n, size)), dtype=dtype)
     out = np.empty((len(t_list), n))
-    for start in range(0, n, SCORE_BLOCK):
-        b = slice(start, start + SCORE_BLOCK)
-        block = drawn[..., :min(n - start, SCORE_BLOCK)]
+    for start in range(0, n, size):
+        b = slice(start, start + size)
+        block = drawn[..., :min(n - start, size)]
         # machines_batch is called by its module name, so a wrapper
         # installed on kernels.machines_batch sees every draw.
         machines_batch(kind, seed, trials[b], slots, out=block)

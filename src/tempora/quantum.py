@@ -21,7 +21,8 @@ import numpy as np
 
 from .algebra import ORTHONORMALITY_TOL, dagger, symbol_index
 from .classical import COMPLETENESS_TOL
-from .errors import CompletenessError, OrthonormalityError, RangeError
+from .errors import (CompletenessError, OrthonormalityError, RangeError,
+                     ShapeMismatch)
 
 
 _IDENTITY = np.eye(2)
@@ -30,7 +31,7 @@ _IDENTITY = np.eye(2)
 def _as_cmatrix(m, name: str) -> np.ndarray:
     m = np.array(m, dtype=np.complex128)
     if m.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+        raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
     row0, row1 = m.view(np.float64).tolist()  # real and imaginary parts
     if not all(map(math.isfinite, row0 + row1)):
         raise RangeError(f"{name} contains non-finite entries")

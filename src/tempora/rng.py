@@ -29,17 +29,21 @@ Derived values: uniform01 = (raw64 >> 11) * 2**-53 in [0, 1); normals come
 from Box-Muller over counter pairs (2j, 2j+1), with the radius uniform
 mapped into (0, 1] so the logarithm is always finite.
 
-Layout of normals: the result is the float64 view of a complex128 array
-whose element j holds (cosine branch, sine branch) of pair j, so entries
-2j and 2j+1 are the pair's two normals and `z.view(np.complex128)` reads
-them as complex Gaussians without a copy.  The bytes rest on numpy's
-log, cos and sin, which are evaluated on contiguous arrays.
+Layout of normals: pairs lie along the first axis, the draw axis of
+slot_counters, so counters of shape (2m, ...) give a complex128 array of
+shape (m, ...) whose element j holds (cosine branch, sine branch) of pair
+j as its real and imaginary parts.  A draw-major batch is read without a
+transpose, and for 1-d counters `.view(np.float64)` of the result lists
+the normals in counter order.  The bytes rest on numpy's log, cos and
+sin, which are evaluated on contiguous arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ShapeMismatch
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -97,21 +101,22 @@ def uniform01(seed: int, counters: np.ndarray) -> np.ndarray:
 
 
 def normals(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Standard normal doubles, one per counter.
+    """Complex standard normals: (m, ...) from counters of shape (2m, ...).
 
-    Counters pair up along the last axis, which must have even length:
-    entries (2j, 2j+1) feed one Box-Muller transform and yield the cosine
-    and sine branch respectively.  The result is the float64 view of a
-    complex128 array of (cosine, sine) pairs (see the module docstring).
+    Counters pair up along the first axis, which must have even length,
+    else ShapeMismatch: rows (2j, 2j+1) feed one Box-Muller transform, and
+    element j of the result holds its cosine and sine branch as real and
+    imaginary part (see the module docstring).
     """
     counters = np.asarray(counters)
-    if counters.shape[-1] % 2 != 0:
-        raise ValueError("normals needs an even number of counters per row")
+    if counters.ndim == 0 or counters.shape[0] % 2 != 0:
+        raise ShapeMismatch("normals needs an even number of counters along "
+                            f"the first axis, got shape {counters.shape}")
     r = raw64(seed, counters)
     r >>= _U64(11)
-    rad = np.add(r[..., 0::2], 1.0)  # (r + 1) * 2**-53 in (0, 1]
+    rad = np.add(r[0::2], 1.0)  # (r + 1) * 2**-53 in (0, 1]
     rad *= _TWO_NEG53
-    ang = np.multiply(r[..., 1::2], _TWO_NEG53)  # [0, 1)
+    ang = np.multiply(r[1::2], _TWO_NEG53)  # [0, 1)
     ang *= 2.0 * np.pi
     np.log(rad, out=rad)
     rad *= -2.0
@@ -120,7 +125,7 @@ def normals(seed: int, counters: np.ndarray) -> np.ndarray:
     np.multiply(rad, np.cos(ang), out=out.real)
     np.sin(ang, out=ang)
     np.multiply(rad, ang, out=out.imag)
-    return out.view(np.float64)
+    return out
 
 
 def slot_counters(trials: np.ndarray, slot, n_draws: int,

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from oracles import DegenerateInput, orthonormalize_pair
-from tempora import ket2, ket4
+from tempora import RangeError, ket2, ket4
 from tempora.algebra import symbol_index
 
 
@@ -12,6 +12,9 @@ def test_symbol_index():
     assert symbol_index(+1) == 1
     with pytest.raises(ValueError):
         symbol_index(0)
+    for symbol in (0, 2, "+1"):
+        with pytest.raises(RangeError):
+            symbol_index(symbol)
 
 
 def test_kets_are_unit_basis_vectors():

@@ -7,6 +7,8 @@ the conditionals), compose the raw outcome operators into 2x2 joint tables
 The first two must agree with each other, and every score with the tables.
 Projective pairs additionally admit a closed-form correlator.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ def test_chsh_from_correlators_max_dominates():
         s_canonical, s_max = chsh_from_correlators(*c)
         assert s_max >= s_canonical - 1e-15
         assert s_max <= 4.0 + 1e-12
+
+
+def test_select_score_floats_and_arrays_agree_bit_for_bit():
+    # Floats take the maximum with builtins, arrays with np.maximum; a NaN
+    # anywhere among the four placements must survive both, as must +-inf.
+    values = [0.5, -0.25, 1.0, 0.0, 1e308, np.inf, -np.inf, np.nan]
+    combos = np.array(list(itertools.product(values, repeat=4))).T
+    for convention in kernels.SCORE_CONVENTIONS:
+        with np.errstate(invalid="ignore", over="ignore"):
+            arrays = kernels.select_score(*combos, convention)
+        floats = np.array([kernels.select_score(*map(float, c), convention)
+                           for c in combos.T])
+        assert np.isnan(floats).any() and np.isinf(floats).any()
+        assert floats.tobytes() == arrays.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +568,16 @@ def test_delay_spec_validation():
         DelaySpec(charlie, 1.5)
     with pytest.raises(ValueError):
         DelaySpec(charlie, 1, quantum_mode="density")
+    # Every rejection is a TemporaError, which the CLI reports.
+    for t in (-1, 1.5, "2"):
+        with pytest.raises(RangeError, match="t must be a non-negative"):
+            DelaySpec(charlie, t)
+    with pytest.raises(RangeError, match="basis index"):
+        PartySpec(charlie, charlie).basis(3)
+    with pytest.raises(ShapeMismatch, match="t_minus must be 2x2"):
+        TransitionPair([[1, 0, 0], [0, 0, 0]], [[0, 0], [0, 1]])
+    with pytest.raises(ShapeMismatch, match="k_plus must be 2x2"):
+        KrausPair(np.eye(2), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tempora import rng
+from tempora import ShapeMismatch, rng
 
 MASK = (1 << 64) - 1
 
@@ -60,6 +60,8 @@ def test_uniform01_range_and_determinism():
 
 def test_normals_shape_moments_and_finiteness():
     z = rng.normals(0, np.arange(2 * 10**5, dtype=np.uint64))
+    assert z.shape == (10**5,) and z.dtype == np.complex128
+    z = z.view(np.float64)
     assert np.all(np.isfinite(z))
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
@@ -68,23 +70,31 @@ def test_normals_shape_moments_and_finiteness():
 def test_normals_requires_even_count():
     with pytest.raises(ValueError):
         rng.normals(0, np.arange(3, dtype=np.uint64))
+    # Pairs lie along the first axis: an odd first axis is rejected even
+    # when the array holds an even number of counters.
+    for counters in (np.arange(6, dtype=np.uint64).reshape(3, 2),
+                     np.uint64(4)):
+        with pytest.raises(ShapeMismatch):
+            rng.normals(0, counters)
 
 
 def test_normals_2d_rows_match_1d():
+    # Pairs lie along the first axis: the rows of 8 are drawn as columns.
     counters = np.arange(32, dtype=np.uint64).reshape(4, 8)
-    z2 = rng.normals(5, counters)
-    z1 = rng.normals(5, np.arange(32, dtype=np.uint64))
+    z2 = np.ascontiguousarray(rng.normals(5, counters.T).T).view(np.float64)
+    z1 = rng.normals(5, np.arange(32, dtype=np.uint64)).view(np.float64)
     assert np.array_equal(z2.reshape(-1), z1)
 
 
 def test_normals_on_a_transposed_view_match_a_contiguous_copy():
-    # Batch draws pass the (16, n) draw-major counters as their .T view.
+    # The pairs do not depend on how the counters lie in memory.
     counters = np.arange(10**9, 10**9 + 16 * 123,
-                         dtype=np.uint64).reshape(16, 123)
+                         dtype=np.uint64).reshape(123, 16)
     view = counters.T
     assert not view.flags.c_contiguous
-    got = rng.normals(3, view)
-    want = rng.normals(3, np.ascontiguousarray(view))
+    got = np.ascontiguousarray(rng.normals(3, view).T).view(np.float64)
+    want = np.ascontiguousarray(
+        rng.normals(3, np.ascontiguousarray(view)).T).view(np.float64)
     assert got.shape == (123, 16)
     assert got.tobytes() == want.tobytes()
 

@@ -31,6 +31,17 @@ from tempora.serialize import delay_result_to_obj, result_to_obj
 QUANTUM_KINDS = ("hqmm", "hqmm-proj")
 
 
+def block_size(kind, t_list=(0,), random_initial=False):
+    """Trials per block of the scoring core in one configuration."""
+    return kernels._block_layout(kind, any(t_list), random_initial)[2]
+
+
+# Trials per block of every layout: four or five slots, real or complex.
+BLOCK_SIZES = sorted({block_size(kind, t_list, random_initial)
+                      for kind in KINDS for t_list in ((0,), (1,))
+                      for random_initial in (False, True)})
+
+
 def trial_counters(trial, slot, n, attempt=0):
     """The n counters of one (trial, slot, attempt), in draw order."""
     return rng.slot_counters([trial], slot, n, attempt).ravel()
@@ -40,6 +51,7 @@ def scalar_initial_state(kind, seed, trial):
     """Mirror of the batch initial-state draw, built through the scalar API."""
     if kind in QUANTUM_KINDS:
         z = rng.normals(seed, trial_counters(trial, SLOT_INITIAL, 4))
+        z = z.view(np.float64)
         psi = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
         return psi / np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2))
     u = float(rng.uniform01(seed, trial_counters(trial, SLOT_INITIAL, 1))[0])
@@ -66,7 +78,6 @@ def scalar_machine(kind, seed, trial, slot, first_attempt=0):
         return projective_kraus((2.0 * np.pi) * u)
     for attempt in range(first_attempt, kernels.MAX_ATTEMPTS):
         c = rng.normals(seed, trial_counters(trial, slot, 16, attempt))
-        c = c.view(np.complex128)
         try:
             a, b = orthonormalize_pair(c[:4], c[4:])
         except DegenerateInput:
@@ -159,7 +170,7 @@ def test_machines_batch_row_does_not_depend_on_the_batch_length(kind, n):
     # sample_machine draws a one-trial batch, so every row of a sweep's
     # batch must keep its bytes at n=1, across score blocks and to the end.
     batch = kernels.machines_batch(kind, 7, np.arange(n), SLOT_CHARLIE)
-    rows = np.r_[0:n:97, kernels.SCORE_BLOCK - 1, kernels.SCORE_BLOCK, n - 1]
+    rows = np.r_[0:n:97, np.subtract(BLOCK_SIZES, 1), BLOCK_SIZES, n - 1]
     ones = np.concatenate([kernels.machines_batch(kind, 7, [row],
                                                   SLOT_CHARLIE)
                            for row in rows], axis=-1)
@@ -236,6 +247,7 @@ def test_hqmm_batch_redraws_degenerate_rows(monkeypatch):
     shortest = []
     for trial in trials:
         z = rng.normals(seed, trial_counters(int(trial), slot, 16))
+        z = z.view(np.float64)
         u, v = z[0:8:2] + 1j * z[1:8:2], z[8::2] + 1j * z[9::2]
         a = u / np.linalg.norm(u)
         shortest.append(min(np.linalg.norm(u),
@@ -266,7 +278,7 @@ ALL_SLOTS = (SLOT_ALICE1, SLOT_ALICE2, SLOT_BOB1, SLOT_BOB2, SLOT_CHARLIE)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 123, kernels.SCORE_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 123, block_size("hqmm") + 1])
 def test_multi_slot_draw_stacks_the_single_slot_draws(kind, n):
     trials = np.arange(2 * n, 3 * n, dtype=np.int64)
     for slots in (ALL_SLOTS, (SLOT_CHARLIE, SLOT_ALICE1, SLOT_BOB2)):
@@ -308,6 +320,7 @@ def test_multi_slot_hqmm_redraws_a_degenerate_row_from_its_own_slot(
     for slot in ALL_SLOTS:
         for trial in trials:
             z = rng.normals(seed, trial_counters(int(trial), slot, 16))
+            z = z.view(np.float64)
             u, v = z[0:8:2] + 1j * z[1:8:2], z[8::2] + 1j * z[9::2]
             a = u / np.linalg.norm(u)
             shortest[slot, int(trial)] = min(
@@ -860,9 +873,56 @@ def test_every_batch_draws_its_machines_through_machines_batch(
         run_delay_sweep(cfg)
         batch = ["batch_delay_scores"]
     slots = ALL_SLOTS[:draws]
-    full = batch + [(slots, kernels.SCORE_BLOCK)] * (BATCH
-                                                      // kernels.SCORE_BLOCK)
+    size = block_size("mm", t_list or (0,))
+    full = (batch + [(slots, size)] * (BATCH // size)
+            + [(slots, BATCH % size)] * (BATCH % size > 0))
     assert events == full * 2 + batch + [(slots, 5)]
+
+
+
+# Block budgets in bytes: one trial per block, 819 five-slot complex trials
+# and 4096 four-slot complex trials, against the default's 819-2048.
+BLOCK_BUDGETS = (1, 819 * 5 * 8 * 16, 4096 * 4 * 8 * 16)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_size_changes_no_score_byte(kind, monkeypatch):
+    # Every draw and score is elementwise per trial, so moving the block
+    # boundaries must leave every score's bits as they were.
+    widths = []
+
+    def spy(*args, fn=kernels.machines_batch, **kw):
+        if "out" in kw:
+            widths.append(len(args[2]))
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(kernels, "machines_batch", spy)
+    default = kernels.SCORE_BLOCK_BYTES
+    trials = np.arange(10**6, 10**6 + 3 * 4100, 3)
+    modes = (("vector-sum", "channel") if kind in QUANTUM_KINDS
+             else ("vector-sum",))
+    configs = [((0,), "vector-sum")] + [((0, 1, 3), m) for m in modes]
+    for random_initial in (False, True):
+        for t_list, quantum_mode in configs:
+            def score(trials):
+                if t_list == (0,):
+                    return kernels.batch_scores(
+                        kind, 13, trials, random_initial=random_initial)
+                return kernels.batch_delay_scores(
+                    kind, 13, trials, t_list, quantum_mode,
+                    random_initial=random_initial)
+
+            monkeypatch.setattr(kernels, "SCORE_BLOCK_BYTES", default)
+            want = score(trials)
+            for budget in BLOCK_BUDGETS:
+                monkeypatch.setattr(kernels, "SCORE_BLOCK_BYTES", budget)
+                part = trials[:37] if budget == 1 else trials
+                n, size = len(part), block_size(kind, t_list, random_initial)
+                widths.clear()
+                got = score(part)
+                assert widths == [size] * (n // size) + [n % size] * (n % size
+                                                                      > 0)
+                assert got.tobytes() == want[..., :n].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1200,11 +1260,12 @@ for kind, t_list, quantum_mode, random_initial in json.loads(sys.argv[1]):
         kernels.batch_delay_scores(kind, 5, np.arange(n), tuple(t_list),
                                    quantum_mode,
                                    random_initial=random_initial)
-    score(2 * kernels.SCORE_BLOCK + 5)
+    size = kernels._block_layout(kind, any(t_list), random_initial)[2]
+    score(2 * size + 5)
     peaks = []
     for blocks in (4, 16):
         tracemalloc.start()
-        score(blocks * kernels.SCORE_BLOCK)
+        score(blocks * size)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     out[kind, len(t_list), quantum_mode, random_initial] = peaks
@@ -1241,7 +1302,8 @@ def test_scoring_memory_does_not_grow_with_the_batch(
     # whole-batch machine array grows it by 274-728 bytes per trial.
     small, large = scoring_peaks[kind, len(t_list), quantum_mode,
                                  random_initial]
-    per_trial = (large - small) / (12 * kernels.SCORE_BLOCK)
+    per_trial = (large - small) / (12 * block_size(kind, t_list,
+                                                   random_initial))
     assert per_trial <= 8 * (len(t_list) + 1) + 8, (small, large)
 
 
