@@ -710,9 +710,11 @@ def test_transfer_matrix_does_not_depend_on_the_batch_length(kind, n):
     # From 16384 trials on, some products pass through 256 KiB temporaries.
     charlie = kernels.machines_batch(kind, 404, np.arange(n), SLOT_CHARLIE)
     whole = kernels.transfer_matrix(charlie)
-    blocks = np.concatenate([kernels.transfer_matrix(charlie[..., s:s + 1024])
-                             for s in range(0, n, 1024)], axis=-1)
-    assert whole.tobytes() == blocks.tobytes()
+    for size in [1024] + BLOCK_SIZES:  # and every score block's size
+        blocks = np.concatenate(
+            [kernels.transfer_matrix(charlie[..., s:s + size])
+             for s in range(0, n, size)], axis=-1)
+        assert whole.tobytes() == blocks.tobytes()
     # One trial at a time, as tempora score builds R.
     for trial in (0, 1, 1023, n - 1):
         single = kernels.transfer_matrix(charlie[..., trial:trial + 1])
@@ -874,8 +876,8 @@ def test_every_batch_draws_its_machines_through_machines_batch(
         batch = ["batch_delay_scores"]
     slots = ALL_SLOTS[:draws]
     size = block_size("mm", t_list or (0,))
-    full = (batch + [(slots, size)] * (BATCH // size)
-            + [(slots, BATCH % size)] * (BATCH % size > 0))
+    blocks, rest = divmod(BATCH, size)
+    full = batch + [(slots, size)] * blocks + [(slots, rest)] * (rest > 0)
     assert events == full * 2 + batch + [(slots, 5)]
 
 
@@ -917,12 +919,12 @@ def test_block_size_changes_no_score_byte(kind, monkeypatch):
             for budget in BLOCK_BUDGETS:
                 monkeypatch.setattr(kernels, "SCORE_BLOCK_BYTES", budget)
                 part = trials[:37] if budget == 1 else trials
-                n, size = len(part), block_size(kind, t_list, random_initial)
+                size = block_size(kind, t_list, random_initial)
+                full, rest = divmod(len(part), size)
                 widths.clear()
                 got = score(part)
-                assert widths == [size] * (n // size) + [n % size] * (n % size
-                                                                      > 0)
-                assert got.tobytes() == want[..., :n].tobytes()
+                assert widths == [size] * full + [rest] * (rest > 0)
+                assert got.tobytes() == want[..., :len(part)].tobytes()
 
 
 # ---------------------------------------------------------------------------
