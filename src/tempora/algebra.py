@@ -10,9 +10,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, ShapeMismatch
 
 # Allowed deviation of inner products from exact orthonormality.
 ORTHONORMALITY_TOL = 1e-10
@@ -25,6 +27,19 @@ def symbol_index(symbol: int) -> int:
     if symbol == 1:
         return 1
     raise RangeError(f"outcome symbol must be -1 or +1, got {symbol!r}")
+
+
+def as_matrix2(m, name: str, dtype) -> np.ndarray:
+    """Read-only 2x2 `dtype` copy of m; ShapeMismatch if it is not 2x2,
+    RangeError if an entry (or its real or imaginary part) is not finite."""
+    m = np.array(m, dtype=dtype)
+    if m.shape != (2, 2):
+        raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
+    row0, row1 = m.tolist()
+    if not all(map(cmath.isfinite, row0 + row1)):
+        raise RangeError(f"{name} contains non-finite entries")
+    m.flags.writeable = False
+    return m
 
 
 def ket2(symbol: int) -> np.ndarray:

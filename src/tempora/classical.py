@@ -9,28 +9,16 @@ P(i) = (1,1) . T^(i) . eta with post-state T^(i) eta / P(i).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .algebra import symbol_index
-from .errors import CompletenessError, RangeError, ShapeMismatch
+from .algebra import as_matrix2, symbol_index
+from .errors import CompletenessError, RangeError
 
 # Allowed deviation of column sums of t_minus + t_plus from 1.
 COMPLETENESS_TOL = 1e-9
-
-
-def _as_matrix(m, name: str) -> np.ndarray:
-    m = np.array(m, dtype=np.float64)
-    if m.shape != (2, 2):
-        raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
-    row0, row1 = m.tolist()
-    if not all(map(math.isfinite, row0 + row1)):
-        raise RangeError(f"{name} contains non-finite entries")
-    m.flags.writeable = False
-    return m
 
 
 @dataclass(frozen=True)
@@ -43,8 +31,10 @@ class TransitionPair:
     kind: ClassVar[str] = "classical"
 
     def __post_init__(self):
-        object.__setattr__(self, "t_minus", _as_matrix(self.t_minus, "t_minus"))
-        object.__setattr__(self, "t_plus", _as_matrix(self.t_plus, "t_plus"))
+        object.__setattr__(self, "t_minus",
+                           as_matrix2(self.t_minus, "t_minus", np.float64))
+        object.__setattr__(self, "t_plus",
+                           as_matrix2(self.t_plus, "t_plus", np.float64))
 
     def op(self, symbol: int) -> np.ndarray:
         """Transition matrix for one outcome symbol."""

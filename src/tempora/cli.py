@@ -68,14 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="score random machines into a histogram")
     _add_sweep_flags(p)
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sweep, t_list=None, quantum_mode="vector-sum")
 
     p = sub.add_parser("delay", help="sweep scores against intermediary delay")
     _add_sweep_flags(p)
     p.add_argument("--t-list", type=_int_list_arg, required=True, metavar="T0,T1,...")
     p.add_argument("--quantum-mode", choices=QUANTUM_DELAY_MODES,
                    default="vector-sum")
-    p.set_defaults(func=_cmd_delay)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("score", help="score a machine file")
     p.add_argument("--machines", required=True, help="machine file path")
@@ -128,32 +128,20 @@ def _json(obj) -> str:
         raise RangeError(f"the result is not finite: {exc}") from exc
 
 
-def _sweep_config(args, with_delay: bool = False) -> SweepConfig:
-    kwargs = dict(kind=args.kind, count=args.count, master_seed=args.seed,
-                  bins=args.bins, range=tuple(args.range), mode=args.mode,
-                  convention=args.convention)
-    if with_delay:
-        kwargs.update(t_list=args.t_list, quantum_mode=args.quantum_mode)
-    return SweepConfig(**kwargs)
-
-
-def _cmd_sample(args) -> int:
-    cfg = _sweep_config(args)
-    hist, summary = run_sweep(cfg, workers=_threads(args))
-    if args.format == "csv":
-        _emit(histogram_csv(hist), args.out)
+def _cmd_sweep(args) -> int:
+    cfg = SweepConfig(kind=args.kind, count=args.count, master_seed=args.seed,
+                      bins=args.bins, range=tuple(args.range), mode=args.mode,
+                      convention=args.convention, t_list=args.t_list,
+                      quantum_mode=args.quantum_mode)
+    workers, csv = _threads(args), args.format == "csv"
+    if cfg.t_list is None:
+        hist, summary = run_sweep(cfg, workers)
+        text = histogram_csv(hist) if csv else _json(
+            result_to_obj(cfg, hist, summary))
     else:
-        _emit(_json(result_to_obj(cfg, hist, summary)), args.out)
-    return 0
-
-
-def _cmd_delay(args) -> int:
-    cfg = _sweep_config(args, with_delay=True)
-    stats = run_delay_sweep(cfg, workers=_threads(args))
-    if args.format == "csv":
-        _emit(delay_csv(stats), args.out)
-    else:
-        _emit(_json(delay_result_to_obj(cfg, stats)), args.out)
+        stats = run_delay_sweep(cfg, workers)
+        text = delay_csv(stats) if csv else _json(delay_result_to_obj(cfg, stats))
+    _emit(text, args.out)
     return 0
 
 

@@ -13,30 +13,17 @@ a_i, b_i the ancilla-i halves of |a>, |b>.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .algebra import ORTHONORMALITY_TOL, dagger, symbol_index
+from .algebra import ORTHONORMALITY_TOL, as_matrix2, dagger, symbol_index
 from .classical import COMPLETENESS_TOL
-from .errors import (CompletenessError, OrthonormalityError, RangeError,
-                     ShapeMismatch)
+from .errors import CompletenessError, OrthonormalityError, RangeError
 
 
 _IDENTITY = np.eye(2)
-
-
-def _as_cmatrix(m, name: str) -> np.ndarray:
-    m = np.array(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
-    row0, row1 = m.view(np.float64).tolist()  # real and imaginary parts
-    if not all(map(math.isfinite, row0 + row1)):
-        raise RangeError(f"{name} contains non-finite entries")
-    m.flags.writeable = False
-    return m
 
 
 @dataclass(frozen=True)
@@ -49,8 +36,10 @@ class KrausPair:
     kind: ClassVar[str] = "quantum"
 
     def __post_init__(self):
-        object.__setattr__(self, "k_minus", _as_cmatrix(self.k_minus, "k_minus"))
-        object.__setattr__(self, "k_plus", _as_cmatrix(self.k_plus, "k_plus"))
+        object.__setattr__(self, "k_minus",
+                           as_matrix2(self.k_minus, "k_minus", np.complex128))
+        object.__setattr__(self, "k_plus",
+                           as_matrix2(self.k_plus, "k_plus", np.complex128))
 
     def op(self, symbol: int) -> np.ndarray:
         """Measurement operator for one outcome symbol."""

@@ -55,11 +55,20 @@ class SweepConfig:
                               quantum_mode=self.quantum_mode)
         if not isinstance(self.count, (int, np.integer)) or self.count < 0:
             raise ConfigError(f"count must be a non-negative integer, got {self.count!r}")
+        if not isinstance(self.master_seed, (int, np.integer)):
+            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not isinstance(self.bins, (int, np.integer)) or self.bins < 1:
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
-        lo, hi = self.range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ConfigError(f"range must satisfy lo < hi, got {self.range!r}")
+        try:
+            lo, hi = (float(x) for x in self.range)
+            ok = np.isfinite(lo) and np.isfinite(hi) and lo < hi
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"range must be two numbers lo < hi, got {self.range!r}")
+        if not isinstance(self.random_initial, (bool, np.bool_)):
+            raise ConfigError(
+                f"random_initial must be a bool, got {self.random_initial!r}")
         if self.t_list is not None:
             ts = tuple(self.t_list)
             if not ts or any(not isinstance(t, (int, np.integer)) or t < 0
@@ -73,7 +82,7 @@ class SweepConfig:
             "seed": int(self.master_seed), "bins": int(self.bins),
             "range": [float(self.range[0]), float(self.range[1])],
             "mode": self.mode, "convention": self.convention,
-            "random_initial": self.random_initial,
+            "random_initial": bool(self.random_initial),
             "measure": MEASURES[self.kind],
         }
         if self.t_list is not None:
@@ -226,31 +235,27 @@ def _batches(count: int) -> list[tuple[int, int]]:
     return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
 
 
-def _sweep_batch(args: tuple[SweepConfig, int, int]
-                 ) -> tuple[Histogram, float, int, int]:
-    """One batch's histogram, score sum and counts above 2 and 2*sqrt(2)."""
+def _batch(args: tuple[SweepConfig, int, int]) -> tuple[Histogram | None, list]:
+    """One batch: the histogram of a zero-delay sweep (None for a delay
+    sweep) and, per score row, its sum, max, counts above 2 and 2*sqrt(2),
+    trials and non-finite trials."""
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
-    scores = kernels.batch_scores(cfg.kind, cfg.master_seed, trials,
-                                  cfg.mode, cfg.convention, cfg.random_initial)
-    hist = Histogram.empty(cfg.bins, *cfg.range)
-    hist.add_scores(scores)
-    return (hist, float(scores.sum()), int(np.count_nonzero(scores > 2.0)),
-            int(np.count_nonzero(scores > TWO_SQRT2)))
-
-
-def _delay_batch(args: tuple[SweepConfig, int, int]) -> list[tuple]:
-    """Per t: one batch's score sum, max, count above 2, trials and
-    non-finite trials."""
-    cfg, start, stop = args
-    trials = np.arange(start, stop, dtype=np.int64)
-    rows = kernels.batch_delay_scores(
-        cfg.kind, cfg.master_seed, trials, tuple(cfg.t_list),
-        cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
-    return [(float(row.sum()), float(row.max()),
-             int(np.count_nonzero(row > 2.0)), int(row.size),
-             int(row.size - np.count_nonzero(np.isfinite(row))))
-            for row in rows]
+    hist = None
+    if cfg.t_list is None:
+        rows = kernels.batch_scores(cfg.kind, cfg.master_seed, trials, cfg.mode,
+                                    cfg.convention, cfg.random_initial)[None]
+        hist = Histogram.empty(cfg.bins, *cfg.range)
+        hist.add_scores(rows[0])
+    else:
+        rows = kernels.batch_delay_scores(
+            cfg.kind, cfg.master_seed, trials, tuple(cfg.t_list),
+            cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
+    return hist, [(float(row.sum()), float(row.max()),
+                   int(np.count_nonzero(row > 2.0)),
+                   int(np.count_nonzero(row > TWO_SQRT2)), int(row.size),
+                   int(row.size - np.count_nonzero(np.isfinite(row))))
+                  for row in rows]
 
 
 def _run_share(conn, worker, jobs: list) -> None:
@@ -298,21 +303,31 @@ def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
     return results
 
 
+def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
+    """Run cfg's batches and reduce them in batch order: the merged histogram
+    and, per score row, the totals of `_batch`'s statistics."""
+    cfg.validate()
+    ts = (0,) if cfg.t_list is None else tuple(cfg.t_list)
+    hist = Histogram.empty(cfg.bins, *cfg.range)
+    totals = [(0.0, -np.inf, 0, 0, 0, 0)] * len(ts)
+    for part, rows in _map_batches(_batch, cfg, workers):
+        if part is not None:
+            hist = histogram_merge(hist, part)
+        totals = [(s + s2, max(mx, mx2), a + a2, r + r2, n + n2, b + b2)
+                  for (s, mx, a, r, n, b), (s2, mx2, a2, r2, n2, b2)
+                  in zip(totals, rows)]
+    bad = [f"t={int(t)}: {b} of {n} trials"
+           for t, (*_, n, b) in zip(ts, totals) if b]
+    if bad:
+        raise RangeError("delay scores are not finite: " + "; ".join(bad))
+    return hist, totals
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSummary]:
     """Score cfg.count random machines; deterministic for any worker count."""
-    cfg.validate()
     if cfg.t_list is not None:
         raise ConfigError("a t_list needs run_delay_sweep")
-    hist = Histogram.empty(cfg.bins, *cfg.range)
-    sum_s = 0.0
-    above2 = above2r2 = 0
-    for part, part_sum, part_above2, part_above2r2 in _map_batches(
-            _sweep_batch, cfg, workers):
-        hist = histogram_merge(hist, part)
-        sum_s += part_sum
-        above2 += part_above2
-        above2r2 += part_above2r2
-    n = hist.total
+    hist, [(sum_s, _, above2, above2r2, n, _)] = _fold(cfg, workers)
     summary = SweepSummary(
         count=n,
         observed_min=hist.observed_min, observed_max=hist.observed_max,
@@ -328,29 +343,11 @@ def run_delay_sweep(cfg: SweepConfig, workers: int = 1) -> DelayStats:
     Raises RangeError when a score is not finite, as when a vector-sum
     delay's raw sums overflow at long t.
     """
-    cfg.validate()
     if cfg.t_list is None:
         raise ConfigError("delay sweep needs a t_list")
-    t_list = tuple(int(t) for t in cfg.t_list)
-    sums = [0.0] * len(t_list)
-    maxs: list[float | None] = [None] * len(t_list)
-    above2 = [0] * len(t_list)
-    ns = [0] * len(t_list)
-    bad = [0] * len(t_list)
-    for rows in _map_batches(_delay_batch, cfg, workers):
-        for i, (s, mx, a2, n, nonfinite) in enumerate(rows):
-            sums[i] += s
-            maxs[i] = mx if maxs[i] is None else max(maxs[i], mx)
-            above2[i] += a2
-            ns[i] += n
-            bad[i] += nonfinite
-    if any(bad):
-        raise RangeError("delay scores are not finite: " + "; ".join(
-            f"t={t}: {bad[i]} of {ns[i]} trials"
-            for i, t in enumerate(t_list) if bad[i]))
-    points = [DelayPoint(t=t, count=ns[i],
-                         mean_s=(sums[i] / ns[i]) if ns[i] else None,
-                         max_s=maxs[i],
-                         fraction_above_2=(above2[i] / ns[i]) if ns[i] else None)
-              for i, t in enumerate(t_list)]
-    return DelayStats(points=points)
+    _, totals = _fold(cfg, workers)
+    return DelayStats(points=[
+        DelayPoint(t=int(t), count=n, mean_s=(s / n) if n else None,
+                   max_s=mx if n else None,
+                   fraction_above_2=(a2 / n) if n else None)
+        for t, (s, mx, a2, _, n, _) in zip(cfg.t_list, totals)])

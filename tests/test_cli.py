@@ -1,4 +1,5 @@
 """Command-line entry point: exit codes, output documents, error paths."""
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -15,6 +16,9 @@ import tempora
 from tempora import (MachineFile, PartySpec, machine_file_to_obj,
                      mm_from_params, rng, sample_machine, save_machine_file)
 from tempora.cli import main
+from tempora.sampler import SweepConfig, run_delay_sweep, run_sweep
+from tempora.serialize import (delay_csv, delay_result_to_obj, histogram_csv,
+                               result_to_obj)
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
@@ -101,6 +105,26 @@ def test_delay_json(capsys):
     doc = json.loads(out)
     assert doc["config"]["quantum_mode"] == "channel"
     assert [p["t"] for p in doc["delay"]] == [0, 2]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["sample", "delay"])
+def test_sweep_commands_print_the_api_document(capsys, command, fmt):
+    argv = [command, "--kind", "hqmm", "--count", "300", "--seed", "4",
+            "--bins", "12", "--format", fmt]
+    cfg = SweepConfig(kind="hqmm", count=300, master_seed=4, bins=12)
+    if command == "delay":
+        argv += ["--t-list", "0,3", "--quantum-mode", "channel"]
+        cfg = dataclasses.replace(cfg, t_list=(0, 3), quantum_mode="channel")
+        stats = run_delay_sweep(cfg)
+        doc, csv = delay_result_to_obj(cfg, stats), delay_csv(stats)
+    else:
+        hist, summary = run_sweep(cfg)
+        doc, csv = result_to_obj(cfg, hist, summary), histogram_csv(hist)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (csv if fmt == "csv"
+                   else json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def test_score_machine_file(tmp_path, capsys):

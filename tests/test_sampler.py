@@ -1002,10 +1002,26 @@ def test_config_validates_fields():
         SweepConfig(kind="mm", count=10, t_list=()),
         SweepConfig(kind="mm", count=10, t_list=(1, -2)),
         SweepConfig(kind="mm", count=10, t_list=(0.5,)),
+        SweepConfig(kind="mm", count=10, random_initial="no"),
+        SweepConfig(kind="mm", count=10, random_initial="false"),
+        SweepConfig(kind="mm", count=10, random_initial=0),
+        SweepConfig(kind="mm", count=10, random_initial=None),
+        SweepConfig(kind="mm", count=10, master_seed=1.5),
+        SweepConfig(kind="mm", count=10, master_seed="1"),
+        SweepConfig(kind="mm", count=10, range=(0, 4, 5)),
+        SweepConfig(kind="mm", count=10, range=("a", "b")),
     ]
     for cfg in bad:
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+def test_config_echoes_numpy_bools_as_python_bools():
+    for flag in (np.True_, np.False_):
+        cfg = SweepConfig(kind="mm", count=10, random_initial=flag)
+        cfg.validate()
+        assert cfg.as_dict()["random_initial"] is bool(flag)
+    SweepConfig(kind="mm", count=10, master_seed=np.uint64(3)).validate()
 
 
 def test_config_as_dict_documents_the_run():
