@@ -30,9 +30,17 @@ def symbol_index(symbol: int) -> int:
 
 
 def as_matrix2(m, name: str, dtype) -> np.ndarray:
-    """Read-only 2x2 `dtype` copy of m; ShapeMismatch if it is not 2x2,
-    RangeError if an entry (or its real or imaginary part) is not finite."""
-    m = np.array(m, dtype=dtype)
+    """Read-only 2x2 `dtype` copy of m, the one conversion of outside numbers
+    to a machine matrix: ShapeMismatch if numpy cannot make one, RangeError
+    if a real matrix gets complex numbers or an entry is not finite."""
+    try:
+        m = np.array(m)
+        if m.dtype != dtype and (m.dtype.kind != "c" or np.dtype(dtype).kind == "c"):
+            m = m.astype(dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeMismatch(f"{name} must be 2x2 {np.dtype(dtype)}: {exc}") from exc
+    if m.dtype != dtype:  # complex numbers for a real matrix
+        raise RangeError(f"{name} must be real, got complex entries")
     if m.shape != (2, 2):
         raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
     row0, row1 = m.tolist()

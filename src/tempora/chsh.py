@@ -71,7 +71,7 @@ class DelaySpec:
     quantum_mode: str = "vector-sum"
 
     def __post_init__(self):
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
+        if not kernels.is_int(self.t) or self.t < 0:
             raise RangeError(f"t must be a non-negative integer, got {self.t!r}")
         kernels.check_options(quantum_mode=self.quantum_mode)
 

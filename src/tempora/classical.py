@@ -51,7 +51,10 @@ def prob_vector(p_minus: float, p_plus: float) -> np.ndarray:
     if eta.dtype.kind == "c":
         raise RangeError(
             f"a probability vector must be real, got ({p_minus}, {p_plus})")
-    eta = eta.astype(np.float64, copy=False)
+    try:
+        eta = eta.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RangeError(f"({p_minus!r}, {p_plus!r}) are not two numbers") from exc
     p0, p1 = eta.tolist()
     # Written to fail on NaN, which compares false with everything.
     if not (p0 >= 0.0 and p1 >= 0.0
@@ -82,18 +85,10 @@ def hmm_from_params(a: float, b: float, c: float,
     (d, e | f, 1-d-e-f), so the admissible ranges nest: b <= 1-a,
     c <= 1-a-b, and likewise for (d, e, f).
     """
-    if not 0.0 <= a <= 1.0:
-        raise RangeError(f"parameter a={a} outside [0, 1]")
-    if not 0.0 <= b <= 1.0 - a:
-        raise RangeError(f"parameter b={b} outside [0, {1.0 - a}]")
-    if not 0.0 <= c <= 1.0 - a - b:
-        raise RangeError(f"parameter c={c} outside [0, {1.0 - a - b}]")
-    if not 0.0 <= d <= 1.0:
-        raise RangeError(f"parameter d={d} outside [0, 1]")
-    if not 0.0 <= e <= 1.0 - d:
-        raise RangeError(f"parameter e={e} outside [0, {1.0 - d}]")
-    if not 0.0 <= f <= 1.0 - d - e:
-        raise RangeError(f"parameter f={f} outside [0, {1.0 - d - e}]")
+    for name, value, hi in (("a", a, 1), ("b", b, 1.0 - a), ("c", c, 1.0 - a - b),
+                            ("d", d, 1), ("e", e, 1.0 - d), ("f", f, 1.0 - d - e)):
+        if not 0.0 <= value <= hi:
+            raise RangeError(f"parameter {name}={value} outside [0, {hi}]")
     t_minus = [[a, d], [b, e]]
     t_plus = [[c, f], [1.0 - a - b - c, 1.0 - d - e - f]]
     return TransitionPair(t_minus, t_plus)

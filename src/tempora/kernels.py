@@ -116,6 +116,11 @@ def check_options(**values: str) -> None:
             raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
 
 
+def is_int(value) -> bool:
+    """The one integer rule: a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _keep_heap_resident() -> None:
     """Once per process, keep freed heap mapped across batches.
 
@@ -639,7 +644,7 @@ def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
                        convention: str = "canonical",
                        random_initial: bool = False) -> np.ndarray:
     """Selected scores per (t, trial); machines are reused across t."""
-    if any(not isinstance(t, (int, np.integer)) or t < 0 for t in t_list):
+    if any(not is_int(t) or t < 0 for t in t_list):
         raise RangeError(
             f"t_list must be non-negative integers, got {t_list!r}")
     return _score_rows(kind, seed, trials, t_list, quantum_mode, mode,

@@ -52,7 +52,10 @@ class KrausPair:
 
 def qubit_state(alpha: complex, beta: complex) -> np.ndarray:
     """Pure qubit state (alpha, beta); the norm must already be 1."""
-    psi = np.array([alpha, beta], dtype=np.complex128)
+    try:
+        psi = np.array([alpha, beta], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RangeError(f"({alpha!r}, {beta!r}) are not two numbers") from exc
     a, b = psi.tolist()
     nsq = ((a.real * a.real + a.imag * a.imag)
            + (b.real * b.real + b.imag * b.imag))

@@ -53,11 +53,11 @@ class SweepConfig:
         kernels.check_options(kind=self.kind, mode=self.mode,
                               convention=self.convention,
                               quantum_mode=self.quantum_mode)
-        if not isinstance(self.count, (int, np.integer)) or self.count < 0:
+        if not kernels.is_int(self.count) or self.count < 0:
             raise ConfigError(f"count must be a non-negative integer, got {self.count!r}")
-        if not isinstance(self.master_seed, (int, np.integer)):
+        if not kernels.is_int(self.master_seed):
             raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
-        if not isinstance(self.bins, (int, np.integer)) or self.bins < 1:
+        if not kernels.is_int(self.bins) or self.bins < 1:
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
         try:
             lo, hi = (float(x) for x in self.range)
@@ -71,8 +71,7 @@ class SweepConfig:
                 f"random_initial must be a bool, got {self.random_initial!r}")
         if self.t_list is not None:
             ts = tuple(self.t_list)
-            if not ts or any(not isinstance(t, (int, np.integer)) or t < 0
-                             for t in ts):
+            if not ts or any(not kernels.is_int(t) or t < 0 for t in ts):
                 raise ConfigError(
                     f"t_list must be non-empty, non-negative integers, got {self.t_list!r}")
 
@@ -235,10 +234,11 @@ def _batches(count: int) -> list[tuple[int, int]]:
     return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _batch(args: tuple[SweepConfig, int, int]) -> tuple[Histogram | None, list]:
     """One batch: the histogram of a zero-delay sweep (None for a delay
     sweep) and, per score row, its sum, max, counts above 2 and 2*sqrt(2),
-    trials and non-finite trials."""
+    trials and non-finite trials, which _fold reports in place of numpy."""
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     hist = None
@@ -271,7 +271,7 @@ def _run_share(conn, worker, jobs: list) -> None:
 def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
     """worker(job) for each batch's job, in batch order; on more than one
     worker, child w scores jobs[w::workers] (see the module docstring)."""
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not kernels.is_int(workers) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     jobs = [(cfg, start, stop) for start, stop in _batches(cfg.count)]
     workers = min(int(workers), len(jobs))

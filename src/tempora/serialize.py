@@ -23,7 +23,7 @@ import numpy as np
 from .chsh import Machine, PartySpec
 from .classical import TransitionPair, prob_vector, validate_classical
 from .errors import (CompletenessError, ParseError, RangeError,
-                     TemporaError, ValidationError)
+                     ShapeMismatch, TemporaError, ValidationError)
 from .quantum import KrausPair, qubit_state, validate_kraus
 
 SCHEMA = "tempora/v1"
@@ -44,25 +44,13 @@ def _cmatrix_to_obj(k: np.ndarray) -> list:
 
 
 def _cmatrix_from_obj(rows, where: str) -> list:
-    """The 2x2 rows of complex numbers; KrausPair makes the array."""
+    """The [re, im] pairs as two rows of complex numbers; KrausPair makes
+    the array, and rejects any count of pairs but four."""
     try:
         flat = [complex(float(re), float(im)) for re, im in rows]
-        if len(flat) != 4:
-            raise ValueError
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(
-            f"{where}: expected four [re, im] pairs in row-major order") from exc
+        raise ParseError(f"{where}: expected [re, im] pairs of numbers") from exc
     return [flat[:2], flat[2:]]
-
-
-def _rmatrix_from_obj(rows, where: str) -> np.ndarray:
-    try:
-        m = np.array(rows, dtype=np.float64)
-        if m.shape != (2, 2):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: expected a 2x2 matrix of numbers") from exc
-    return m
 
 
 def _require(obj: dict, key: str, where: str):
@@ -76,9 +64,8 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
     kind = _require(obj, "kind", where)
     try:
         if kind == "classical":
-            m: Machine = TransitionPair(
-                _rmatrix_from_obj(_require(obj, "t_minus", where), f"{where}.t_minus"),
-                _rmatrix_from_obj(_require(obj, "t_plus", where), f"{where}.t_plus"))
+            m: Machine = TransitionPair(_require(obj, "t_minus", where),
+                                        _require(obj, "t_plus", where))
             validate_classical(m)
             return m
         if kind == "quantum":
@@ -87,6 +74,8 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
                 _cmatrix_from_obj(_require(obj, "k_plus", where), f"{where}.k_plus"))
             validate_kraus(m)
             return m
+    except ShapeMismatch as exc:
+        raise ParseError(f"{where}: {exc}") from exc
     except (CompletenessError, RangeError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown machine kind {kind!r}")

@@ -541,9 +541,11 @@ def test_scoring_rejects_a_state_of_the_wrong_shape(kind, shape):
     ("hqmm", [np.nan, 0.0]),
     ("hqmm", [1.0, 1.0]),
     ("hqmm", [0.5j, 0.0]),
+    ("mm", ["a", 0.5]),
+    ("hqmm", ["a", 0]),
 ], ids=["mm-nan", "mm-negative", "mm-unnormalised", "mm-complex-zero-imag",
         "mm-complex", "hqmm-nan", "hqmm-unnormalised",
-        "hqmm-unnormalised-complex"])
+        "hqmm-unnormalised-complex", "mm-not-a-number", "hqmm-not-a-number"])
 def test_scoring_rejects_an_invalid_state(kind, state):
     # The checks of a machine file's initial state: a classical state is a
     # real probability vector, a quantum one a unit vector.
@@ -569,7 +571,7 @@ def test_delay_spec_validation():
     with pytest.raises(ValueError):
         DelaySpec(charlie, 1, quantum_mode="density")
     # Every rejection is a TemporaError, which the CLI reports.
-    for t in (-1, 1.5, "2"):
+    for t in (-1, 1.5, "2", True):
         with pytest.raises(RangeError, match="t must be a non-negative"):
             DelaySpec(charlie, t)
     with pytest.raises(RangeError, match="basis index"):

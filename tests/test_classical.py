@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import classical_outcome_step
-from tempora import (CompletenessError, RangeError, TransitionPair,
-                     hmm_from_params, mm_from_params, prob_vector,
-                     validate_classical)
+from tempora import (CompletenessError, RangeError, ShapeMismatch,
+                     TransitionPair, hmm_from_params, mm_from_params,
+                     prob_vector, validate_classical)
 
 
 def test_mm_deterministic_corner():
@@ -110,6 +110,8 @@ def test_prob_vector_validation():
         prob_vector(1j, 0)
     with pytest.raises(RangeError):
         prob_vector(np.complex128(1), 0)
+    with pytest.raises(RangeError):
+        prob_vector("a", 0.5)
 
 
 @pytest.mark.parametrize("p", [(float("nan"), 0.5), (0.5, float("nan")),
@@ -122,6 +124,21 @@ def test_prob_vector_rejects_nan(p):
 def test_non_finite_entries_are_range_errors():
     with pytest.raises(RangeError, match="t_plus contains non-finite"):
         TransitionPair(np.eye(2), [[0.0, float("inf")], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("rows", [[[1, "a"], [0, 0]], [[10**400, 0], [0, 0]],
+                                  [[[1]], [0]]],
+                         ids=["not-a-number", "overflow", "ragged"])
+def test_matrices_numpy_cannot_build_are_shape_mismatches(rows):
+    with pytest.raises(ShapeMismatch, match="t_minus must be 2x2"):
+        TransitionPair(rows, np.eye(2))
+
+
+def test_complex_entries_of_a_real_matrix_are_range_errors():
+    # Not cast to real with a ComplexWarning, which validate_classical would
+    # then accept.
+    with pytest.raises(RangeError, match="t_minus must be real"):
+        TransitionPair(np.array([[0.5 + 1j, 0.5], [0, 0]]), np.eye(2))
 
 
 def test_outcome_step_deterministic_machine():

@@ -398,3 +398,18 @@ def test_module_entry_point_subprocess():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 3
+
+
+def test_overflowing_delay_sweep_prints_only_its_error():
+    # In a subprocess, so that pytest's warning capture cannot hide numpy's
+    # overflow warnings from stderr.
+    src = str(Path(tempora.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempora.cli", "delay", "--kind", "hqmm",
+         "--count", "64", "--seed", "1", "--t-list", "0,3000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ("error: delay scores are not finite: "
+                           "t=3000: 25 of 64 trials\n")
+    assert proc.returncode == 1

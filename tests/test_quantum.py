@@ -179,6 +179,8 @@ def test_qubit_state_validates_norm():
         qubit_state(1.0, 1.0)
     with pytest.raises(RangeError):
         qubit_state(float("nan"), 0.0)
+    with pytest.raises(RangeError):
+        qubit_state("a", 0)
     psi = qubit_state(0.6, 0.8j)
     assert psi.dtype == np.complex128
     np.testing.assert_array_equal(psi, [0.6, 0.8j])

@@ -812,8 +812,8 @@ def test_projective_scores_match_the_closed_form(quantum_mode, mode,
 
 
 def test_batch_delay_scores_rejects_a_negative_t():
-    # A t that is not an integer is rejected too, not truncated.
-    for t in (-1, 0.5, 1.5):
+    # A t that is not an integer is rejected too, not truncated; so is a bool.
+    for t in (-1, 0.5, 1.5, True):
         with pytest.raises(RangeError):
             kernels.batch_delay_scores("mm", 1, np.arange(4), (0, t))
 
@@ -1010,6 +1010,11 @@ def test_config_validates_fields():
         SweepConfig(kind="mm", count=10, master_seed="1"),
         SweepConfig(kind="mm", count=10, range=(0, 4, 5)),
         SweepConfig(kind="mm", count=10, range=("a", "b")),
+        # A bool is never an integer.
+        SweepConfig(kind="mm", count=True),
+        SweepConfig(kind="mm", count=10, bins=True),
+        SweepConfig(kind="mm", count=10, master_seed=True),
+        SweepConfig(kind="mm", count=10, t_list=(True,)),
     ]
     for cfg in bad:
         with pytest.raises(ConfigError):
@@ -1099,7 +1104,7 @@ def test_a_sweep_forks_no_more_children_than_batches(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None, True])
 def test_sweeps_reject_a_worker_count_that_is_not_a_positive_integer(workers):
     with pytest.raises(ConfigError, match="workers must be a positive integer"):
         run_sweep(SweepConfig(kind="mm", count=10), workers=workers)
@@ -1197,6 +1202,9 @@ def test_run_delay_sweep_rejects_overflowing_vector_sum_delays():
         run_delay_sweep(cfg)
     assert "t=3000: 25 of 64 trials" in str(err.value)
     assert "t=0" not in str(err.value)
+    # Only the sweep silences numpy: a direct call to the kernels still warns.
+    with pytest.warns(RuntimeWarning):
+        kernels.batch_delay_scores("hqmm", 1, np.arange(64), (0, 3000))
 
 
 def test_run_delay_sweep_requires_t_list():

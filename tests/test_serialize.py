@@ -57,6 +57,12 @@ def test_machine_from_obj_rejects_malformed_matrices():
         machine_from_obj({"kind": "quantum",
                           "k_minus": [[1, 0], [0, 0], [0, 0]],
                           "k_plus": [[0, 0]] * 4})
+    with pytest.raises(ParseError):
+        machine_from_obj({"kind": "quantum", "k_minus": [[1, 0]] + [[0, 0]] * 4,
+                          "k_plus": [[0, 0]] * 4})
+    with pytest.raises(ParseError):
+        machine_from_obj({"kind": "classical", "t_minus": [[1, "a"], [0, 0]],
+                          "t_plus": [[0, 0], [0, 1]]})
 
 
 def test_machine_from_obj_validates_completeness():
