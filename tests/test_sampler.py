@@ -1198,7 +1198,8 @@ def test_run_delay_sweep_rejects_overflowing_vector_sum_delays():
     # (k_minus + k_plus)^t grows like sqrt(2)^t; at t = 3000 the raw sums of
     # 25 of these 64 trials overflow and their scores are NaN.
     cfg = SweepConfig(kind="hqmm", count=64, master_seed=1, t_list=(0, 3000))
-    with np.errstate(all="ignore"), pytest.raises(RangeError) as err:
+    # No errstate here: the sweep itself keeps numpy from warning.
+    with pytest.raises(RangeError) as err:
         run_delay_sweep(cfg)
     assert "t=3000: 25 of 64 trials" in str(err.value)
     assert "t=0" not in str(err.value)
