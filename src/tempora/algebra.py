@@ -6,7 +6,10 @@ Conventions used throughout the package:
   component of any length-2 vector and index 1 the +1 component;
 * length-4 complex vectors live in the ancilla (x) memory product space with
   basis order (-1,-1), (-1,+1), (+1,-1), (+1,+1), ancilla first, so the
-  ancilla outcome selects the upper or lower half.
+  ancilla outcome selects the upper or lower half;
+* as_matrix2 is the one converter of outside numbers, under one number
+  rule: a number is a Python or numpy int, float or complex (complex only
+  for a complex array), never a str, bool, None or nested container.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ from .errors import RangeError, ShapeMismatch
 
 # Allowed deviation of inner products from exact orthonormality.
 ORTHONORMALITY_TOL = 1e-10
+_PLAIN = {np.float64: {int, float, np.float64},
+          np.complex128: {int, float, complex, np.float64, np.complex128}}
 
 
 def symbol_index(symbol: int) -> int:
@@ -29,25 +34,46 @@ def symbol_index(symbol: int) -> int:
     raise RangeError(f"outcome symbol must be -1 or +1, got {symbol!r}")
 
 
-def as_matrix2(m, name: str, dtype) -> np.ndarray:
-    """Read-only 2x2 `dtype` copy of m, the one conversion of outside numbers
-    to a machine matrix: ShapeMismatch if numpy cannot make one, RangeError
-    if a real matrix gets complex numbers or an entry is not finite."""
-    try:
-        m = np.array(m)
-        if m.dtype != dtype and (m.dtype.kind != "c" or np.dtype(dtype).kind == "c"):
-            m = m.astype(dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ShapeMismatch(f"{name} must be 2x2 {np.dtype(dtype)}: {exc}") from exc
-    if m.dtype != dtype:  # complex numbers for a real matrix
-        raise RangeError(f"{name} must be real, got complex entries")
-    if m.shape != (2, 2):
-        raise ShapeMismatch(f"{name} must be 2x2, got shape {m.shape}")
-    row0, row1 = m.tolist()
-    if not all(map(cmath.isfinite, row0 + row1)):
-        raise RangeError(f"{name} contains non-finite entries")
-    m.flags.writeable = False
+def as_matrix2(m, name: str, dtype, shape=(2, 2), *, error=None,
+               shape_error=None, finite=True) -> np.ndarray:
+    """m, an array or nested lists and tuples of numbers, as a read-only
+    C-contiguous `shape` array (at most three axes) of `dtype`, np.float64 or
+    np.complex128: a copy, unless m is one already that nothing writes
+    through.  Raises shape_error, else error, else ShapeMismatch for another
+    shape; error, else ShapeMismatch, for an entry that is not a number or
+    does not fit; error, else RangeError, for complex entries of a real
+    array and, unless finite is false, non-finite ones."""
+    try:  # the types of the entries, before numpy casts any of them
+        types = ({m.dtype.type} if isinstance(m, np.ndarray)
+                 else {type(x) for row in m for x in row} if len(shape) == 2
+                 else set(map(type, m if shape else (m,))) if len(shape) < 2
+                 else {type(x) for rows in m for row in rows for x in row})
+    except TypeError:  # not nested as deep as the shape
+        types = set()
+    for t in types - _PLAIN[dtype]:
+        if t is bool or not issubclass(t, (int, float, complex, np.number)):
+            raise (error or ShapeMismatch)(_unfit(name, shape, m))
+        if dtype is not np.complex128 and issubclass(
+                t, (complex, np.complexfloating)):
+            raise (error or RangeError)(f"{name} must be real, got complex entries")
+    if not (isinstance(m, np.ndarray) and m.dtype == dtype
+            and m.flags.c_contiguous and not m.flags.writeable
+            and (m.base is None or not m.base.flags.writeable)):
+        try:
+            m = np.array(m, dtype)
+        except (TypeError, ValueError, OverflowError):  # ragged, or 10**400
+            raise (error or ShapeMismatch)(_unfit(name, shape, m)) from None
+        m.setflags(write=False)
+    if m.shape != shape:
+        raise (shape_error or error or ShapeMismatch)(_unfit(name, shape, m))
+    if finite and not all(map(cmath.isfinite, m.ravel().tolist())):
+        raise (error or RangeError)(f"{name} contains non-finite entries")
     return m
+
+
+def _unfit(name: str, shape: tuple, m) -> str:
+    return (f"{name} must be {'x'.join(map(str, shape)) or 'one'} numbers of "
+            f"shape {shape}, got {m!r:.60}")
 
 
 def ket2(symbol: int) -> np.ndarray:
@@ -66,4 +92,4 @@ def ket4(ancilla: int, memory: int) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
+    return m.conj().T

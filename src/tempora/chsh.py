@@ -22,17 +22,18 @@ from typing import Union
 import numpy as np
 
 from . import kernels
-from .classical import TransitionPair, prob_vector
+from .algebra import as_matrix2
+from .classical import TransitionPair, checked_prob_vector
 from .errors import KindMismatch, RangeError, ShapeMismatch
-from .quantum import KrausPair, qubit_state
+from .quantum import KrausPair, checked_qubit_state
 
 Machine = Union[TransitionPair, KrausPair]
 
 
 def _same_kind(*machines: Machine) -> str:
-    kinds = {m.kind for m in machines}
-    if len(kinds) != 1:
-        raise KindMismatch(f"machines mix kinds {sorted(kinds)}")
+    kinds = {m.kind if isinstance(m, Machine.__args__) else None for m in machines}
+    if len(kinds) != 1 or None in kinds:  # None: not a machine
+        raise KindMismatch(f"machines mix kinds {sorted(map(str, kinds))}")
     return kinds.pop()
 
 
@@ -129,11 +130,10 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     kernels.check_options(mode=mode)
     charlie = () if delay is None else (delay.charlie,)
     quantum = _same_kind(*machines, *charlie) == "quantum"
-    psi = np.asarray(state)
-    if psi.shape != (2,):
-        raise ShapeMismatch(f"state must have shape (2,), got {psi.shape}")
     # The checks a machine file's initial state passes.
-    psi = qubit_state(*psi) if quantum else prob_vector(*psi)
+    psi = as_matrix2(state, "state", np.complex128 if quantum else np.float64,
+                     (2,), error=RangeError, shape_error=ShapeMismatch, finite=False)
+    psi = checked_qubit_state(psi) if quantum else checked_prob_vector(psi)
     t = 0 if delay is None else delay.t
     # (machine, outcome, row, column, trial), outcomes in the order (-1, +1)
     m = np.array([(x.op(-1), x.op(+1)) for x in machines],
@@ -210,8 +210,9 @@ def spatial_reference_score(theta_a1: float, theta_a2: float,
     c_nm = cos(theta_a_n - theta_b_m).  Both orderings coincide here, so
     the result is tagged symmetrized.
     """
-    c = [float(np.cos(ta - tb))
-         for ta in (theta_a1, theta_a2) for tb in (theta_b1, theta_b2)]
+    t = as_matrix2((theta_a1, theta_a2, theta_b1, theta_b2), "the angles",
+                   np.float64, (4,), error=RangeError).tolist()
+    c = [float(np.cos(ta - tb)) for ta in t[:2] for tb in t[2:]]
     s_canonical, s_max = chsh_from_correlators(*c)
     return ChshResult(c[0], c[1], c[2], c[3], s_canonical, s_max,
                       mode="symmetrized", convention="canonical")

@@ -47,19 +47,18 @@ class TransitionPair:
 
 def prob_vector(p_minus: float, p_plus: float) -> np.ndarray:
     """Probability vector over the two internal states."""
-    eta = np.array([p_minus, p_plus])
-    if eta.dtype.kind == "c":
-        raise RangeError(
-            f"a probability vector must be real, got ({p_minus}, {p_plus})")
-    try:
-        eta = eta.astype(np.float64, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RangeError(f"({p_minus!r}, {p_plus!r}) are not two numbers") from exc
+    return checked_prob_vector(as_matrix2(
+        (p_minus, p_plus), "a probability vector", np.float64, (2,),
+        error=RangeError, finite=False))
+
+
+def checked_prob_vector(eta: np.ndarray, error=RangeError) -> np.ndarray:
+    """eta, a real array of shape (2,), if it is a probability vector."""
     p0, p1 = eta.tolist()
     # Written to fail on NaN, which compares false with everything.
     if not (p0 >= 0.0 and p1 >= 0.0
             and abs((p0 + p1) - 1.0) <= COMPLETENESS_TOL):
-        raise RangeError(f"({p_minus}, {p_plus}) is not a probability vector")
+        raise error(f"({p0}, {p1}) is not a probability vector")
     return eta
 
 
@@ -69,6 +68,7 @@ def mm_from_params(a: float, b: float) -> TransitionPair:
     a is the probability of emitting -1 from state -1, b of emitting +1 from
     state +1; both must lie in [0, 1].
     """
+    a, b = as_matrix2((a, b), "(a, b)", np.float64, (2,), error=RangeError).tolist()
     for name, value in (("a", a), ("b", b)):
         if not 0.0 <= value <= 1.0:
             raise RangeError(f"parameter {name}={value} outside [0, 1]")
@@ -85,6 +85,8 @@ def hmm_from_params(a: float, b: float, c: float,
     (d, e | f, 1-d-e-f), so the admissible ranges nest: b <= 1-a,
     c <= 1-a-b, and likewise for (d, e, f).
     """
+    a, b, c, d, e, f = as_matrix2((a, b, c, d, e, f), "(a, b, c, d, e, f)",
+                                  np.float64, (6,), error=RangeError).tolist()
     for name, value, hi in (("a", a, 1), ("b", b, 1.0 - a), ("c", c, 1.0 - a - b),
                             ("d", d, 1), ("e", e, 1.0 - d), ("f", f, 1.0 - d - e)):
         if not 0.0 <= value <= hi:

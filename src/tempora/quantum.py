@@ -52,15 +52,18 @@ class KrausPair:
 
 def qubit_state(alpha: complex, beta: complex) -> np.ndarray:
     """Pure qubit state (alpha, beta); the norm must already be 1."""
-    try:
-        psi = np.array([alpha, beta], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RangeError(f"({alpha!r}, {beta!r}) are not two numbers") from exc
+    return checked_qubit_state(as_matrix2(
+        (alpha, beta), "a qubit state", np.complex128, (2,),
+        error=RangeError, finite=False))
+
+
+def checked_qubit_state(psi: np.ndarray, error=RangeError) -> np.ndarray:
+    """psi, a complex array of shape (2,), if its norm is 1."""
     a, b = psi.tolist()
     nsq = ((a.real * a.real + a.imag * a.imag)
            + (b.real * b.real + b.imag * b.imag))
     if not abs(nsq - 1.0) <= ORTHONORMALITY_TOL:  # NaN fails too
-        raise RangeError(f"state has squared norm {nsq!r}, expected 1")
+        raise error(f"state has squared norm {nsq!r}, expected 1")
     return psi
 
 
@@ -73,8 +76,8 @@ def kraus_from_dilation(a: np.ndarray, b: np.ndarray) -> KrausPair:
     reindexing happens here.  Raises OrthonormalityError when |a>, |b> are
     not orthonormal within 1e-10.
     """
-    a = np.asarray(a, dtype=np.complex128).reshape(4)
-    b = np.asarray(b, dtype=np.complex128).reshape(4)
+    ab = as_matrix2((a, b), "(a, b)", np.complex128, (2, 4))
+    a, b = ab
     checks = (
         ("<a|a>", abs(float(np.sum(a.real ** 2 + a.imag ** 2)) - 1.0)),
         ("<b|b>", abs(float(np.sum(b.real ** 2 + b.imag ** 2)) - 1.0)),
@@ -84,9 +87,7 @@ def kraus_from_dilation(a: np.ndarray, b: np.ndarray) -> KrausPair:
         if residual > ORTHONORMALITY_TOL:
             raise OrthonormalityError(
                 f"dilation pair violates {label} by {residual:.3e}")
-    k_minus = [[a[0], b[0]], [a[1], b[1]]]
-    k_plus = [[a[2], b[2]], [a[3], b[3]]]
-    return KrausPair(k_minus, k_plus)
+    return KrausPair(*ab.T.reshape(2, 2, 2))  # rows (a_i, b_i), i = 0..3
 
 
 def projective_kraus(phi: float) -> KrausPair:
@@ -95,6 +96,7 @@ def projective_kraus(phi: float) -> KrausPair:
     k_minus projects onto (cos phi, sin phi) and k_plus onto the orthogonal
     direction (sin phi, -cos phi); phi is in radians.
     """
+    phi = as_matrix2(phi, "phi", np.float64, (), error=RangeError)
     c, s = np.cos(phi), np.sin(phi)
     k_minus = [[c * c, c * s], [c * s, s * s]]
     k_plus = [[s * s, -c * s], [-c * s, c * c]]

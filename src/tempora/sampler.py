@@ -17,11 +17,12 @@ child is raised again in the caller.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import kernels
+from .algebra import as_matrix2
 from .errors import ConfigError, RangeError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
@@ -59,12 +60,9 @@ class SweepConfig:
             raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not kernels.is_int(self.bins) or self.bins < 1:
             raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
-        try:
-            lo, hi = (float(x) for x in self.range)
-            ok = np.isfinite(lo) and np.isfinite(hi) and lo < hi
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
+        lo, hi = as_matrix2(self.range, "range", np.float64, (2,),
+                            error=ConfigError).tolist()
+        if not lo < hi:
             raise ConfigError(f"range must be two numbers lo < hi, got {self.range!r}")
         if not isinstance(self.random_initial, (bool, np.bool_)):
             raise ConfigError(
@@ -79,7 +77,8 @@ class SweepConfig:
         out = {
             "kind": self.kind, "count": int(self.count),
             "seed": int(self.master_seed), "bins": int(self.bins),
-            "range": [float(self.range[0]), float(self.range[1])],
+            "range": as_matrix2(self.range, "range", np.float64, (2,),
+                                error=ConfigError).tolist(),
             "mode": self.mode, "convention": self.convention,
             "random_initial": bool(self.random_initial),
             "measure": MEASURES[self.kind],
@@ -117,13 +116,7 @@ class Histogram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
-        return (self.lo == other.lo and self.hi == other.hi
-                and np.array_equal(self.counts, other.counts)
-                and self.total == other.total
-                and self.underflow == other.underflow
-                and self.overflow == other.overflow
-                and self.observed_min == other.observed_min
-                and self.observed_max == other.observed_max)
+        return self.as_dict() == other.as_dict()
 
     @classmethod
     def empty(cls, bins: int, lo: float, hi: float) -> "Histogram":
@@ -191,14 +184,7 @@ class SweepSummary:
     fraction_above_2sqrt2: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "count": int(self.count),
-            "observed_min": self.observed_min,
-            "observed_max": self.observed_max,
-            "mean_s": self.mean_s,
-            "fraction_above_2": self.fraction_above_2,
-            "fraction_above_2sqrt2": self.fraction_above_2sqrt2,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -212,9 +198,7 @@ class DelayPoint:
     fraction_above_2: float | None
 
     def as_dict(self) -> dict:
-        return {"t": int(self.t), "count": int(self.count),
-                "mean_s": self.mean_s, "max_s": self.max_s,
-                "fraction_above_2": self.fraction_above_2}
+        return asdict(self)
 
 
 @dataclass

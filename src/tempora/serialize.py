@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import as_matrix2
 from .chsh import Machine, PartySpec
-from .classical import TransitionPair, prob_vector, validate_classical
+from .classical import (TransitionPair, checked_prob_vector,
+                        validate_classical)
 from .errors import (CompletenessError, ParseError, RangeError,
                      ShapeMismatch, TemporaError, ValidationError)
-from .quantum import KrausPair, qubit_state, validate_kraus
+from .quantum import KrausPair, checked_qubit_state, validate_kraus
 
 SCHEMA = "tempora/v1"
 
@@ -35,22 +37,8 @@ def machine_to_obj(m: Machine) -> dict:
         return {"kind": "classical",
                 "t_minus": m.t_minus.tolist(), "t_plus": m.t_plus.tolist()}
     return {"kind": "quantum",
-            "k_minus": _cmatrix_to_obj(m.k_minus),
-            "k_plus": _cmatrix_to_obj(m.k_plus)}
-
-
-def _cmatrix_to_obj(k: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in k.reshape(4)]
-
-
-def _cmatrix_from_obj(rows, where: str) -> list:
-    """The [re, im] pairs as two rows of complex numbers; KrausPair makes
-    the array, and rejects any count of pairs but four."""
-    try:
-        flat = [complex(float(re), float(im)) for re, im in rows]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: expected [re, im] pairs of numbers") from exc
-    return [flat[:2], flat[2:]]
+            "k_minus": m.k_minus.view(np.float64).reshape(4, 2).tolist(),
+            "k_plus": m.k_plus.view(np.float64).reshape(4, 2).tolist()}
 
 
 def _require(obj: dict, key: str, where: str):
@@ -69,9 +57,10 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
             validate_classical(m)
             return m
         if kind == "quantum":
-            m = KrausPair(
-                _cmatrix_from_obj(_require(obj, "k_minus", where), f"{where}.k_minus"),
-                _cmatrix_from_obj(_require(obj, "k_plus", where), f"{where}.k_plus"))
+            k = as_matrix2((_require(obj, "k_minus", where),
+                            _require(obj, "k_plus", where)),
+                           "k_minus, k_plus", np.float64, (2, 4, 2), finite=False)
+            m = KrausPair(*k.view(np.complex128).reshape(2, 2, 2))
             validate_kraus(m)
             return m
     except ShapeMismatch as exc:
@@ -82,24 +71,20 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
 
 
 def state_to_obj(state: np.ndarray, kind: str) -> list:
-    state = np.asarray(state)
     if kind == "classical":
-        return [float(state[0]), float(state[1])]
-    return [[float(z.real), float(z.imag)] for z in state]
+        return as_matrix2(state, "state", np.float64, (2,)).tolist()
+    psi = as_matrix2(state, "state", np.complex128, (2,))
+    return psi.view(np.float64).reshape(2, 2).tolist()
 
 
 def state_from_obj(obj, kind: str, where: str = "initial") -> np.ndarray:
-    try:
-        if kind == "classical":
-            p0, p1 = (float(x) for x in obj)
-            return prob_vector(p0, p1)
-        (re0, im0), (re1, im1) = obj
-        return qubit_state(complex(float(re0), float(im0)),
-                           complex(float(re1), float(im1)))
-    except RangeError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: malformed state for kind {kind!r}") from exc
+    """Parse [p_minus, p_plus] or two [re, im] pairs, then check the state."""
+    classical = kind == "classical"
+    v = as_matrix2(obj, where, np.float64, (2,) if classical else (2, 2),
+                   error=ParseError, finite=False)
+    if classical:
+        return checked_prob_vector(v, ValidationError)
+    return checked_qubit_state(v.view(np.complex128).reshape(2), ValidationError)
 
 
 @dataclass(frozen=True)

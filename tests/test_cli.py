@@ -269,7 +269,8 @@ def _numeric_paths(obj, path=()):
 
 
 def _mutated(obj, rand):
-    """A copy of the machine document with one numeric entry broken."""
+    """A copy of the machine document with one numeric entry broken, and
+    the name of the mutation."""
     obj = json.loads(json.dumps(obj))
     path = rand.choice(list(_numeric_paths(obj)))
     parent = obj
@@ -277,7 +278,7 @@ def _mutated(obj, rand):
         parent = parent[key]
     value = parent[path[-1]]
     kind = rand.choice(("nan", "inf", "-inf", "scale", "huge", "string",
-                        "nest", "shape"))
+                        "bool", "nest", "shape"))
     if kind == "shape":
         if rand.random() < 0.5:
             parent.append(value)
@@ -287,9 +288,10 @@ def _mutated(obj, rand):
         parent[path[-1]] = {
             "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
             "scale": value * 1e308, "huge": rand.choice((1, -1)) * 10 ** 400,
-            "string": rand.choice((str(value), "x", "")), "nest": [value],
+            "string": rand.choice((str(value), "x", "")),
+            "bool": rand.choice((True, False)), "nest": [value],
         }[kind]
-    return obj
+    return obj, kind
 
 
 def _finite(obj):
@@ -316,7 +318,8 @@ def test_mutated_machine_files_score_or_fail_cleanly(tmp_path, capsys):
     outcomes = {0: 0, 1: 0}
     for source in sources:
         for _ in range(60):
-            path.write_text(json.dumps(_mutated(source, rand)))
+            mutated, kind = _mutated(source, rand)
+            path.write_text(json.dumps(mutated))
             out.unlink(missing_ok=True)
             argv = ["score", "--machines", str(path), "--out", str(out)]
             if "charlie" in source:
@@ -324,6 +327,8 @@ def test_mutated_machine_files_score_or_fail_cleanly(tmp_path, capsys):
                          rand.choice(("vector-sum", "channel"))]
             code, _, err = run_cli(capsys, *argv)
             assert code in outcomes, (code, err)
+            # A string or a bool is never a number, not even "0.5" or true.
+            assert code == 1 or kind not in ("string", "bool"), (kind, err)
             outcomes[code] += 1
             if code == 0:
                 doc = json.loads(out.read_text(), parse_constant=float)
