@@ -135,14 +135,13 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
                      (2,), error=RangeError, shape_error=ShapeMismatch, finite=False)
     psi = checked_qubit_state(psi) if quantum else checked_prob_vector(psi)
     t = 0 if delay is None else delay.t
-    # (machine, outcome, row, column, trial), outcomes in the order (-1, +1)
-    m = np.array([(x.op(-1), x.op(+1)) for x in machines],
-                 psi.dtype)[..., None]
-    c_op = (np.array((delay.charlie.op(-1), delay.charlie.op(+1)))[..., None]
-            if t else None)
+    # (machine, outcome, row, column, trial), outcomes in the order (-1, +1);
+    # charlie is machine 4 when it acts.
+    m = np.array([(x.op(-1), x.op(+1))
+                  for x in machines + (charlie if t else ())], psi.dtype)[..., None]
     channel = quantum and delay is not None and delay.quantum_mode == "channel"
-    c, raw = kernels._score_block(m, c_op, psi[:, None], (t,), quantum,
-                                  channel, mode)
+    c, raw = kernels._score_block(m[:4], m[4] if t else None, psi[:, None],
+                                  (t,), quantum, channel, mode)
     raw_sums = None
     if raw is not None:
         by_order = {"a-first": raw[0, 0, ..., 0], "b-first": raw[0, 1, ..., 0].T}

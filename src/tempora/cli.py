@@ -26,24 +26,19 @@ from .serialize import (delay_csv, delay_result_to_obj, histogram_csv,
                         result_to_obj)
 
 
-def _floats_arg(count: int):
-    def parse(text: str) -> tuple[float, ...]:
+def _list_arg(kind, count: int | None = None):
+    """Parser of a comma list of kind (float or int), of count entries."""
+    def parse(text: str) -> tuple:
         parts = text.split(",")
-        if len(parts) != count:
+        if count is not None and len(parts) != count:
             raise argparse.ArgumentTypeError(
                 f"expected {count} comma-separated numbers, got {text!r}")
         try:
-            return tuple(float(p) for p in parts)
+            return tuple(kind(p) for p in parts)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not numbers: {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}")
     return parse
-
-
-def _int_list_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -51,7 +46,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=400)
-    p.add_argument("--range", type=_floats_arg(2), default=(0.0, 4.0),
+    p.add_argument("--range", type=_list_arg(float, 2), default=(0.0, 4.0),
                    metavar="LO,HI")
     p.add_argument("--mode", choices=ORDERING_MODES, default="symmetrized")
     p.add_argument("--convention", choices=SCORE_CONVENTIONS, default="canonical")
@@ -72,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay", help="sweep scores against intermediary delay")
     _add_sweep_flags(p)
-    p.add_argument("--t-list", type=_int_list_arg, required=True, metavar="T0,T1,...")
+    p.add_argument("--t-list", type=_list_arg(int), required=True, metavar="T0,T1,...")
     p.add_argument("--quantum-mode", choices=QUANTUM_DELAY_MODES,
                    default="vector-sum")
     p.set_defaults(func=_cmd_sweep)
@@ -91,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spatial", help="closed-form spatially separated score")
-    p.add_argument("--angles", type=_floats_arg(4), required=True,
+    p.add_argument("--angles", type=_list_arg(float, 4), required=True,
                    metavar="A1,A2,B1,B2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spatial)
@@ -165,9 +160,12 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _load_fixture(name: str):
+def _fixture_score(name: str):
+    """The symmetrized max-relabel score of a built-in machine file."""
     text = (importlib.resources.files(__package__) / "fixtures" / name).read_text()
-    return machine_file_from_obj(json.loads(text))
+    mf = machine_file_from_obj(json.loads(text))
+    return chsh_score(mf.alice, mf.bob, mf.default_state(),
+                      mode="symmetrized", convention="max-relabel")
 
 
 def _cmd_verify(args) -> int:
@@ -179,29 +177,18 @@ def _cmd_verify(args) -> int:
 
 
 def _anchor_checks() -> list[tuple[str, bool, str]]:
-    checks = []
-
-    mf = _load_fixture("classical_smax3.json")
-    res = chsh_score(mf.alice, mf.bob, mf.default_state(),
-                     mode="symmetrized", convention="max-relabel")
-    checks.append((
+    res = _fixture_score("classical_smax3.json")
+    checks = [(
         "classical anchor: s_max=3, s_canonical=1",
         abs(res.s_max - 3.0) <= 1e-12 and abs(res.s_canonical - 1.0) <= 1e-12,
-        f"s_max={res.s_max!r}, s_canonical={res.s_canonical!r}"))
-
-    mf = _load_fixture("projective_2sqrt2.json")
-    res = chsh_score(mf.alice, mf.bob, mf.default_state(),
-                     mode="symmetrized", convention="max-relabel")
-    checks.append((
-        "projective anchor: s_max=2*sqrt(2)",
-        abs(res.s_max - TWO_SQRT2) <= 1e-9,
-        f"s_max={res.s_max!r}"))
-
-    res = spatial_reference_score(0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
-    checks.append((
-        "spatial anchor: s_max=2*sqrt(2)",
-        abs(res.s_max - TWO_SQRT2) <= 1e-9,
-        f"s_max={res.s_max!r}"))
+        f"s_max={res.s_max!r}, s_canonical={res.s_canonical!r}")]
+    for name, res in (
+            ("projective", _fixture_score("projective_2sqrt2.json")),
+            ("spatial", spatial_reference_score(0.0, np.pi / 2, -np.pi / 4,
+                                                np.pi / 4))):
+        checks.append((f"{name} anchor: s_max=2*sqrt(2)",
+                       abs(res.s_max - TWO_SQRT2) <= 1e-9,
+                       f"s_max={res.s_max!r}"))
     return checks
 
 

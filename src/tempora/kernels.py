@@ -30,7 +30,10 @@ machines of a whole batch.  A block's k trials are sized by bytes: its
 buffer takes at most SCORE_BLOCK_BYTES, so real kinds, at half the bytes
 per trial, pay a block's fixed cost half as often.  The hqmm draw stays
 draw-major too: rng.normals pairs the counters along their first axis, and
-Gram-Schmidt runs on contiguous (8, slots * k) rows.
+Gram-Schmidt runs on contiguous (8, slots * k) rows.  _unit is the one
+normalisation of both complex Gaussian draws, the two dilation vectors and a
+random qubit state: a degenerate pair is redrawn, a degenerate state pinned
+to (1, 0).
 
 A channel delay has no products of its own: Phi is linear, so
 transfer_matrix takes it on six rank-one inputs (four for a real charlie)
@@ -121,6 +124,20 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def as_trials(trials) -> np.ndarray:
+    """The one trial rule: a 1-d integer ndarray passes with an O(1) check;
+    any other 1-d sequence must hold integers under is_int.  Raises
+    RangeError, or ShapeMismatch for an input that is not one-dimensional."""
+    if not (isinstance(trials, np.ndarray) and trials.dtype.kind in "iu"):
+        items = np.asarray(trials, dtype=object)
+        if items.ndim == 1 and not all(map(is_int, items)):
+            raise RangeError(f"trials must be integers, got {trials!r:.80}")
+        trials = items.astype(np.int64) if items.ndim == 1 else items
+    if trials.ndim != 1:
+        raise ShapeMismatch(f"trials must be 1-d, got shape {trials.shape}")
+    return trials
+
+
 def _keep_heap_resident() -> None:
     """Once per process, keep freed heap mapped across batches.
 
@@ -170,7 +187,7 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
     would read it as classical).  Without out, quantum kinds are complex128.
     """
     check_options(kind=kind)
-    trials = np.asarray(trials)
+    trials = as_trials(trials)
     n = trials.shape[0]
     single = np.ndim(slot) == 0
     slots = (slot,) if single else tuple(slot)
@@ -230,43 +247,23 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
     return m
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of a (4, n) complex array.
-
-    The squares are summed as ((q0 + q1) + q2) + q3, the order numpy's sum
-    uses along a length-4 axis, so the bits match np.sum(..., axis=0).
-    """
-    q = np.square(x.real)
-    q += np.square(x.imag)
-    total = q[0] + q[1]
-    total += q[2]
-    total += q[3]
-    return np.sqrt(total, out=total)
-
-
 def _gram_schmidt(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gram-Schmidt (8, s, k) complex normals into the (s, 2, 2, 2, k) view
     m: rows 0-3 are the first vector of each trial, rows 4-7 the second.
 
-    Returns the (s, k) mask of degenerate columns, which the caller redraws.
+    Scales z in place; returns the (s, k) mask of degenerate columns to redraw.
     """
     s, k = m.shape[0], m.shape[-1]
     z = z.reshape(8, s * k)
-    u, v = z[:4], z[4:]
-    nu = _norms(u)
-    bad_u = nu < DEGENERACY_TOL
-    # A product with the reciprocal has the bits of numpy's complex-by-real
-    # division; the factor stays an array, as a 0-d operand changes them.
-    a = u * (1.0 / np.where(bad_u, 1.0, nu))
+    a, v = z[:4], z[4:]
+    bad = _unit(a)
     p = np.conj(a) * v
     # numpy sums a length-4 complex axis as (p0 + p1) + (p2 + p3).
     dot = p[0] + p[1]
     dot += p[2] + p[3]
     w = dot * a
     np.subtract(v, w, out=w)
-    nw = _norms(w)
-    bad = bad_u | (nw < DEGENERACY_TOL)
-    w *= 1.0 / np.where(bad, 1.0, nw)
+    bad |= _unit(w)
     # k_minus columns are the ancilla -1 halves, k_plus the +1 halves.
     m[..., 0, :] = a.reshape(2, 2, s, k).transpose(2, 0, 1, 3)
     m[..., 1, :] = w.reshape(2, 2, s, k).transpose(2, 0, 1, 3)
@@ -302,17 +299,11 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
     check_options(kind=kind)
     if not random_initial:
         return None
-    trials = np.asarray(trials)
+    trials = as_trials(trials)
     if is_quantum_kind(kind):
         psi = rng.normals(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 4))
-        sq = np.square(psi.real)
-        sq += np.square(psi.imag)
-        norm = np.add(sq[0], sq[1], out=sq[0])
-        np.sqrt(norm, out=norm)
         # A zero draw has ~1e-300 probability; pin it to the basis state.
-        bad = norm < DEGENERACY_TOL
-        psi[:, bad] = np.array([[1.0], [0.0]])
-        psi *= 1.0 / np.where(bad, 1.0, norm)
+        psi[:, _unit(psi)] = np.array([[1.0], [0.0]])
         return psi
     u = rng.uniform01(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 1))[0]
     return np.stack([u, 1.0 - u])
@@ -372,6 +363,25 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     p = np.square(z.real)
     p += np.square(z.imag)
     return p
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Scale the columns of a (k, n) complex array to unit length in place;
+    return the mask of columns shorter than DEGENERACY_TOL, left unscaled.
+
+    The squares are summed in row order, ((q0 + q1) + q2) + q3 for k = 4,
+    the order numpy's sum uses along a short axis.  A product with the
+    reciprocal has the bits of numpy's complex-by-real division; the factor
+    stays an array, as a 0-d operand changes them.
+    """
+    q = _abs2(x)
+    norm = q[0]
+    for row in q[1:]:
+        norm += row
+    np.sqrt(norm, out=norm)
+    bad = norm < DEGENERACY_TOL
+    x *= 1.0 / np.where(bad, 1.0, norm)
+    return bad
 
 
 def _conj(z: np.ndarray) -> np.ndarray:
@@ -607,7 +617,7 @@ def _score_rows(kind: str, seed: int, trials: np.ndarray,
     check_options(kind=kind, mode=mode, convention=convention,
                   quantum_mode=quantum_mode)
     _keep_heap_resident()
-    trials = np.asarray(trials)
+    trials = as_trials(trials)
     n = trials.shape[0]
     quantum = is_quantum_kind(kind)
     delayed = any(t_list)

@@ -129,7 +129,10 @@ class Histogram:
 
     def add_scores(self, scores: np.ndarray) -> None:
         """Bin an array of scores; out-of-range values hit the counters."""
-        scores = np.asarray(scores, dtype=np.float64)
+        scores = np.asarray(scores)
+        if scores.dtype.kind not in "iuf":  # no str, bool, complex or object
+            raise RangeError(f"scores must be real numbers, got {scores.dtype}")
+        scores = scores.astype(np.float64, copy=False)
         if scores.size == 0:
             return
         idx = np.floor((scores - self.lo)

@@ -127,8 +127,8 @@ def test_non_finite_entries_are_range_errors():
 
 
 @pytest.mark.parametrize("rows", [[[1, "a"], [0, 0]], [[10**400, 0], [0, 0]],
-                                  [[[1]], [0]]],
-                         ids=["not-a-number", "overflow", "ragged"])
+                                  [[[1]], [0]], [1, 2]],
+                         ids=["not-a-number", "overflow", "ragged", "shallow"])
 def test_matrices_numpy_cannot_build_are_shape_mismatches(rows):
     with pytest.raises(ShapeMismatch, match="t_minus must be 2x2"):
         TransitionPair(rows, np.eye(2))

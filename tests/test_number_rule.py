@@ -13,7 +13,10 @@ from tempora import (DelaySpec, KrausPair, PartySpec, SweepConfig,
                      machine_from_obj, mm_from_params, prob_vector,
                      projective_kraus, qubit_state, spatial_reference_score,
                      state_from_obj)
+from tempora import kernels
 from tempora.algebra import as_matrix2
+from tempora.errors import RangeError, ShapeMismatch
+from tempora.sampler import Histogram
 
 P = PartySpec(mm_from_params(0.3, 0.6), mm_from_params(0.5, 0.5))
 # Projective pair at phi = pi/4: every entry is +-0.5.
@@ -59,6 +62,28 @@ LEAKS = {
     "a party of non-machines": lambda: PartySpec(1, 2),
     "a charlie that is not a machine": lambda: delayed_chsh_score(
         P, P, [1.0, 0.0], DelaySpec(None, 1)),
+    # index arrays: misread as trials, or bare exceptions
+    "float trials to batch_scores": lambda: kernels.batch_scores(
+        "mm", 1, [0.5, 1.7]),
+    "bool trials to batch_scores": lambda: kernels.batch_scores(
+        "mm", 1, [True, False]),
+    "string trial to batch_scores": lambda: kernels.batch_scores(
+        "mm", 1, ["a"]),
+    "2-d trials to batch_scores": lambda: kernels.batch_scores(
+        "mm", 1, np.array([[0, 1]])),
+    "scalar trials to batch_scores": lambda: kernels.batch_scores("mm", 1, 3),
+    "float trials to batch_delay_scores": lambda: kernels.batch_delay_scores(
+        "mm", 1, np.array([0.5, 1.7]), (0, 1)),
+    "float trials to machines_batch": lambda: kernels.machines_batch(
+        "hqmm", 1, [0.5], 0),
+    "bool trials to initial_state_batch": lambda: kernels.initial_state_batch(
+        "hqmm", 1, np.array([True, False]), True),
+    "string scores to add_scores": lambda: Histogram.empty(
+        4, 0.0, 4.0).add_scores(["x"]),
+    "bool scores to add_scores": lambda: Histogram.empty(
+        4, 0.0, 4.0).add_scores([True, False]),
+    "object scores to add_scores": lambda: Histogram.empty(
+        4, 0.0, 4.0).add_scores(np.array([1.0], dtype=object)),
 }
 
 
@@ -99,3 +124,28 @@ def test_a_converted_array_is_taken_as_it_is():
     view = writeable[:]  # read-only, but its base can still be written
     view.flags.writeable = False
     assert as_matrix2(view, "m", np.float64) is not view
+
+
+@pytest.mark.parametrize("trials, error", [
+    ([0.5, 1.7], RangeError), ([True, False], RangeError), (["a"], RangeError),
+    ([[1], [2, 3]], RangeError), (np.array([1.0]), RangeError),
+    (np.array([[0, 1]]), ShapeMismatch), (3, ShapeMismatch),
+    ("01", ShapeMismatch),
+], ids=["floats", "bools", "str", "ragged", "float-array", "2-d", "scalar",
+        "text"])
+def test_the_trial_rule_refuses_what_is_not_a_1d_integer_sequence(trials,
+                                                                   error):
+    with pytest.raises(error):
+        kernels.as_trials(trials)
+
+
+def test_the_trial_rule_takes_integer_arrays_as_they_are():
+    trials = np.arange(4, dtype=np.uint32)
+    assert kernels.as_trials(trials) is trials
+    for seq in ([3, np.int64(5)], (3, np.int64(5))):
+        got = kernels.as_trials(seq)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [3, 5])
+    assert kernels.as_trials([]).dtype == np.int64
+    np.testing.assert_array_equal(kernels.batch_scores("mm", 1, [3, 5]),
+                                  kernels.batch_scores("mm", 1, np.array([3, 5])))

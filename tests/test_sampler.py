@@ -357,6 +357,16 @@ def test_initial_state_batch_matches_scalar(kind):
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", QUANTUM_KINDS)
+def test_a_degenerate_random_initial_state_is_pinned_to_the_basis_state(
+        kind, monkeypatch):
+    # Every draw is shorter than an infinite tolerance, so every column is
+    # degenerate and must read exactly (1, 0), not its unscaled draw.
+    monkeypatch.setattr(kernels, "DEGENERACY_TOL", np.inf)
+    psi = kernels.initial_state_batch(kind, 5, np.arange(32), True)
+    np.testing.assert_array_equal(psi, np.tile([[1.0], [0.0]], (1, 32)))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("convention", ["canonical", "max-relabel"])
 def test_batch_scores_match_scalar_scoring(kind, convention):
