@@ -72,8 +72,7 @@ class DelaySpec:
     quantum_mode: str = "vector-sum"
 
     def __post_init__(self):
-        if not kernels.is_int(self.t) or self.t < 0:
-            raise RangeError(f"t must be a non-negative integer, got {self.t!r}")
+        kernels.check_int("t", self.t, 0, error=RangeError)
         kernels.check_options(quantum_mode=self.quantum_mode)
 
 
@@ -113,7 +112,13 @@ def chsh_from_correlators(c11: float, c12: float, c21: float,
                           c22: float) -> tuple[float, float]:
     """(s_canonical, s_max) from a correlator matrix: kernels.select_score,
     the selection the sweeps score with."""
-    c = (c11, c12, c21, c22)
+    return _scores(as_matrix2((c11, c12, c21, c22), "the correlators",
+                              np.float64, (4,), error=RangeError,
+                              finite=False).tolist())
+
+
+def _scores(c: list) -> tuple[float, float]:
+    """chsh_from_correlators of four floats, the scorers' own."""
     return (float(kernels.select_score(*c, "canonical")),
             float(kernels.select_score(*c, "max-relabel")))
 
@@ -172,9 +177,14 @@ def correlator(alice_machine: Machine, bob_machine: Machine,
 def _score(alice: PartySpec, bob: PartySpec, state: np.ndarray, mode: str,
            convention: str, delay: DelaySpec | None = None) -> ChshResult:
     kernels.check_options(convention=convention)
+    if not (isinstance(alice, PartySpec) and isinstance(bob, PartySpec)
+            and isinstance(delay, (DelaySpec, type(None)))):
+        raise KindMismatch("the parties must be PartySpecs and the delay a "
+                           f"DelaySpec, got {alice!r:.40}, {bob!r:.40}, "
+                           f"{delay!r:.40}")
     c, raw = _correlate((alice.basis1, alice.basis2, bob.basis1, bob.basis2),
                         state, mode, delay)
-    return ChshResult(*c, *chsh_from_correlators(*c), mode=mode,
+    return ChshResult(*c, *_scores(c), mode=mode,
                       convention=convention, raw_sums=raw)
 
 
@@ -212,6 +222,6 @@ def spatial_reference_score(theta_a1: float, theta_a2: float,
     t = as_matrix2((theta_a1, theta_a2, theta_b1, theta_b2), "the angles",
                    np.float64, (4,), error=RangeError).tolist()
     c = [float(np.cos(ta - tb)) for ta in t[:2] for tb in t[2:]]
-    s_canonical, s_max = chsh_from_correlators(*c)
+    s_canonical, s_max = _scores(c)
     return ChshResult(c[0], c[1], c[2], c[3], s_canonical, s_max,
                       mode="symmetrized", convention="canonical")

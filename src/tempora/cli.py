@@ -19,7 +19,7 @@ from .chsh import (DelaySpec, chsh_score, delayed_chsh_score,
                    spatial_reference_score)
 from .errors import ConfigError, RangeError, TemporaError, ValidationError
 from .kernels import (KINDS, ORDERING_MODES, QUANTUM_DELAY_MODES,
-                      SCORE_CONVENTIONS)
+                      SCORE_CONVENTIONS, check_int)
 from .sampler import TWO_SQRT2, SweepConfig, run_delay_sweep, run_sweep
 from .serialize import (delay_csv, delay_result_to_obj, histogram_csv,
                         load_machine_file, machine_file_from_obj,
@@ -41,16 +41,24 @@ def _list_arg(kind, count: int | None = None):
     return parse
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+def _add_scoring_flags(p: argparse.ArgumentParser, delays: bool) -> None:
+    """The options of sample, delay and score; --quantum-mode if delays."""
+    p.add_argument("--mode", choices=ORDERING_MODES, default="symmetrized")
+    p.add_argument("--convention", choices=SCORE_CONVENTIONS, default="canonical")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    if delays:
+        p.add_argument("--quantum-mode", choices=QUANTUM_DELAY_MODES,
+                       default="vector-sum")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser, delays: bool) -> None:
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--count", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=400)
     p.add_argument("--range", type=_list_arg(float, 2), default=(0.0, 4.0),
                    metavar="LO,HI")
-    p.add_argument("--mode", choices=ORDERING_MODES, default="symmetrized")
-    p.add_argument("--convention", choices=SCORE_CONVENTIONS, default="canonical")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    _add_scoring_flags(p, delays)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=None)
 
@@ -62,24 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="score random machines into a histogram")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, False)
     p.set_defaults(func=_cmd_sweep, t_list=None, quantum_mode="vector-sum")
 
     p = sub.add_parser("delay", help="sweep scores against intermediary delay")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, True)
     p.add_argument("--t-list", type=_list_arg(int), required=True, metavar="T0,T1,...")
-    p.add_argument("--quantum-mode", choices=QUANTUM_DELAY_MODES,
-                   default="vector-sum")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("score", help="score a machine file")
     p.add_argument("--machines", required=True, help="machine file path")
-    p.add_argument("--mode", choices=ORDERING_MODES, default="symmetrized")
-    p.add_argument("--convention", choices=SCORE_CONVENTIONS, default="canonical")
+    _add_scoring_flags(p, True)
     p.add_argument("--t", type=int, default=0, help="intermediary steps")
-    p.add_argument("--quantum-mode", choices=QUANTUM_DELAY_MODES,
-                   default="vector-sum")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("verify", help="check the built-in anchor values")
@@ -102,8 +104,7 @@ def _threads(args) -> int:
             value = int(raw)
         except ValueError:
             raise ConfigError(f"TEMPORA_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {value}")
+    check_int("thread count", value, 1)
     return value
 
 
@@ -140,9 +141,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _json reports non-finite
 def _cmd_score(args) -> int:
-    if args.t < 0:
-        raise ConfigError(f"--t must be >= 0, got {args.t}")
+    check_int("--t", args.t, 0)
     mf = load_machine_file(args.machines)
     state = mf.default_state()
     if args.t > 0:

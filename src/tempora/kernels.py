@@ -68,6 +68,7 @@ QUANTUM_DELAY_MODES = ("vector-sum", "channel")
 _VOCABULARIES = {"kind": KINDS, "mode": ORDERING_MODES,
                  "convention": SCORE_CONVENTIONS,
                  "quantum_mode": QUANTUM_DELAY_MODES}
+_INT_WORDS = {None: "an", 0: "a non-negative", 1: "a positive"}
 
 # Below this norm a Gaussian draw is degenerate: a Gram-Schmidt input or a
 # random initial state that is redrawn or pinned.
@@ -124,15 +125,31 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_int(name: str, value, low=None, high=None,
+              error=ConfigError) -> None:
+    """The one range rule of an outside integer: raise error unless value
+    passes is_int and, when given, is at least low (0 or 1) and at most
+    high."""
+    if not is_int(value) or low is not None and value < low:
+        raise error(f"{name} must be {_INT_WORDS[low]} integer, got {value!r}")
+    if high is not None and value > high:
+        raise error(f"{name} must be at most {high}, got {value!r}")
+
+
 def as_trials(trials) -> np.ndarray:
     """The one trial rule: a 1-d integer ndarray passes with an O(1) check;
     any other 1-d sequence must hold integers under is_int.  Raises
-    RangeError, or ShapeMismatch for an input that is not one-dimensional."""
+    RangeError, or ShapeMismatch for an input that is not one-dimensional.
+    rng.slot_counters checks the range of every trial it is given."""
     if not (isinstance(trials, np.ndarray) and trials.dtype.kind in "iu"):
         items = np.asarray(trials, dtype=object)
         if items.ndim == 1 and not all(map(is_int, items)):
             raise RangeError(f"trials must be integers, got {trials!r:.80}")
-        trials = items.astype(np.int64) if items.ndim == 1 else items
+        try:
+            trials = items.astype(np.int64) if items.ndim == 1 else items
+        except OverflowError:
+            raise RangeError(f"trials must lie in [0, {rng.TRIALS}), got "
+                             f"{trials!r:.80}") from None
     if trials.ndim != 1:
         raise ShapeMismatch(f"trials must be 1-d, got shape {trials.shape}")
     return trials
@@ -167,8 +184,10 @@ def sample_machine(kind: str, stream: rng.Stream):
     pair (redrawn on degeneracy, at most 16 retries, then SamplingError).
     hqmm-proj: phi ~ U[0, 2*pi).  Deterministic in (seed, trial, slot).
     """
-    return machine_from_batch(
-        machines_batch(kind, stream.seed, [stream.trial], stream.slot), 0)
+    if not isinstance(stream, rng.Stream):
+        raise RangeError(f"stream must be an rng.Stream, got {stream!r:.80}")
+    return machine_from_batch(machines_batch(
+        kind, stream.seed, [stream.trial], (stream.slot,))[0], 0)
 
 
 def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
@@ -185,12 +204,17 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
     so an hqmm-proj out may also be float64: it gets the real parts of the
     complex draw, bit for bit, for the scoring core (machine_from_batch
     would read it as classical).  Without out, quantum kinds are complex128.
+    The seed and every slot go through check_int: a slot lies in [0,
+    rng.SLOTS), and the seed is any integer, taken mod 2**64.
     """
     check_options(kind=kind)
+    check_int("seed", seed, error=RangeError)
     trials = as_trials(trials)
     n = trials.shape[0]
-    single = np.ndim(slot) == 0
+    single = not np.iterable(slot)
     slots = (slot,) if single else tuple(slot)
+    for s in slots:
+        check_int("slot", s, 0, rng.SLOTS - 1, error=RangeError)
     shape = (2, 2, 2, n) if single else (len(slots), 2, 2, 2, n)
     dtypes = {"hqmm": (np.complex128,),
               "hqmm-proj": (np.complex128, np.float64)}.get(kind,
@@ -299,6 +323,7 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
     check_options(kind=kind)
     if not random_initial:
         return None
+    check_int("seed", seed, error=RangeError)
     trials = as_trials(trials)
     if is_quantum_kind(kind):
         psi = rng.normals(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 4))
@@ -654,8 +679,10 @@ def batch_delay_scores(kind: str, seed: int, trials: np.ndarray,
                        convention: str = "canonical",
                        random_initial: bool = False) -> np.ndarray:
     """Selected scores per (t, trial); machines are reused across t."""
-    if any(not is_int(t) or t < 0 for t in t_list):
-        raise RangeError(
-            f"t_list must be non-negative integers, got {t_list!r}")
+    if not np.iterable(t_list):
+        raise RangeError(f"t_list must be a sequence, got {t_list!r}")
+    t_list = tuple(t_list)
+    for i, t in enumerate(t_list):
+        check_int(f"t_list[{i}]", t, 0, error=RangeError)
     return _score_rows(kind, seed, trials, t_list, quantum_mode, mode,
                        convention, random_initial)

@@ -78,13 +78,14 @@ def kraus_from_dilation(a: np.ndarray, b: np.ndarray) -> KrausPair:
     """
     ab = as_matrix2((a, b), "(a, b)", np.complex128, (2, 4))
     a, b = ab
-    checks = (
-        ("<a|a>", abs(float(np.sum(a.real ** 2 + a.imag ** 2)) - 1.0)),
-        ("<b|b>", abs(float(np.sum(b.real ** 2 + b.imag ** 2)) - 1.0)),
-        ("<a|b>", abs(complex(np.sum(np.conj(a) * b)))),
-    )
+    with np.errstate(over="ignore"):  # an overflow fails the checks below
+        checks = (
+            ("<a|a>", abs(float(np.sum(a.real ** 2 + a.imag ** 2)) - 1.0)),
+            ("<b|b>", abs(float(np.sum(b.real ** 2 + b.imag ** 2)) - 1.0)),
+            ("<a|b>", abs(complex(np.sum(np.conj(a) * b)))),
+        )
     for label, residual in checks:
-        if residual > ORTHONORMALITY_TOL:
+        if not residual <= ORTHONORMALITY_TOL:  # NaN fails too
             raise OrthonormalityError(
                 f"dilation pair violates {label} by {residual:.3e}")
     return KrausPair(*ab.T.reshape(2, 2, 2))  # rows (a_i, b_i), i = 0..3

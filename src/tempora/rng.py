@@ -23,7 +23,11 @@ machine therefore never shift any other machine's draws.  slot_counters is
 the one place that computes these counters (Salmon et al. 2011, "Parallel
 random numbers: as easy as 1, 2, 3"); every draw in the package goes
 through it.  It takes one slot or a sequence of slots, so one call builds
-the counters of every machine a batch block draws.
+the counters of every machine a batch block draws.  The layout holds SLOTS
+= 8 slots per trial and TRIALS = 2**52 trials below 2**64, so slot_counters
+refuses a trial outside [0, TRIALS) with RangeError rather than wrap it onto
+another trial's counters; the kernels draw entries refuse a slot outside
+[0, SLOTS).  A seed is any integer, taken mod 2**64.
 
 Derived values: uniform01 = (raw64 >> 11) * 2**-53 in [0, 1); normals come
 from Box-Muller over counter pairs (2j, 2j+1), with the radius uniform
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import RangeError, ShapeMismatch
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -51,6 +55,9 @@ MASK64 = (1 << 64) - 1
 TRIAL_STRIDE = 4096
 SLOT_STRIDE = 512
 ATTEMPT_STRIDE = 16
+# Capacity of the layout: slots of a trial, and trials below 2**64.
+SLOTS = TRIAL_STRIDE // SLOT_STRIDE
+TRIALS = (MASK64 + 1) // TRIAL_STRIDE
 
 SLOT_ALICE1 = 0
 SLOT_ALICE2 = 1
@@ -87,7 +94,7 @@ def raw64(seed: int, counters: np.ndarray) -> np.ndarray:
     # An explicit out keeps a 0-d input an array, so the steps stay in place.
     n = np.asarray(counters, dtype=_U64)
     z = np.multiply(n, _U64(GOLDEN), out=np.empty(n.shape, dtype=_U64))
-    z += _U64((seed + GOLDEN) & MASK64)
+    z += _U64((int(seed) + GOLDEN) & MASK64)
     return mix64(z)
 
 
@@ -134,12 +141,17 @@ def slot_counters(trials: np.ndarray, slot, n_draws: int,
     draw j of every trial, so the trial axis is innermost.
 
     A sequence of slots gives (n_draws, len(slots), n): entry [:, i] holds
-    the counters of slot slots[i], as one slot's call gives them.
+    the counters of slot slots[i], as one slot's call gives them.  Raises
+    RangeError for a trial outside [0, TRIALS).
     """
     offsets = (np.asarray(slot, dtype=_U64) * _U64(SLOT_STRIDE)
                + _U64(attempt * ATTEMPT_STRIDE))
-    base = np.add.outer(offsets, np.asarray(trials).astype(np.uint64)
-                        * _U64(TRIAL_STRIDE))
+    trials = np.asarray(trials)
+    t = trials.astype(np.uint64)  # a negative trial wraps above TRIALS
+    if t.size and t.max() >= TRIALS:
+        raise RangeError(f"trials must lie in [0, {TRIALS}), got "
+                         f"{int(trials[t >= TRIALS][0])}")
+    base = np.add.outer(offsets, t * _U64(TRIAL_STRIDE))
     draws = np.arange(n_draws, dtype=_U64).reshape((-1,) + (1,) * base.ndim)
     return np.add(draws, base,
                   out=np.empty((n_draws,) + base.shape, dtype=_U64))

@@ -16,17 +16,20 @@ child is raised again in the caller.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, rng
 from .algebra import as_matrix2
 from .errors import ConfigError, RangeError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
 BATCH = 16384
+# Most bins of a histogram: its counts are one int64 array and a JSON list.
+_MAX_BINS = 1 << 24
 # Forked sweep children inherit the imported modules instead of importing
 # them again.  Named, because fork is not the default start method everywhere
 # (Python 3.14 defaults to forkserver on Linux).
@@ -54,31 +57,26 @@ class SweepConfig:
         kernels.check_options(kind=self.kind, mode=self.mode,
                               convention=self.convention,
                               quantum_mode=self.quantum_mode)
-        if not kernels.is_int(self.count) or self.count < 0:
-            raise ConfigError(f"count must be a non-negative integer, got {self.count!r}")
-        if not kernels.is_int(self.master_seed):
-            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
-        if not kernels.is_int(self.bins) or self.bins < 1:
-            raise ConfigError(f"bins must be a positive integer, got {self.bins!r}")
-        lo, hi = as_matrix2(self.range, "range", np.float64, (2,),
-                            error=ConfigError).tolist()
-        if not lo < hi:
-            raise ConfigError(f"range must be two numbers lo < hi, got {self.range!r}")
+        kernels.check_int("count", self.count, 0, rng.TRIALS)
+        kernels.check_int("master_seed", self.master_seed)
+        kernels.check_int("bins", self.bins, 1, _MAX_BINS)
+        _edges(self.bins, self.range, ConfigError)
         if not isinstance(self.random_initial, (bool, np.bool_)):
             raise ConfigError(
                 f"random_initial must be a bool, got {self.random_initial!r}")
         if self.t_list is not None:
-            ts = tuple(self.t_list)
-            if not ts or any(not kernels.is_int(t) or t < 0 for t in ts):
+            ts = tuple(self.t_list) if np.iterable(self.t_list) else ()
+            if not ts:
                 raise ConfigError(
-                    f"t_list must be non-empty, non-negative integers, got {self.t_list!r}")
+                    f"t_list must be a non-empty sequence, got {self.t_list!r}")
+            for i, t in enumerate(ts):
+                kernels.check_int(f"t_list[{i}]", t, 0)
 
     def as_dict(self) -> dict:
         out = {
             "kind": self.kind, "count": int(self.count),
             "seed": int(self.master_seed), "bins": int(self.bins),
-            "range": as_matrix2(self.range, "range", np.float64, (2,),
-                                error=ConfigError).tolist(),
+            "range": _edges(self.bins, self.range, ConfigError),
             "mode": self.mode, "convention": self.convention,
             "random_initial": bool(self.random_initial),
             "measure": MEASURES[self.kind],
@@ -87,6 +85,15 @@ class SweepConfig:
             out["t_list"] = [int(t) for t in self.t_list]
             out["quantum_mode"] = self.quantum_mode
         return out
+
+
+def _edges(bins: int, pair, error) -> list[float]:
+    """[lo, hi] of a histogram range: finite numbers lo < hi whose bins
+    have a finite, non-zero width, else error."""
+    lo, hi = as_matrix2(pair, "range", np.float64, (2,), error=error).tolist()
+    if not (lo < hi and 0.0 < bins / (hi - lo) < math.inf):
+        raise error(f"range must be two numbers lo < hi, got {pair!r}")
+    return [lo, hi]
 
 
 # Sampling measure per kind, echoed into results so runs are comparable.
@@ -120,32 +127,41 @@ class Histogram:
 
     @classmethod
     def empty(cls, bins: int, lo: float, hi: float) -> "Histogram":
-        return cls(lo=float(lo), hi=float(hi),
-                   counts=np.zeros(bins, dtype=np.int64))
+        kernels.check_int("bins", bins, 1, _MAX_BINS, error=RangeError)
+        lo, hi = _edges(bins, (lo, hi), RangeError)
+        return cls(lo=lo, hi=hi, counts=np.zeros(bins, dtype=np.int64))
 
     @property
     def bins(self) -> int:
         return int(self.counts.shape[0])
 
     def add_scores(self, scores: np.ndarray) -> None:
-        """Bin an array of scores; out-of-range values hit the counters."""
-        scores = np.asarray(scores)
+        """Bin an array of finite scores; out-of-range values hit the
+        counters.  Raises RangeError, and bins nothing, for a score that is
+        not a finite real number."""
+        try:
+            scores = np.asarray(scores)
+        except ValueError:  # ragged
+            scores = np.asarray(scores, dtype=object)
         if scores.dtype.kind not in "iuf":  # no str, bool, complex or object
             raise RangeError(f"scores must be real numbers, got {scores.dtype}")
         scores = scores.astype(np.float64, copy=False)
         if scores.size == 0:
             return
-        idx = np.floor((scores - self.lo)
-                       * (self.bins / (self.hi - self.lo))).astype(np.int64)
-        under = int(np.count_nonzero(idx < 0))
-        over = int(np.count_nonzero(idx >= self.bins))
-        good = idx[(idx >= 0) & (idx < self.bins)]
+        lo = float(scores.min())  # NaN if any score is
+        hi = float(scores.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise RangeError(f"scores must be finite, got {lo} to {hi}")
+        # Compared before the int cast, so a huge score bins as overflow.
+        with np.errstate(over="ignore"):
+            x = np.floor((scores - self.lo) * (self.bins / (self.hi - self.lo)))
+        inside = (x >= 0) & (x < self.bins)
+        good = x[inside].astype(np.int64)
+        under = int(np.count_nonzero(x < 0))
         self.counts += np.bincount(good, minlength=self.bins)
         self.total += int(scores.size)
         self.underflow += under
-        self.overflow += over
-        lo = float(scores.min())
-        hi = float(scores.max())
+        self.overflow += int(scores.size) - good.size - under
         self.observed_min = lo if self.observed_min is None else min(self.observed_min, lo)
         self.observed_max = hi if self.observed_max is None else max(self.observed_max, hi)
 
@@ -160,6 +176,8 @@ class Histogram:
 
 def histogram_merge(h1: Histogram, h2: Histogram) -> Histogram:
     """Combine two histograms with identical binning (commutative)."""
+    if not (isinstance(h1, Histogram) and isinstance(h2, Histogram)):
+        raise ShapeMismatch(f"cannot merge {h1!r:.60} with {h2!r:.60}")
     if (h1.lo, h1.hi, h1.bins) != (h2.lo, h2.hi, h2.bins):
         raise ShapeMismatch(
             f"cannot merge ({h1.lo}, {h1.hi}, {h1.bins} bins) with "
@@ -217,8 +235,9 @@ class DelayStats:
         raise KeyError(f"no statistics for t={t}")
 
 
-def _batches(count: int) -> list[tuple[int, int]]:
-    return [(start, min(start + BATCH, count)) for start in range(0, count, BATCH)]
+def _job(cfg: SweepConfig, start: int) -> tuple[SweepConfig, int, int]:
+    """The job of the batch that starts at trial start."""
+    return cfg, start, min(start + BATCH, cfg.count)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -232,23 +251,27 @@ def _batch(args: tuple[SweepConfig, int, int]) -> tuple[Histogram | None, list]:
     if cfg.t_list is None:
         rows = kernels.batch_scores(cfg.kind, cfg.master_seed, trials, cfg.mode,
                                     cfg.convention, cfg.random_initial)[None]
-        hist = Histogram.empty(cfg.bins, *cfg.range)
-        hist.add_scores(rows[0])
     else:
         rows = kernels.batch_delay_scores(
             cfg.kind, cfg.master_seed, trials, tuple(cfg.t_list),
             cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
-    return hist, [(float(row.sum()), float(row.max()),
-                   int(np.count_nonzero(row > 2.0)),
-                   int(np.count_nonzero(row > TWO_SQRT2)), int(row.size),
-                   int(row.size - np.count_nonzero(np.isfinite(row))))
-                  for row in rows]
+    stats = [(float(row.sum()), float(row.max()),
+              int(np.count_nonzero(row > 2.0)),
+              int(np.count_nonzero(row > TWO_SQRT2)), int(row.size),
+              int(row.size - np.count_nonzero(np.isfinite(row))))
+             for row in rows]
+    if cfg.t_list is None:
+        hist = Histogram.empty(cfg.bins, *cfg.range)
+        if not stats[0][-1]:  # else _fold names the non-finite trials
+            hist.add_scores(rows[0])
+    return hist, stats
 
 
-def _run_share(conn, worker, jobs: list) -> None:
-    """Sweep child: score a share of the jobs and send (ok, results-or-error)."""
+def _run_share(conn, worker, cfg: SweepConfig, starts: range) -> None:
+    """Sweep child: score a share of the batches and send (ok,
+    results-or-error)."""
     try:
-        reply = (True, [worker(job) for job in jobs])
+        reply = (True, [worker(_job(cfg, start)) for start in starts])
     except Exception as exc:  # re-raised by the parent
         reply = (False, exc)
     conn.send(reply)
@@ -256,20 +279,21 @@ def _run_share(conn, worker, jobs: list) -> None:
 
 
 def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
-    """worker(job) for each batch's job, in batch order; on more than one
-    worker, child w scores jobs[w::workers] (see the module docstring)."""
-    if not kernels.is_int(workers) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-    jobs = [(cfg, start, stop) for start, stop in _batches(cfg.count)]
-    workers = min(int(workers), len(jobs))
+    """worker(job) for each batch's job (cfg, start, stop), in batch order;
+    on more than one worker, child w scores batches w, w + workers, ...
+    (see the module docstring)."""
+    kernels.check_int("workers", workers, 1)
+    # A range lists no batch before it is scored, whatever the count.
+    starts = range(0, cfg.count, BATCH)
+    workers = min(int(workers), len(starts))
     if workers <= 1:
-        return [worker(job) for job in jobs]
+        return [worker(_job(cfg, start)) for start in starts]
     procs, replies = [], []
     try:
         for w in range(workers):
             recv, send = _CONTEXT.Pipe(duplex=False)
-            proc = _CONTEXT.Process(target=_run_share,
-                                    args=(send, worker, jobs[w::workers]))
+            proc = _CONTEXT.Process(target=_run_share, args=(
+                send, worker, cfg, starts[w::workers]))
             proc.start()
             procs.append((proc, recv))
             send.close()
@@ -282,7 +306,7 @@ def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
                 proc.terminate()
             proc.join()
             recv.close()
-    results = [None] * len(jobs)
+    results = [None] * len(starts)
     for w, (ok, value) in enumerate(replies):
         if not ok:
             raise value

@@ -190,7 +190,7 @@ def test_score_checks_t_before_reading_the_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "score", "--machines", str(path),
                            "--t", "-2")
     assert code == 1
-    assert err == "error: --t must be >= 0, got -2\n"
+    assert err == "error: --t must be a non-negative integer, got -2\n"
 
 
 def test_score_invalid_machine_file(tmp_path, capsys):

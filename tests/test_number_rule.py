@@ -1,22 +1,25 @@
-"""Every outside value goes through algebra.as_matrix2 and its number rule.
+"""Every outside value goes through algebra.as_matrix2 and its number rule,
+and every outside integer through kernels.check_int.
 
 Each entry below is a value that was once read as a number although it is a
-string or a bool, or that ended in a bare numpy or Python exception.  Each
-must now raise a TemporaError subclass.
+string or a bool, a draw address that aliased another, or a call that ended
+in a bare numpy or Python exception.  Each must now raise a TemporaError
+subclass.
 """
 import numpy as np
 import pytest
 
 from tempora import (DelaySpec, KrausPair, PartySpec, SweepConfig,
-                     TemporaError, TransitionPair, chsh_score, correlator,
+                     TemporaError, TransitionPair, chsh_from_correlators,
+                     chsh_score, correlator,
                      delayed_chsh_score, hmm_from_params, kraus_from_dilation,
                      machine_from_obj, mm_from_params, prob_vector,
                      projective_kraus, qubit_state, spatial_reference_score,
                      state_from_obj)
-from tempora import kernels
+from tempora import kernels, rng
 from tempora.algebra import as_matrix2
 from tempora.errors import RangeError, ShapeMismatch
-from tempora.sampler import Histogram
+from tempora.sampler import Histogram, histogram_merge
 
 P = PartySpec(mm_from_params(0.3, 0.6), mm_from_params(0.5, 0.5))
 # Projective pair at phi = pi/4: every entry is +-0.5.
@@ -84,6 +87,55 @@ LEAKS = {
         4, 0.0, 4.0).add_scores([True, False]),
     "object scores to add_scores": lambda: Histogram.empty(
         4, 0.0, 4.0).add_scores(np.array([1.0], dtype=object)),
+    # draw addresses: slot 8 is the next trial's slot 0, trials wrap mod
+    # 2**52, and a bool seed or slot is read as 1
+    "slot 8 to machines_batch": lambda: kernels.machines_batch(
+        "mm", 3, [0], 8),
+    "slot 8 in a Stream": lambda: kernels.sample_machine(
+        "mm", rng.Stream(3, 0, 8)),
+    "float slot": lambda: kernels.machines_batch("mm", 3, [0], 1.5),
+    "bool slot": lambda: kernels.machines_batch("mm", 3, [0], True),
+    "negative slot": lambda: kernels.machines_batch("mm", 3, [0], -1),
+    "string slot": lambda: kernels.machines_batch("mm", 3, [0], "a"),
+    "trials 2**52 and -1": lambda: kernels.batch_scores(
+        "mm", 1, [0, 2**52, -1, 2**52 - 1]),
+    "uint64 trial 2**63": lambda: kernels.batch_scores(
+        "mm", 1, np.array([2**63], np.uint64)),
+    "trial 2**64": lambda: kernels.batch_scores("mm", 1, [2**64]),
+    "trial 2**52 in a Stream": lambda: kernels.sample_machine(
+        "hqmm", rng.Stream(1, 2**52, 0)),
+    "bool seed": lambda: kernels.batch_scores("mm", True, [0, 5]),
+    "float seed": lambda: kernels.batch_scores("mm", 1.5, [0, 5]),
+    "string seed": lambda: kernels.batch_scores("mm", "1", [0, 5]),
+    "bool seed of a random initial state": lambda: (
+        kernels.initial_state_batch("hqmm", True, [0], True)),
+    "count above 2**52": lambda: SweepConfig(
+        "mm", 1180591620717411303424).validate(),
+    # found by tests/test_no_bare_exception.py
+    "scalar t_list to a sweep": lambda: SweepConfig(
+        "mm", 10, t_list=5).validate(),
+    "scalar t_list to batch_delay_scores": lambda: kernels.batch_delay_scores(
+        "mm", 1, [0], 5),
+    "negative bins": lambda: Histogram.empty(-1, 0.0, 4.0),
+    "float bins": lambda: Histogram.empty(2.5, 0.0, 4.0),
+    "bool bins": lambda: Histogram.empty(True, 0.0, 4.0),
+    "bins of 2**52": lambda: Histogram.empty(2**52, 0.0, 4.0),
+    "string edge of a histogram": lambda: Histogram.empty(4, "0", 4.0),
+    "empty histogram range": lambda: Histogram.empty(4, 1.0, 1.0),
+    "merge with a number": lambda: histogram_merge(
+        Histogram.empty(4, 0.0, 4.0), 3),
+    "a number as a Stream": lambda: kernels.sample_machine("mm", 3),
+    "NaN score": lambda: Histogram.empty(4, 0.0, 4.0).add_scores(
+        [np.nan, 1.0]),
+    "ragged scores": lambda: Histogram.empty(4, 0.0, 4.0).add_scores(
+        [[1.0], [2.0, 3.0]]),
+    "a number as a party": lambda: chsh_score(1.0, P, [1.0, 0.0]),
+    "a number as a delay": lambda: delayed_chsh_score(P, P, [1.0, 0.0], 2),
+    "string correlator": lambda: chsh_from_correlators("0.5", 0, 0, 0),
+    "sequence slot in a Stream": lambda: kernels.sample_machine(
+        "mm", rng.Stream(3, 0, [1])),
+    "huge dilation vector": lambda: kraus_from_dilation(
+        [1e308, 0, 0, 0], [0, 1, 0, 0]),
 }
 
 
@@ -149,3 +201,43 @@ def test_the_trial_rule_takes_integer_arrays_as_they_are():
     assert kernels.as_trials([]).dtype == np.int64
     np.testing.assert_array_equal(kernels.batch_scores("mm", 1, [3, 5]),
                                   kernels.batch_scores("mm", 1, np.array([3, 5])))
+
+
+@pytest.mark.parametrize("low, high, bad, message", [
+    (None, None, 1.5, "n must be an integer, got 1.5"),
+    (0, None, -1, "n must be a non-negative integer, got -1"),
+    (1, None, 0, "n must be a positive integer, got 0"),
+    (1, None, True, "n must be a positive integer, got True"),
+    (0, 7, 8, "n must be at most 7, got 8"),
+])
+def test_the_range_rule_has_one_wording_per_bound(low, high, bad, message):
+    with pytest.raises(RangeError) as err:
+        kernels.check_int("n", bad, low, high, error=RangeError)
+    assert str(err.value) == message
+    for good in (low or 0, np.int64(high or 5), high or 2**70):
+        kernels.check_int("n", good, low, high)
+
+
+def test_the_counter_layout_holds_8_slots_and_2_52_trials():
+    assert (rng.SLOTS, rng.TRIALS) == (8, 2**52)
+    last = kernels.machines_batch("mm", 3, [2**52 - 1], 7)
+    assert last.shape == (2, 2, 2, 1)
+    assert not np.array_equal(last, kernels.machines_batch("mm", 3, [0], 7))
+    SweepConfig("mm", 2**52).validate()
+    for bad in (2**52, -1):
+        with pytest.raises(RangeError, match=f"got {bad}$"):
+            kernels.batch_scores("mm", 1, np.array([5, bad]))
+
+
+def test_seeds_wrap_mod_2_64_whatever_their_integer_type():
+    want = kernels.batch_scores("mm", -1, [0, 5])
+    for seed in (2**64 - 1, np.int64(-1), np.uint64(2**64 - 1)):
+        np.testing.assert_array_equal(kernels.batch_scores("mm", seed, [0, 5]),
+                                      want)
+
+
+def test_a_huge_score_bins_as_overflow_without_a_warning():
+    h = Histogram.empty(4, -1e308, 0.0)
+    h.add_scores([1e308, -1.7e308, -0.3e308])
+    assert (h.underflow, h.overflow, h.counts.tolist()) == (1, 1, [0, 0, 1, 0])
+    assert (h.observed_min, h.observed_max) == (-1.7e308, 1e308)

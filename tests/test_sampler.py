@@ -1162,6 +1162,18 @@ def test_a_worker_exception_reaches_the_caller_and_no_child_is_left():
     assert multiprocessing.active_children() == []
 
 
+def test_the_largest_count_lists_no_batch_before_it_scores_one():
+    # 2**52 trials are 2**38 batches: a list of their jobs would not fit.
+    cfg = SweepConfig(kind="mm", count=2**52)
+    cfg.validate()
+    with pytest.raises(RangeError, match="no score for the batch at 0$"):
+        sampler._map_batches(fail_on_first_batch, cfg, 1)
+
+
+def fail_on_first_batch(job):
+    raise RangeError(f"no score for the batch at {job[1]}")
+
+
 def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
     # The other child is still blocked writing its reply when the parent
     # gives up, so the parent must stop it rather than wait for it.
@@ -1216,6 +1228,19 @@ def test_run_delay_sweep_rejects_overflowing_vector_sum_delays():
     # Only the sweep silences numpy: a direct call to the kernels still warns.
     with pytest.warns(RuntimeWarning):
         kernels.batch_delay_scores("hqmm", 1, np.arange(64), (0, 3000))
+
+
+def test_run_sweep_names_the_trials_whose_scores_are_not_finite(monkeypatch):
+    # Histogram.add_scores refuses a NaN, but the sweep reports it first.
+    score = kernels.batch_scores
+
+    def with_nan(kind, seed, trials, *rest):
+        s = score(kind, seed, trials, *rest)
+        s[trials % 7 == 3] = np.nan
+        return s
+    monkeypatch.setattr(kernels, "batch_scores", with_nan)
+    with pytest.raises(RangeError, match=r"not finite: t=0: 6 of 40 trials$"):
+        run_sweep(SweepConfig(kind="mm", count=40))
 
 
 def test_run_delay_sweep_requires_t_list():
