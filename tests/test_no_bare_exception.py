@@ -31,8 +31,8 @@ from tempora import (DelaySpec, Histogram, KrausPair, PartySpec, SweepConfig,
                      kernels, kraus_from_dilation, machine_file_from_obj,
                      machine_from_obj, mm_from_params, prob_vector,
                      projective_kraus, qubit_state, rng, run_delay_sweep,
-                     run_sweep, sample_machine, spatial_reference_score,
-                     state_from_obj)
+                     run_sweep, sample_machine, save_machine_file,
+                     spatial_reference_score, state_from_obj)
 from tempora.cli import main
 
 SEED = 23
@@ -57,6 +57,12 @@ def _leaves(v, path=()):
     if isinstance(v, (list, tuple)):
         return [p for i, x in enumerate(v) for p in _leaves(x, path + (i,))]
     return [path]
+
+
+def _get(v, path):
+    for k in path:
+        v = v[k]
+    return v
 
 
 def _replace(v, path, leaf):
@@ -87,12 +93,6 @@ def _mutations(v, r: random.Random, leaves: int = 6):
         out += [_replace(v, path, leaf) for leaf in _scalars(
             _get(v, path))]
     return out
-
-
-def _get(v, path):
-    for k in path:
-        v = v[k]
-    return v
 
 
 MM = mm_from_params(0.3, 0.6)
@@ -221,7 +221,7 @@ def _calls():
 
 
 def _outcome(call, args) -> str:
-    """'ok', the TemporaError raised, or the leak as a string."""
+    """'ok' if the call returns or raises a TemporaError, else the leak."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -240,7 +240,6 @@ def test_every_mutated_call_returns_or_raises_a_tempora_error():
 
 
 def test_every_mutated_command_line_exits_0_1_or_2(tmp_path, capsys):
-    from tempora import save_machine_file
     path = tmp_path / "m.json"
     save_machine_file(path, machine_file_from_obj(DOC))
     leaks = []
