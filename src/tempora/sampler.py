@@ -10,9 +10,9 @@ bit-identical for any worker count.
 On N > 1 workers a sweep forks min(N, batches) child processes of its own
 and joins them all before it returns or raises; none outlives the call.
 Child w scores the fixed round-robin share of batches w, w + N, w + 2N, ...
-and sends its results back over a pipe; the parent puts them back in batch
-order and runs the same reduce as one worker.  An exception raised in a
-child is raised again in the caller.
+and sends each result over a pipe as it is scored; the parent reads the
+pipes round-robin, batch i being the next result of child i mod N, and
+folds each as it arrives.  A child's exception is raised in the caller.
 """
 from __future__ import annotations
 
@@ -73,6 +73,7 @@ class SweepConfig:
                 kernels.check_int(f"t_list[{i}]", t, 0)
 
     def as_dict(self) -> dict:
+        self.validate()
         out = {
             "kind": self.kind, "count": int(self.count),
             "seed": int(self.master_seed), "bins": int(self.bins),
@@ -120,6 +121,22 @@ class Histogram:
     observed_min: float | None = None
     observed_max: float | None = None
 
+    def __post_init__(self) -> None:
+        """Checks in O(1), never over the counts: a histogram is built per
+        batch."""
+        c = self.counts
+        if not (isinstance(c, np.ndarray) and c.dtype == np.int64
+                and c.ndim == 1):
+            raise RangeError(f"counts must be a 1-d int64 array, got {c!r:.60}")
+        kernels.check_int("bins", c.shape[0], 1, _MAX_BINS, error=RangeError)
+        self.lo, self.hi = _edges(c.shape[0], (self.lo, self.hi), RangeError)
+        for name in ("total", "underflow", "overflow"):
+            kernels.check_int(name, getattr(self, name), 0, error=RangeError)
+        if self.observed_min is not None or self.observed_max is not None:
+            self.observed_min, self.observed_max = as_matrix2(
+                (self.observed_min, self.observed_max), "observed extremes",
+                np.float64, (2,), error=RangeError).tolist()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
@@ -128,8 +145,7 @@ class Histogram:
     @classmethod
     def empty(cls, bins: int, lo: float, hi: float) -> "Histogram":
         kernels.check_int("bins", bins, 1, _MAX_BINS, error=RangeError)
-        lo, hi = _edges(bins, (lo, hi), RangeError)
-        return cls(lo=lo, hi=hi, counts=np.zeros(bins, dtype=np.int64))
+        return cls(lo, hi, np.zeros(bins, dtype=np.int64))
 
     @property
     def bins(self) -> int:
@@ -268,27 +284,28 @@ def _batch(args: tuple[SweepConfig, int, int]) -> tuple[Histogram | None, list]:
 
 
 def _run_share(conn, worker, cfg: SweepConfig, starts: range) -> None:
-    """Sweep child: score a share of the batches and send (ok,
-    results-or-error)."""
+    """Sweep child: score a share of the batches, sending (True, result)
+    per batch as it is scored, or (False, error) on the first error."""
     try:
-        reply = (True, [worker(_job(cfg, start)) for start in starts])
+        for start in starts:
+            conn.send((True, worker(_job(cfg, start))))
     except Exception as exc:  # re-raised by the parent
-        reply = (False, exc)
-    conn.send(reply)
+        conn.send((False, exc))
     conn.close()
 
 
-def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
-    """worker(job) for each batch's job (cfg, start, stop), in batch order;
-    on more than one worker, child w scores batches w, w + workers, ...
-    (see the module docstring)."""
+def _map_batches(worker, cfg: SweepConfig, workers: int):
+    """Yield worker(job) for each batch's job (cfg, start, stop), in batch
+    order, as each result arrives; on more than one worker, batch i is the
+    next result of child i mod workers (see the module docstring)."""
     kernels.check_int("workers", workers, 1)
     # A range lists no batch before it is scored, whatever the count.
     starts = range(0, cfg.count, BATCH)
     workers = min(int(workers), len(starts))
     if workers <= 1:
-        return [worker(_job(cfg, start)) for start in starts]
-    procs, replies = [], []
+        yield from (worker(_job(cfg, start)) for start in starts)
+        return
+    procs, read = [], 0
     try:
         for w in range(workers):
             recv, send = _CONTEXT.Pipe(duplex=False)
@@ -297,21 +314,20 @@ def _map_batches(worker, cfg: SweepConfig, workers: int) -> list:
             proc.start()
             procs.append((proc, recv))
             send.close()
-        replies = [recv.recv() for _, recv in procs]
+        while read < len(starts):
+            ok, value = procs[read % workers][1].recv()
+            if not ok:
+                raise value
+            read += 1
+            yield value
     finally:
         for proc, recv in procs:
-            if len(replies) < len(procs):
+            if read < len(starts):
                 # Nothing reads the pipes now, and a child blocked on a
                 # full one would never exit.
                 proc.terminate()
             proc.join()
             recv.close()
-    results = [None] * len(starts)
-    for w, (ok, value) in enumerate(replies):
-        if not ok:
-            raise value
-        results[w::workers] = value
-    return results
 
 
 def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:

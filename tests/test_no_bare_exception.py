@@ -131,6 +131,11 @@ def _histogram(scores):
     return h
 
 
+def _filled(h):
+    h.add_scores([0.5, 3.5, -2.0, 9.0])
+    return h.as_dict()
+
+
 # name: (call, valid arguments)
 ENTRIES = {
     "TransitionPair": (TransitionPair, (T_MINUS, T_PLUS)),
@@ -171,6 +176,12 @@ ENTRIES = {
     "run_delay_sweep": (lambda *a: run_delay_sweep(_sweep(
         kind="hqmm", master_seed=a[0], t_list=a[1], quantum_mode=a[2]), a[3]),
         (3, (0, 2), "vector-sum", 1)),
+    "SweepConfig.as_dict": (
+        lambda *a: SweepConfig(*a).as_dict(),
+        ("hmm", 40, 3, 8, (0.0, 4.0), "a-first", "canonical", False, (0, 2),
+         "channel")),
+    "Histogram": (lambda *a: _filled(Histogram(*a)),
+                  (-1.0, 4.0, np.ones(8, np.int64), 8, 0, 0, -0.5, 3.5)),
     "Histogram.empty": (Histogram.empty, (8, -1.0, 4.0)),
     "Histogram.add_scores": (_histogram, ([0.5, 3.5, -2.0, 9.0],)),
     "histogram_merge": (histogram_merge, (Histogram.empty(8, -1.0, 4.0),

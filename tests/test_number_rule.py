@@ -136,6 +136,15 @@ LEAKS = {
         "mm", rng.Stream(3, 0, [1])),
     "huge dilation vector": lambda: kraus_from_dilation(
         [1e308, 0, 0, 0], [0, 1, 0, 0]),
+    # converted or stored without a check
+    "string count to as_dict": lambda: SweepConfig("mm", "x").as_dict(),
+    "scalar t_list to as_dict": lambda: SweepConfig(
+        "mm", 10, t_list=5).as_dict(),
+    "bool bins to as_dict": lambda: SweepConfig("mm", 10, bins=True).as_dict(),
+    "list counts to add_scores": lambda: Histogram(
+        0.0, 4.0, [0, 0]).add_scores([1.0]),
+    "list counts to as_dict": lambda: Histogram(0.0, 4.0, [0, 0]).as_dict(),
+    "string counts": lambda: Histogram(0.0, 4.0, "ab").bins,
 }
 
 

@@ -1,11 +1,13 @@
 """Random machine sampling, batch kernels, histograms, and sweep plumbing."""
 import ctypes
+import functools
 import json
 import multiprocessing
 import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1145,7 +1147,7 @@ def exit_on_first_batch(job):
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_map_batches_puts_round_robin_shares_back_in_batch_order(workers):
     cfg = SweepConfig(kind="mm", count=4 * BATCH + 123)
-    results = sampler._map_batches(batch_and_pid, cfg, workers)
+    results = list(sampler._map_batches(batch_and_pid, cfg, workers))
     assert [start for start, _ in results] == [0, BATCH, 2 * BATCH,
                                                 3 * BATCH, 4 * BATCH]
     pids = [pid for _, pid in results]
@@ -1158,7 +1160,7 @@ def test_map_batches_puts_round_robin_shares_back_in_batch_order(workers):
 def test_a_worker_exception_reaches_the_caller_and_no_child_is_left():
     cfg = SweepConfig(kind="mm", count=4 * BATCH)
     with pytest.raises(RangeError, match=f"no score for the batch at {BATCH}$"):
-        sampler._map_batches(fail_on_second_batch, cfg, 2)
+        list(sampler._map_batches(fail_on_second_batch, cfg, 2))
     assert multiprocessing.active_children() == []
 
 
@@ -1167,7 +1169,7 @@ def test_the_largest_count_lists_no_batch_before_it_scores_one():
     cfg = SweepConfig(kind="mm", count=2**52)
     cfg.validate()
     with pytest.raises(RangeError, match="no score for the batch at 0$"):
-        sampler._map_batches(fail_on_first_batch, cfg, 1)
+        list(sampler._map_batches(fail_on_first_batch, cfg, 1))
 
 
 def fail_on_first_batch(job):
@@ -1179,9 +1181,50 @@ def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
     # gives up, so the parent must stop it rather than wait for it.
     cfg = SweepConfig(kind="mm", count=4 * BATCH)
     with pytest.raises(EOFError):
-        sampler._map_batches(exit_on_first_batch, cfg, 2)
+        list(sampler._map_batches(exit_on_first_batch, cfg, 2))
     assert multiprocessing.active_children() == []
 
+
+
+def test_the_first_result_on_one_worker_scores_one_batch():
+    calls = []
+
+    def worker(job):
+        calls.append(job[1])
+        return job[1]
+
+    it = sampler._map_batches(worker, SweepConfig(kind="mm", count=3 * BATCH),
+                              1)
+    assert next(it) == 0 and calls == [0]
+    assert list(it) == [BATCH, 2 * BATCH] and calls == [0, BATCH, 2 * BATCH]
+
+
+def wait_for_file(path, job):
+    """A test worker: batch 0 at once, any other batch once path exists or
+    after 5 s; returns the batch's first trial and whether path existed."""
+    deadline = time.monotonic() + 5.0
+    while job[1] and not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return job[1], os.path.exists(path)
+
+
+def test_the_parent_gets_batch_0_while_a_child_still_scores_batch_1(
+        tmp_path):
+    sentinel = tmp_path / "batch-0-arrived"
+    it = sampler._map_batches(functools.partial(wait_for_file, str(sentinel)),
+                              SweepConfig(kind="mm", count=2 * BATCH), 2)
+    assert next(it) == (0, False)
+    sentinel.touch()  # the child scoring batch 1 waits for this
+    assert list(it) == [(BATCH, True)]
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_stream_after_one_result_leaves_no_child():
+    it = sampler._map_batches(batch_and_pid,
+                              SweepConfig(kind="mm", count=6 * BATCH), 2)
+    assert next(it)[0] == 0
+    it.close()
+    assert multiprocessing.active_children() == []
 
 def test_run_sweep_empty_count():
     hist, summary = run_sweep(SweepConfig(kind="mm", count=0))
