@@ -1219,11 +1219,20 @@ def test_the_parent_gets_batch_0_while_a_child_still_scores_batch_1(
     assert multiprocessing.active_children() == []
 
 
+def sleep_after_batch_0(job):
+    if job[1]:
+        time.sleep(10)
+    return job[1]
+
+
 def test_closing_the_stream_after_one_result_leaves_no_child():
-    it = sampler._map_batches(batch_and_pid,
-                              SweepConfig(kind="mm", count=6 * BATCH), 2)
-    assert next(it)[0] == 0
+    # The children are still scoring, so close must stop them, not wait.
+    it = sampler._map_batches(sleep_after_batch_0,
+                              SweepConfig(kind="mm", count=4 * BATCH), 2)
+    assert next(it) == 0
+    start = time.monotonic()
     it.close()
+    assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
 
 def test_run_sweep_empty_count():
