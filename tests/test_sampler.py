@@ -1185,7 +1185,6 @@ def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
     assert multiprocessing.active_children() == []
 
 
-
 def test_the_first_result_on_one_worker_scores_one_batch():
     calls = []
 
@@ -1234,6 +1233,7 @@ def test_closing_the_stream_after_one_result_leaves_no_child():
     it.close()
     assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
+
 
 def test_run_sweep_empty_count():
     hist, summary = run_sweep(SweepConfig(kind="mm", count=0))
