@@ -41,7 +41,8 @@ class ConfigError(TemporaError, ValueError):
 
 
 class SamplingError(TemporaError, RuntimeError):
-    """Machine sampling failed after the maximum number of retries."""
+    """Sampling failed: a machine draw ran out of retries, or a sweep child
+    exited before it sent its results."""
 
 
 class ParseError(TemporaError, ValueError):

@@ -10,9 +10,15 @@ bit-identical for any worker count.
 On N > 1 workers a sweep forks min(N, batches) child processes of its own
 and joins them all before it returns or raises; none outlives the call.
 Child w scores the fixed round-robin share of batches w, w + N, w + 2N, ...
-and sends each result over a pipe as it is scored; the parent reads the
-pipes round-robin, batch i being the next result of child i mod N, and
-folds each as it arrives.  A child's exception is raised in the caller.
+and bins a zero-delay sweep's scores into one share histogram of its own.
+It sends each batch's per-row statistics in one message per CHUNK batches,
+and its histogram with its last message.  The parent reads the pipes
+round-robin, batch i being entry (i // N) % CHUNK of message (i // N) //
+CHUNK of child i mod N, and folds the statistics in batch order: only their
+float sums depend on that order.  It merges the N share histograms as they
+come.  One worker runs the same fold with one share histogram and no pipe.
+A child's exception is raised in the caller at the batch that raised it,
+and a child that exits without a reply raises SamplingError there.
 """
 from __future__ import annotations
 
@@ -24,10 +30,12 @@ import numpy as np
 
 from . import kernels, rng
 from .algebra import as_matrix2
-from .errors import ConfigError, RangeError, ShapeMismatch
+from .errors import ConfigError, RangeError, SamplingError, ShapeMismatch
 from .kernels import KINDS, sample_machine  # noqa: F401  (re-exported API)
 
 BATCH = 16384
+# Batches a sweep child scores per message to the parent.
+CHUNK = 64
 # Most bins of a histogram: its counts are one int64 array and a JSON list.
 _MAX_BINS = 1 << 24
 # Forked sweep children inherit the imported modules instead of importing
@@ -122,8 +130,7 @@ class Histogram:
     observed_max: float | None = None
 
     def __post_init__(self) -> None:
-        """Checks in O(1), never over the counts: a histogram is built per
-        batch."""
+        """Checks in O(1), never over the counts: a merge builds one."""
         c = self.counts
         if not (isinstance(c, np.ndarray) and c.dtype == np.int64
                 and c.ndim == 1):
@@ -257,13 +264,13 @@ def _job(cfg: SweepConfig, start: int) -> tuple[SweepConfig, int, int]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _batch(args: tuple[SweepConfig, int, int]) -> tuple[Histogram | None, list]:
-    """One batch: the histogram of a zero-delay sweep (None for a delay
-    sweep) and, per score row, its sum, max, counts above 2 and 2*sqrt(2),
-    trials and non-finite trials, which _fold reports in place of numpy."""
+def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
+    """One batch: bins a zero-delay sweep's scores into hist (None for a
+    delay sweep) and returns, per score row, its sum, max, counts above 2
+    and 2*sqrt(2), trials and non-finite trials, which _fold reports in
+    place of numpy."""
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
-    hist = None
     if cfg.t_list is None:
         rows = kernels.batch_scores(cfg.kind, cfg.master_seed, trials, cfg.mode,
                                     cfg.convention, cfg.random_initial)[None]
@@ -276,50 +283,78 @@ def _batch(args: tuple[SweepConfig, int, int]) -> tuple[Histogram | None, list]:
               int(np.count_nonzero(row > TWO_SQRT2)), int(row.size),
               int(row.size - np.count_nonzero(np.isfinite(row))))
              for row in rows]
-    if cfg.t_list is None:
-        hist = Histogram.empty(cfg.bins, *cfg.range)
-        if not stats[0][-1]:  # else _fold names the non-finite trials
-            hist.add_scores(rows[0])
-    return hist, stats
+    if cfg.t_list is None and not stats[0][-1]:  # else _fold names them
+        hist.add_scores(rows[0])
+    return stats
 
 
-def _run_share(conn, worker, cfg: SweepConfig, starts: range) -> None:
-    """Sweep child: score a share of the batches, sending (True, result)
-    per batch as it is scored, or (False, error) on the first error."""
+def _run_share(conn, worker, cfg: SweepConfig, starts: range, share) -> None:
+    """Sweep child: score a share of the batches into share, sending
+    (results, share, error) per CHUNK batches: share with the last message,
+    or, on the first error, the results scored before it and the error."""
+    results = []
     try:
-        for start in starts:
-            conn.send((True, worker(_job(cfg, start))))
+        for n, start in enumerate(starts, 1):
+            results.append(worker(_job(cfg, start), share))
+            if n % CHUNK == 0 or n == len(starts):
+                message = (results, share if n == len(starts) else None, None)
+                results = []
+                conn.send(message)
     except Exception as exc:  # re-raised by the parent
-        conn.send((False, exc))
+        conn.send((results, None, exc))
     conn.close()
 
 
-def _map_batches(worker, cfg: SweepConfig, workers: int):
-    """Yield worker(job) for each batch's job (cfg, start, stop), in batch
-    order, as each result arrives; on more than one worker, batch i is the
-    next result of child i mod workers (see the module docstring)."""
+def _replies(w: int, proc, recv):
+    """Child w's batch results in its share's order, each as (part, result):
+    part is the child's share after its last batch, else None.  Raises the
+    child's error where it stopped, SamplingError where it died."""
+    while True:
+        try:
+            results, share, exc = recv.recv()
+        except EOFError as eof:
+            proc.join()
+            raise SamplingError(
+                f"sweep child {w} exited with code {proc.exitcode} "
+                "before it sent its results") from eof
+        for result in results[:-1]:
+            yield None, result
+        if results:
+            yield share, results[-1]
+        if exc is not None:
+            raise exc
+
+
+def _map_batches(worker, cfg: SweepConfig, workers: int, share=None):
+    """Yield (part, worker(job, share)) for each batch's job (cfg, start,
+    stop), in batch order, as each result arrives.  On one worker part is
+    share after the last batch; on N > 1, batch i is the next result of
+    child i mod N, and part is that child's copy of share after its last
+    batch (see the module docstring).  Else part is None."""
     kernels.check_int("workers", workers, 1)
     # A range lists no batch before it is scored, whatever the count.
     starts = range(0, cfg.count, BATCH)
     workers = min(int(workers), len(starts))
     if workers <= 1:
-        yield from (worker(_job(cfg, start)) for start in starts)
+        for start in starts:
+            result = worker(_job(cfg, start), share)
+            yield (share if start == starts[-1] else None), result
         return
     procs, read = [], 0
     try:
         for w in range(workers):
             recv, send = _CONTEXT.Pipe(duplex=False)
             proc = _CONTEXT.Process(target=_run_share, args=(
-                send, worker, cfg, starts[w::workers]))
+                send, worker, cfg, starts[w::workers], share))
             proc.start()
             procs.append((proc, recv))
             send.close()
+        replies = [_replies(w, proc, recv)
+                   for w, (proc, recv) in enumerate(procs)]
         while read < len(starts):
-            ok, value = procs[read % workers][1].recv()
-            if not ok:
-                raise value
+            reply = next(replies[read % workers])
             read += 1
-            yield value
+            yield reply
     finally:
         for proc, recv in procs:
             if read < len(starts):
@@ -336,8 +371,9 @@ def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
     cfg.validate()
     ts = (0,) if cfg.t_list is None else tuple(cfg.t_list)
     hist = Histogram.empty(cfg.bins, *cfg.range)
+    share = Histogram.empty(cfg.bins, *cfg.range) if cfg.t_list is None else None
     totals = [(0.0, -np.inf, 0, 0, 0, 0)] * len(ts)
-    for part, rows in _map_batches(_batch, cfg, workers):
+    for part, rows in _map_batches(_batch, cfg, workers, share):
         if part is not None:
             hist = histogram_merge(hist, part)
         totals = [(s + s2, max(mx, mx2), a + a2, r + r2, n + n2, b + b2)

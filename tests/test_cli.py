@@ -3,6 +3,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 
 import tempora
 from tempora import (MachineFile, PartySpec, machine_file_to_obj,
-                     mm_from_params, rng, sample_machine, save_machine_file)
+                     mm_from_params, rng, sample_machine, sampler,
+                     save_machine_file)
 from tempora.cli import main
 from tempora.sampler import SweepConfig, run_delay_sweep, run_sweep
 from tempora.serialize import (delay_csv, delay_result_to_obj, histogram_csv,
@@ -393,6 +395,21 @@ def test_threads_flag_overrides_env(capsys, monkeypatch):
                            "--threads", "1")
     assert code == 0
     assert json.loads(out)["summary"]["count"] == 30
+
+
+def exit_in_batch(*args):
+    """A batch body that kills the sweep child scoring it."""
+    os._exit(9)
+
+
+def test_a_sweep_child_that_dies_gives_an_error_message(capsys, monkeypatch):
+    monkeypatch.setattr(sampler, "_batch", exit_in_batch)
+    code, out, err = run_cli(capsys, "sample", "--kind", "mm", "--count",
+                             str(2 * sampler.BATCH), "--threads", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sweep child ")
+    assert "exited with code 9" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_module_entry_point_subprocess():

@@ -2,7 +2,9 @@
 import ctypes
 import functools
 import json
+import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import platform
 import subprocess
@@ -1125,18 +1127,20 @@ def test_sweeps_reject_a_worker_count_that_is_not_a_positive_integer(workers):
                         workers=workers)
 
 
-def batch_and_pid(job):
-    """A test worker: the batch's first trial and the process that ran it."""
+def batch_and_pid(job, share):
+    """A test worker: the batch's first trial and the process that ran it;
+    notes the trial in share."""
+    share.append(job[1])
     return job[1], os.getpid()
 
 
-def fail_on_second_batch(job):
+def fail_on_second_batch(job, share):
     if job[1] == BATCH:
         raise RangeError(f"no score for the batch at {job[1]}")
     return job[1]
 
 
-def exit_on_first_batch(job):
+def exit_on_first_batch(job, share):
     """A test worker that dies on batch 0 and sends 1 MiB per other batch,
     more than a pipe holds."""
     if job[1] == 0:
@@ -1144,23 +1148,61 @@ def exit_on_first_batch(job):
     return bytes(1 << 20)
 
 
+def assert_round_robin(replies, batches, workers):
+    """Batch i came from child i mod n, and each child's share came back
+    once, after its last batch."""
+    starts = [i * BATCH for i in range(batches)]
+    assert [start for _, (start, _) in replies] == starts
+    pids = [pid for _, (_, pid) in replies]
+    n = min(workers, batches)
+    assert len(set(pids)) == n and os.getpid() not in pids
+    assert all(pids[i] == pids[i % n] for i in range(batches))
+    assert [part for part, _ in replies] == [
+        starts[i % n::n] if i + n >= batches else None
+        for i in range(batches)]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers", [2, 3, 8])
 def test_map_batches_puts_round_robin_shares_back_in_batch_order(workers):
     cfg = SweepConfig(kind="mm", count=4 * BATCH + 123)
-    results = list(sampler._map_batches(batch_and_pid, cfg, workers))
-    assert [start for start, _ in results] == [0, BATCH, 2 * BATCH,
-                                                3 * BATCH, 4 * BATCH]
-    pids = [pid for _, pid in results]
-    n = min(workers, 5)
-    assert len(set(pids)) == n and os.getpid() not in pids
-    assert all(pids[i] == pids[i % n] for i in range(5))
-    assert multiprocessing.active_children() == []
+    assert_round_robin(list(sampler._map_batches(batch_and_pid, cfg, workers,
+                                                 [])), 5, workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_map_batches_puts_chunked_shares_back_in_batch_order(workers,
+                                                             monkeypatch):
+    # Shares of 5, or 4, 3 and 3 batches: two chunks of 2, then a partial one.
+    monkeypatch.setattr(sampler, "CHUNK", 2)
+    cfg = SweepConfig(kind="mm", count=9 * BATCH + 5)
+    assert_round_robin(list(sampler._map_batches(batch_and_pid, cfg, workers,
+                                                 [])), 10, workers)
 
 
 def test_a_worker_exception_reaches_the_caller_and_no_child_is_left():
     cfg = SweepConfig(kind="mm", count=4 * BATCH)
+    it = sampler._map_batches(fail_on_second_batch, cfg, 2)
+    assert next(it) == (None, 0)
     with pytest.raises(RangeError, match=f"no score for the batch at {BATCH}$"):
-        list(sampler._map_batches(fail_on_second_batch, cfg, 2))
+        next(it)
+    assert multiprocessing.active_children() == []
+
+
+def fail_on_fourth_batch(job, share):
+    if job[1] == 3 * BATCH:
+        raise RangeError(f"no score for the batch at {job[1]}")
+    return job[1]
+
+
+def test_a_child_error_comes_after_the_batches_its_child_scored_before_it():
+    # Child 1 scores batch 1, then fails on batch 3 within the same chunk.
+    cfg = SweepConfig(kind="mm", count=6 * BATCH)
+    it = sampler._map_batches(fail_on_fourth_batch, cfg, 2)
+    assert [next(it) for _ in range(3)] == [(None, 0), (None, BATCH),
+                                            (None, 2 * BATCH)]
+    with pytest.raises(RangeError, match=f"at {3 * BATCH}$"):
+        next(it)
     assert multiprocessing.active_children() == []
 
 
@@ -1172,7 +1214,7 @@ def test_the_largest_count_lists_no_batch_before_it_scores_one():
         list(sampler._map_batches(fail_on_first_batch, cfg, 1))
 
 
-def fail_on_first_batch(job):
+def fail_on_first_batch(job, share):
     raise RangeError(f"no score for the batch at {job[1]}")
 
 
@@ -1180,25 +1222,28 @@ def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
     # The other child is still blocked writing its reply when the parent
     # gives up, so the parent must stop it rather than wait for it.
     cfg = SweepConfig(kind="mm", count=4 * BATCH)
-    with pytest.raises(EOFError):
+    with pytest.raises(SamplingError,
+                       match="^sweep child 0 exited with code 3 ") as err:
         list(sampler._map_batches(exit_on_first_batch, cfg, 2))
+    assert isinstance(err.value.__cause__, EOFError)
     assert multiprocessing.active_children() == []
 
 
 def test_the_first_result_on_one_worker_scores_one_batch():
     calls = []
 
-    def worker(job):
+    def worker(job, share):
         calls.append(job[1])
         return job[1]
 
     it = sampler._map_batches(worker, SweepConfig(kind="mm", count=3 * BATCH),
-                              1)
-    assert next(it) == 0 and calls == [0]
-    assert list(it) == [BATCH, 2 * BATCH] and calls == [0, BATCH, 2 * BATCH]
+                              1, "share")
+    assert next(it) == (None, 0) and calls == [0]
+    assert list(it) == [(None, BATCH), ("share", 2 * BATCH)]
+    assert calls == [0, BATCH, 2 * BATCH]
 
 
-def wait_for_file(path, job):
+def wait_for_file(path, job, share):
     """A test worker: batch 0 at once, any other batch once path exists or
     after 5 s; returns the batch's first trial and whether path existed."""
     deadline = time.monotonic() + 5.0
@@ -1212,27 +1257,71 @@ def test_the_parent_gets_batch_0_while_a_child_still_scores_batch_1(
     sentinel = tmp_path / "batch-0-arrived"
     it = sampler._map_batches(functools.partial(wait_for_file, str(sentinel)),
                               SweepConfig(kind="mm", count=2 * BATCH), 2)
-    assert next(it) == (0, False)
+    assert next(it) == (None, (0, False))
     sentinel.touch()  # the child scoring batch 1 waits for this
-    assert list(it) == [(BATCH, True)]
+    assert list(it) == [(None, (BATCH, True))]
     assert multiprocessing.active_children() == []
 
 
-def sleep_after_batch_0(job):
+def sleep_after_batch_0(job, share):
     if job[1]:
         time.sleep(10)
     return job[1]
 
 
 def test_closing_the_stream_after_one_result_leaves_no_child():
-    # The children are still scoring, so close must stop them, not wait.
+    # Batch 0 is all of child 0's share, so it arrives at once; child 1 is
+    # still scoring batch 1, so close must stop it, not wait.
     it = sampler._map_batches(sleep_after_batch_0,
-                              SweepConfig(kind="mm", count=4 * BATCH), 2)
-    assert next(it) == 0
+                              SweepConfig(kind="mm", count=2 * BATCH), 2)
+    assert next(it) == (None, 0)
     start = time.monotonic()
     it.close()
     assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
+
+
+def delay_document(cfg, workers):
+    return json.dumps(delay_result_to_obj(cfg, run_delay_sweep(cfg, workers)))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_chunked_shares_give_the_one_worker_bytes(workers, monkeypatch):
+    # 10 batches: on 2 and 3 workers each share spans two chunks of 2 and
+    # ends in a partial one.
+    count = 9 * BATCH + 5
+    sweep = SweepConfig(kind="hmm", count=count, master_seed=12)
+    delay = SweepConfig(kind="mm", count=count, master_seed=12,
+                        t_list=(0, 1, 5))
+    one = sweep_document(sweep, 1), delay_document(delay, 1)
+    monkeypatch.setattr(sampler, "CHUNK", 2)
+    assert (sweep_document(sweep, workers),
+            delay_document(delay, workers)) == one
+    assert multiprocessing.active_children() == []
+
+
+def test_the_pool_parent_merges_one_histogram_and_reads_one_message_per_child(
+        monkeypatch):
+    # 9 batches on 2 workers: shares of 5 and 4 batches, one chunk each.
+    parent, merges, reads = os.getpid(), [], []
+    merge, recv = sampler.histogram_merge, multiprocessing.connection.Connection.recv
+
+    def counting_merge(h1, h2):
+        merges.append(os.getpid())
+        return merge(h1, h2)
+
+    def counting_recv(conn):
+        reads.append(os.getpid())
+        return recv(conn)
+
+    cfg = SweepConfig(kind="mm", count=9 * BATCH, master_seed=3)
+    one = sweep_document(cfg, 1)
+    monkeypatch.setattr(sampler, "histogram_merge", counting_merge)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                        counting_recv)
+    assert sweep_document(cfg, 2) == one
+    assert 1 <= merges.count(parent) <= 2
+    assert 1 <= reads.count(parent) <= 2 * math.ceil(5 / sampler.CHUNK)
 
 
 def test_run_sweep_empty_count():
