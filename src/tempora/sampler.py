@@ -371,7 +371,8 @@ def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
     cfg.validate()
     ts = (0,) if cfg.t_list is None else tuple(cfg.t_list)
     hist = Histogram.empty(cfg.bins, *cfg.range)
-    share = Histogram.empty(cfg.bins, *cfg.range) if cfg.t_list is None else None
+    share = (Histogram.empty(cfg.bins, *cfg.range) if cfg.t_list is None
+             else None)
     totals = [(0.0, -np.inf, 0, 0, 0, 0)] * len(ts)
     for part, rows in _map_batches(_batch, cfg, workers, share):
         if part is not None:

@@ -1304,7 +1304,8 @@ def test_the_pool_parent_merges_one_histogram_and_reads_one_message_per_child(
         monkeypatch):
     # 9 batches on 2 workers: shares of 5 and 4 batches, one chunk each.
     parent, merges, reads = os.getpid(), [], []
-    merge, recv = sampler.histogram_merge, multiprocessing.connection.Connection.recv
+    merge = sampler.histogram_merge
+    recv = multiprocessing.connection.Connection.recv
 
     def counting_merge(h1, h2):
         merges.append(os.getpid())
