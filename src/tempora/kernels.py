@@ -57,6 +57,7 @@ import numpy as np
 from . import rng
 from .classical import TransitionPair
 from .errors import ConfigError, RangeError, SamplingError, ShapeMismatch
+from .integers import as_ints, check_int, is_int  # noqa: F401  (re-exported)
 from .quantum import KrausPair
 
 # Machine kinds, orderings of the two measurements, score conventions and
@@ -68,7 +69,6 @@ QUANTUM_DELAY_MODES = ("vector-sum", "channel")
 _VOCABULARIES = {"kind": KINDS, "mode": ORDERING_MODES,
                  "convention": SCORE_CONVENTIONS,
                  "quantum_mode": QUANTUM_DELAY_MODES}
-_INT_WORDS = {None: "an", 0: "a non-negative", 1: "a positive"}
 
 # Below this norm a Gaussian draw is degenerate: a Gram-Schmidt input or a
 # random initial state that is redrawn or pinned.
@@ -120,39 +120,13 @@ def check_options(**values: str) -> None:
             raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def is_int(value) -> bool:
-    """The one integer rule: a Python or numpy integer, never a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_int(name: str, value, low=None, high=None,
-              error=ConfigError) -> None:
-    """The one range rule of an outside integer: raise error unless value
-    passes is_int and, when given, is at least low (0 or 1) and at most
-    high."""
-    if not is_int(value) or low is not None and value < low:
-        raise error(f"{name} must be {_INT_WORDS[low]} integer, got {value!r}")
-    if high is not None and value > high:
-        raise error(f"{name} must be at most {high}, got {value!r}")
-
-
 def as_trials(trials) -> np.ndarray:
-    """The one trial rule: a 1-d integer ndarray passes with an O(1) check;
-    any other 1-d sequence must hold integers under is_int.  Raises
-    RangeError, or ShapeMismatch for an input that is not one-dimensional.
-    rng.slot_counters checks the range of every trial it is given."""
-    if not (isinstance(trials, np.ndarray) and trials.dtype.kind in "iu"):
-        items = np.asarray(trials, dtype=object)
-        if items.ndim == 1 and not all(map(is_int, items)):
-            raise RangeError(f"trials must be integers, got {trials!r:.80}")
-        try:
-            trials = items.astype(np.int64) if items.ndim == 1 else items
-        except OverflowError:
-            raise RangeError(f"trials must lie in [0, {rng.TRIALS}), got "
-                             f"{trials!r:.80}") from None
-    if trials.ndim != 1:
-        raise ShapeMismatch(f"trials must be 1-d, got shape {trials.shape}")
-    return trials
+    """The one trial rule: integers.as_ints over [0, rng.TRIALS) in one
+    dimension, so a 1-d integer ndarray passes with an O(1) check and any
+    other sequence becomes int64.  Raises RangeError, or ShapeMismatch for
+    an input that is not one-dimensional.  rng.slot_counters checks the
+    range of every trial it is given."""
+    return as_ints("trials", trials, rng.TRIALS, 1, np.int64)
 
 
 def _keep_heap_resident() -> None:

@@ -26,8 +26,12 @@ through it.  It takes one slot or a sequence of slots, so one call builds
 the counters of every machine a batch block draws.  The layout holds SLOTS
 = 8 slots per trial and TRIALS = 2**52 trials below 2**64, so slot_counters
 refuses a trial outside [0, TRIALS) with RangeError rather than wrap it onto
-another trial's counters; the kernels draw entries refuse a slot outside
-[0, SLOTS).  A seed is any integer, taken mod 2**64.
+another trial's counters.  It likewise refuses a slot outside [0, SLOTS),
+an attempt outside [0, ATTEMPTS = SLOT_STRIDE // ATTEMPT_STRIDE) and more
+than ATTEMPT_STRIDE draws, each of which would reach another slot's or
+attempt's counters.  A seed is any integer, taken mod 2**64, and a counter
+any integer in [0, 2**64); seeds, slots, attempts, draw counts, trials and
+counters all go through the integer rules of the integers module.
 
 Derived values: uniform01 = (raw64 >> 11) * 2**-53 in [0, 1); normals come
 from Box-Muller over counter pairs (2j, 2j+1), with the radius uniform
@@ -48,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, ShapeMismatch
+from .integers import as_ints, check_int
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -55,8 +60,10 @@ MASK64 = (1 << 64) - 1
 TRIAL_STRIDE = 4096
 SLOT_STRIDE = 512
 ATTEMPT_STRIDE = 16
-# Capacity of the layout: slots of a trial, and trials below 2**64.
+# Capacity of the layout: slots of a trial, attempts of a slot, and trials
+# below 2**64.
 SLOTS = TRIAL_STRIDE // SLOT_STRIDE
+ATTEMPTS = SLOT_STRIDE // ATTEMPT_STRIDE
 TRIALS = (MASK64 + 1) // TRIAL_STRIDE
 
 SLOT_ALICE1 = 0
@@ -88,11 +95,26 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _counters(counters) -> np.ndarray:
+    """counters as a uint64 array, by integers.as_ints over [0, 2**64): an
+    unsigned ndarray passes in O(1), a signed one with one reduction."""
+    n = as_ints("counters", counters, MASK64 + 1)
+    if n.dtype.kind == "i" and n.size and n.min() < 0:
+        raise RangeError(f"counters must lie in [0, {MASK64 + 1}), got "
+                         f"{int(n.min())}")
+    return n.astype(_U64, copy=False)
+
+
 def raw64(seed: int, counters: np.ndarray) -> np.ndarray:
-    """64-bit outputs for an array of counters under one master seed."""
+    """64-bit outputs for an array of counters under one master seed.
+
+    The seed and the counters go through the integer rules: RangeError for
+    a seed that is not an integer, or a counter outside [0, 2**64).
+    """
+    check_int("seed", seed, error=RangeError)
     # (seed + (n + 1) * GOLDEN) mod 2**64, as n * GOLDEN + (seed + GOLDEN).
     # An explicit out keeps a 0-d input an array, so the steps stay in place.
-    n = np.asarray(counters, dtype=_U64)
+    n = _counters(counters)
     z = np.multiply(n, _U64(GOLDEN), out=np.empty(n.shape, dtype=_U64))
     z += _U64((int(seed) + GOLDEN) & MASK64)
     return mix64(z)
@@ -115,7 +137,7 @@ def normals(seed: int, counters: np.ndarray) -> np.ndarray:
     element j of the result holds its cosine and sine branch as real and
     imaginary part (see the module docstring).
     """
-    counters = np.asarray(counters)
+    counters = _counters(counters)
     if counters.ndim == 0 or counters.shape[0] % 2 != 0:
         raise ShapeMismatch("normals needs an even number of counters along "
                             f"the first axis, got shape {counters.shape}")
@@ -141,12 +163,20 @@ def slot_counters(trials: np.ndarray, slot, n_draws: int,
     draw j of every trial, so the trial axis is innermost.
 
     A sequence of slots gives (n_draws, len(slots), n): entry [:, i] holds
-    the counters of slot slots[i], as one slot's call gives them.  Raises
-    RangeError for a trial outside [0, TRIALS).
+    the counters of slot slots[i], as one slot's call gives them.  Every
+    argument goes through the integer rules, and RangeError is raised for a
+    trial outside [0, TRIALS), a slot outside [0, SLOTS), an attempt
+    outside [0, ATTEMPTS) or more than ATTEMPT_STRIDE draws, any of which
+    would give another address's counters.
     """
-    offsets = (np.asarray(slot, dtype=_U64) * _U64(SLOT_STRIDE)
+    check_int("n_draws", n_draws, 0, ATTEMPT_STRIDE, error=RangeError)
+    check_int("attempt", attempt, 0, ATTEMPTS - 1, error=RangeError)
+    slots = tuple(slot) if np.iterable(slot) else slot
+    for s in slots if isinstance(slots, tuple) else (slots,):
+        check_int("slot", s, 0, SLOTS - 1, error=RangeError)
+    offsets = (np.asarray(slots, dtype=_U64) * _U64(SLOT_STRIDE)
                + _U64(attempt * ATTEMPT_STRIDE))
-    trials = np.asarray(trials)
+    trials = as_ints("trials", trials, TRIALS)
     t = trials.astype(np.uint64)  # a negative trial wraps above TRIALS
     if t.size and t.max() >= TRIALS:
         raise RangeError(f"trials must lie in [0, {TRIALS}), got "

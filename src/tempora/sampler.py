@@ -7,8 +7,19 @@ is chunked into fixed-size batches whose partial results are reduced in
 batch order, which makes every output, including float summaries,
 bit-identical for any worker count.
 
-On N > 1 workers a sweep forks min(N, batches) child processes of its own
-and joins them all before it returns or raises; none outlives the call.
+On N > 1 workers a sweep runs in min(N, batches) child processes that the
+module keeps between sweeps.  The first such sweep forks them; a later one
+sends each kept child one job (the worker, the config, the child's share
+of the batches, the empty share histogram and CHUNK) and forks only the
+children it lacks.  A sweep takes its children for its duration, so sweeps
+in two threads never share one, and puts them back once it has read all
+their results.  A sweep that ends early, on a child's error or death, a
+closed stream or KeyboardInterrupt, stops and joins its children and every
+kept one.  Kept children are daemonic, so the interpreter stops them at
+exit, and each one closes the parent's pipe ends it inherits, so it exits
+by itself at EOF when the parent is killed.  Reusing a process moves no
+byte: every draw is a pure function of its counter.
+
 Child w scores the fixed round-robin share of batches w, w + N, w + 2N, ...
 and bins a zero-delay sweep's scores into one share histogram of its own.
 It sends each batch's per-row statistics in one message per CHUNK batches,
@@ -24,6 +35,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import signal
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -288,31 +301,97 @@ def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
     return stats
 
 
-def _run_share(conn, worker, cfg: SweepConfig, starts: range, share) -> None:
-    """Sweep child: score a share of the batches into share, sending
-    (results, share, error) per CHUNK batches: share with the last message,
-    or, on the first error, the results scored before it and the error."""
+def _run_share(conn, worker, cfg: SweepConfig, starts: range, share,
+               chunk: int) -> None:
+    """Score a share of the batches into share, sending (results, share,
+    error) per chunk batches: share with the last message, or, on the first
+    error, the results scored before it and the error."""
     results = []
     try:
         for n, start in enumerate(starts, 1):
             results.append(worker(_job(cfg, start), share))
-            if n % CHUNK == 0 or n == len(starts):
+            if n % chunk == 0 or n == len(starts):
                 message = (results, share if n == len(starts) else None, None)
                 results = []
                 conn.send(message)
     except Exception as exc:  # re-raised by the parent
         conn.send((results, None, exc))
-    conn.close()
 
 
-def _replies(w: int, proc, recv):
+def _serve(conn, inherited: list) -> None:
+    """A kept sweep child: run each job the parent sends on conn through
+    _run_share, until the parent closes its end or dies."""
+    # The parent ends this process inherited would keep its own pipe, and
+    # its siblings' pipes, open after the parent is gone.
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it
+    try:
+        while True:
+            _run_share(conn, *conn.recv())
+    except (EOFError, OSError):  # the parent closed its end, or died
+        pass
+
+
+# Kept sweep children, each as (process, the parent's end of its duplex
+# pipe).  Idle children wait in _KEPT; a sweep takes the ones it uses and
+# puts them back when it has read all their results.  _ENDS holds the
+# parent end of every live child.  _LOCK guards both and is held across
+# each fork, so that a new child can close every parent end it inherits.
+_KEPT: list = []
+_ENDS: set = set()
+_LOCK = threading.Lock()
+
+
+def _take(children: list, n: int) -> None:
+    """Fill children up to n: kept children first, then new forks."""
+    with _LOCK:
+        while _KEPT and len(children) < n:
+            child = _KEPT.pop(0)
+            if child[0].is_alive():
+                children.append(child)
+            else:
+                _stop([child])
+        while len(children) < n:
+            end, child_end = _CONTEXT.Pipe()
+            _ENDS.add(end)
+            proc = _CONTEXT.Process(target=_serve, daemon=True,
+                                    args=(child_end, list(_ENDS)))
+            children.append((proc, end))
+            try:
+                proc.start()
+            finally:
+                child_end.close()
+
+
+def _stop(children: list) -> None:
+    """Close the parent ends of children and stop them; under _LOCK."""
+    for proc, end in children:
+        _ENDS.discard(end)
+        end.close()
+        if proc.pid is not None:
+            proc.terminate()
+
+
+def _drop_children(children=()) -> None:
+    """Stop and join children and every kept child."""
+    with _LOCK:
+        children = list(children) + _KEPT
+        _KEPT.clear()
+        _stop(children)
+    for proc, _ in children:
+        if proc.pid is not None:
+            proc.join()
+
+
+def _replies(w: int, proc, conn):
     """Child w's batch results in its share's order, each as (part, result):
     part is the child's share after its last batch, else None.  Raises the
     child's error where it stopped, SamplingError where it died."""
     while True:
         try:
-            results, share, exc = recv.recv()
-        except EOFError as eof:
+            results, share, exc = conn.recv()
+        except (EOFError, ConnectionResetError) as eof:
             proc.join()
             raise SamplingError(
                 f"sweep child {w} exited with code {proc.exitcode} "
@@ -340,29 +419,27 @@ def _map_batches(worker, cfg: SweepConfig, workers: int, share=None):
             result = worker(_job(cfg, start), share)
             yield (share if start == starts[-1] else None), result
         return
-    procs, read = [], 0
+    children, read = [], 0
     try:
-        for w in range(workers):
-            recv, send = _CONTEXT.Pipe(duplex=False)
-            proc = _CONTEXT.Process(target=_run_share, args=(
-                send, worker, cfg, starts[w::workers], share))
-            proc.start()
-            procs.append((proc, recv))
-            send.close()
-        replies = [_replies(w, proc, recv)
-                   for w, (proc, recv) in enumerate(procs)]
+        _take(children, workers)
+        for w, (proc, conn) in enumerate(children):
+            try:
+                conn.send((worker, cfg, starts[w::workers], share, CHUNK))
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the child died: _replies reports it
+        replies = [_replies(w, *child) for w, child in enumerate(children)]
         while read < len(starts):
             reply = next(replies[read % workers])
             read += 1
             yield reply
     finally:
-        for proc, recv in procs:
-            if read < len(starts):
-                # Nothing reads the pipes now, and a child blocked on a
-                # full one would never exit.
-                proc.terminate()
-            proc.join()
-            recv.close()
+        if read < len(starts):
+            # Nothing reads the pipes now, and a child blocked on a full
+            # one would never exit.
+            _drop_children(children)
+        else:
+            with _LOCK:
+                _KEPT.extend(children)
 
 
 def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:

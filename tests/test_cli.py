@@ -410,6 +410,12 @@ def test_a_sweep_child_that_dies_gives_an_error_message(capsys, monkeypatch):
     assert err.startswith("error: sweep child ")
     assert "exited with code 9" in err and "Traceback" not in err
     assert multiprocessing.active_children() == []
+    # The next pool sweep forks new children and gives the 1-worker bytes.
+    monkeypatch.undo()
+    argv = ("sample", "--kind", "mm", "--count", str(2 * sampler.BATCH))
+    assert (run_cli(capsys, *argv, "--threads", "2")
+            == run_cli(capsys, *argv, "--threads", "1"))
+    assert len(multiprocessing.active_children()) == 2
 
 
 def test_module_entry_point_subprocess():

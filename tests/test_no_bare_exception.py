@@ -198,6 +198,10 @@ ENTRIES = {
                                    ("hqmm-proj", 3, [0, 7], (0, 3), "channel",
                                     "symmetrized", "canonical", False)),
     "kernels.as_trials": (kernels.as_trials, ([0, 7],)),
+    "rng.raw64": (rng.raw64, (3, [0, 7])),
+    "rng.uniform01": (rng.uniform01, (3, np.array([0, 7]))),
+    "rng.normals": (rng.normals, (3, [0, 7])),
+    "rng.slot_counters": (rng.slot_counters, ([0, 7], (1, 4), 2, 1)),
     "kernels.check_int": (lambda name, v: kernels.check_int(name, v, 0, 9),
                           ("n", 5)),
 }

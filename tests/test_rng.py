@@ -111,12 +111,17 @@ def test_multi_slot_counters_stack_the_single_slot_counters():
         np.testing.assert_array_equal(got, want)
 
 
+def slot_block(trial, slot):
+    """Every counter of one slot of one trial: all draws of all attempts."""
+    return {int(c) for a in range(rng.ATTEMPTS) for c in rng.slot_counters(
+        [trial], slot, rng.ATTEMPT_STRIDE, a).ravel()}
+
+
 def test_stream_slots_do_not_overlap():
-    c0 = rng.slot_counters([0], 0, rng.SLOT_STRIDE).ravel()
-    c1 = rng.slot_counters([0], 1, rng.SLOT_STRIDE).ravel()
-    ct = rng.slot_counters([1], 0, rng.SLOT_STRIDE).ravel()
-    assert set(map(int, c0)).isdisjoint(map(int, c1))
-    assert set(map(int, c0)).isdisjoint(map(int, ct))
+    c0 = slot_block(0, 0)
+    assert len(c0) == rng.SLOT_STRIDE
+    assert c0.isdisjoint(slot_block(0, 1))
+    assert c0.isdisjoint(slot_block(1, 0))
 
 
 def test_stream_attempts_shift_only_within_slot():

@@ -7,8 +7,11 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import platform
+import resource
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -1100,6 +1103,11 @@ def sweep_document(cfg, workers):
     return json.dumps(result_to_obj(cfg, *run_sweep(cfg, workers=workers)))
 
 
+def pids_of(replies):
+    """The processes that scored batch_and_pid's replies."""
+    return {pid for _, (_, pid) in replies}
+
+
 def test_a_sweep_forks_no_more_children_than_batches(monkeypatch):
     started = []
     start = multiprocessing.process.BaseProcess.start
@@ -1115,7 +1123,17 @@ def test_a_sweep_forks_no_more_children_than_batches(monkeypatch):
     assert started == []
     assert sweep_document(cfg, 8) == one
     assert len(started) == 3
-    assert multiprocessing.active_children() == []
+    pids = {proc.pid for proc in started}
+    # Later sweeps run in the kept children and fork none.
+    assert sweep_document(cfg, 8) == one
+    assert pids_of(sampler._map_batches(batch_and_pid, cfg, 8, [])) == pids
+    assert len(started) == 3
+    # A sweep of more batches forks only the children it lacks.
+    more = SweepConfig(kind="mm", count=4 * BATCH + 5, master_seed=4)
+    assert len(pids_of(sampler._map_batches(batch_and_pid, more, 8, [])) - pids) == 2
+    assert len(started) == 5
+    assert sweep_document(more, 8) == sweep_document(more, 1)
+    assert len(started) == 5
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None, True])
@@ -1160,7 +1178,6 @@ def assert_round_robin(replies, batches, workers):
     assert [part for part, _ in replies] == [
         starts[i % n::n] if i + n >= batches else None
         for i in range(batches)]
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -1180,13 +1197,32 @@ def test_map_batches_puts_chunked_shares_back_in_batch_order(workers,
                                                  [])), 10, workers)
 
 
+def keep_children(workers=3):
+    """Leave workers kept children behind a sweep; returns their pids."""
+    cfg = SweepConfig(kind="mm", count=workers * BATCH)
+    pids = pids_of(sampler._map_batches(batch_and_pid, cfg, workers, []))
+    assert {proc.pid for proc in multiprocessing.active_children()} == pids
+    return pids
+
+
+def assert_new_children_give_the_one_worker_bytes(old_pids):
+    """The next pool sweep forks new children and gives the 1-worker bytes."""
+    cfg = SweepConfig(kind="hmm", count=3 * BATCH + 7, master_seed=9)
+    one = sweep_document(cfg, 1)
+    assert sweep_document(cfg, 2) == one
+    pids = {proc.pid for proc in multiprocessing.active_children()}
+    assert len(pids) == 2 and not pids & old_pids
+
+
 def test_a_worker_exception_reaches_the_caller_and_no_child_is_left():
+    pids = keep_children()
     cfg = SweepConfig(kind="mm", count=4 * BATCH)
     it = sampler._map_batches(fail_on_second_batch, cfg, 2)
     assert next(it) == (None, 0)
     with pytest.raises(RangeError, match=f"no score for the batch at {BATCH}$"):
         next(it)
     assert multiprocessing.active_children() == []
+    assert_new_children_give_the_one_worker_bytes(pids)
 
 
 def fail_on_fourth_batch(job, share):
@@ -1197,6 +1233,7 @@ def fail_on_fourth_batch(job, share):
 
 def test_a_child_error_comes_after_the_batches_its_child_scored_before_it():
     # Child 1 scores batch 1, then fails on batch 3 within the same chunk.
+    pids = keep_children()
     cfg = SweepConfig(kind="mm", count=6 * BATCH)
     it = sampler._map_batches(fail_on_fourth_batch, cfg, 2)
     assert [next(it) for _ in range(3)] == [(None, 0), (None, BATCH),
@@ -1204,6 +1241,7 @@ def test_a_child_error_comes_after_the_batches_its_child_scored_before_it():
     with pytest.raises(RangeError, match=f"at {3 * BATCH}$"):
         next(it)
     assert multiprocessing.active_children() == []
+    assert_new_children_give_the_one_worker_bytes(pids)
 
 
 def test_the_largest_count_lists_no_batch_before_it_scores_one():
@@ -1221,12 +1259,14 @@ def fail_on_first_batch(job, share):
 def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
     # The other child is still blocked writing its reply when the parent
     # gives up, so the parent must stop it rather than wait for it.
+    pids = keep_children()
     cfg = SweepConfig(kind="mm", count=4 * BATCH)
     with pytest.raises(SamplingError,
                        match="^sweep child 0 exited with code 3 ") as err:
         list(sampler._map_batches(exit_on_first_batch, cfg, 2))
     assert isinstance(err.value.__cause__, EOFError)
     assert multiprocessing.active_children() == []
+    assert_new_children_give_the_one_worker_bytes(pids)
 
 
 def test_the_first_result_on_one_worker_scores_one_batch():
@@ -1260,7 +1300,6 @@ def test_the_parent_gets_batch_0_while_a_child_still_scores_batch_1(
     assert next(it) == (None, (0, False))
     sentinel.touch()  # the child scoring batch 1 waits for this
     assert list(it) == [(None, (BATCH, True))]
-    assert multiprocessing.active_children() == []
 
 
 def sleep_after_batch_0(job, share):
@@ -1272,6 +1311,7 @@ def sleep_after_batch_0(job, share):
 def test_closing_the_stream_after_one_result_leaves_no_child():
     # Batch 0 is all of child 0's share, so it arrives at once; child 1 is
     # still scoring batch 1, so close must stop it, not wait.
+    pids = keep_children()
     it = sampler._map_batches(sleep_after_batch_0,
                               SweepConfig(kind="mm", count=2 * BATCH), 2)
     assert next(it) == (None, 0)
@@ -1279,6 +1319,144 @@ def test_closing_the_stream_after_one_result_leaves_no_child():
     it.close()
     assert time.monotonic() - start < 5
     assert multiprocessing.active_children() == []
+    assert_new_children_give_the_one_worker_bytes(pids)
+
+
+def test_an_interrupted_sweep_leaves_no_child():
+    # Ctrl-C reaches the parent while it waits for batch 1.
+    pids = keep_children()
+    it = sampler._map_batches(sleep_after_batch_0,
+                              SweepConfig(kind="mm", count=2 * BATCH), 2)
+    assert next(it) == (None, 0)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)).start()
+        next(it)
+    assert time.monotonic() - start < 5
+    assert multiprocessing.active_children() == []
+    assert_new_children_give_the_one_worker_bytes(pids)
+
+
+def sleep_and_pid(job, share):
+    time.sleep(0.5)
+    return job[1], os.getpid()
+
+
+def test_sweeps_in_two_threads_never_share_a_child():
+    pids = keep_children(2)
+    cfg = SweepConfig(kind="mm", count=2 * BATCH)
+    used = [None, None]
+
+    def sweep(i):
+        used[i] = pids_of(sampler._map_batches(sleep_and_pid, cfg, 2, []))
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(used[0]) == len(used[1]) == 2 and not used[0] & used[1]
+    assert pids in used
+    # Both sweeps put their children back.
+    assert ({proc.pid for proc in multiprocessing.active_children()}
+            == used[0] | used[1])
+
+
+def test_many_threads_sweeping_at_once_each_get_their_own_results():
+    # Two threads that took one child would read each other's replies.
+    cfg = SweepConfig(kind="mm", count=4 * BATCH + 123)
+    errors = []
+
+    def sweeps():
+        try:
+            for _ in range(3):
+                assert_round_robin(list(sampler._map_batches(
+                    batch_and_pid, cfg, 2, [])), 5, 2)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweeps) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(multiprocessing.active_children()) <= 8
+
+
+def batch_and_faults(job, share):
+    """A test worker: the minor page faults of one sweep batch."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sampler._batch(job, share)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc mallopt")
+def test_kept_children_do_not_fault_their_memory_in_again():
+    cfg = SweepConfig(kind="mm", count=6 * BATCH)
+
+    def faults():
+        share = Histogram.empty(cfg.bins, *cfg.range)
+        return [f for _, f in sampler._map_batches(batch_and_faults, cfg, 2,
+                                                   share)]
+
+    first, second = faults(), faults()
+    # A freshly forked child faults in about 600-800 pages on its first
+    # batch.
+    assert max(second) < 64, (first, second)
+
+
+# A pool sweep, then the pids of its kept children, then a long wait.
+KILL_SCRIPT = """
+import multiprocessing, time
+from tempora import SweepConfig, run_sweep
+from tempora.sampler import BATCH
+
+run_sweep(SweepConfig(kind="mm", count=3 * BATCH), workers=3)
+print(*[proc.pid for proc in multiprocessing.active_children()], flush=True)
+time.sleep(60)
+"""
+
+
+def running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+def test_no_sweep_child_outlives_a_killed_parent():
+    src = str(Path(tempora.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen([sys.executable, "-c", KILL_SCRIPT], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert len(pids) == 3
+    deadline = time.monotonic() + 5
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:  # so that a failure leaves no process either
+        os.kill(pid, signal.SIGKILL)
+    assert not left
 
 
 def delay_document(cfg, workers):
@@ -1297,7 +1475,6 @@ def test_chunked_shares_give_the_one_worker_bytes(workers, monkeypatch):
     monkeypatch.setattr(sampler, "CHUNK", 2)
     assert (sweep_document(sweep, workers),
             delay_document(delay, workers)) == one
-    assert multiprocessing.active_children() == []
 
 
 def test_the_pool_parent_merges_one_histogram_and_reads_one_message_per_child(
