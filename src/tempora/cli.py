@@ -1,8 +1,9 @@
 """Command-line interface: sweeps, delay sweeps, scoring, and anchors.
 
 Exit codes: 0 success, 1 validation/parse failure, 2 usage error.
---threads sets the number of worker processes a sweep forks (see
-tempora.sampler); it is called threads, but each worker is a process.  Its
+--threads sets the number of worker processes a sweep runs in (see
+tempora.sampler): the sweep forks them, and they are stopped when the
+command exits.  It is called threads, but each worker is a process.  Its
 default falls back to the TEMPORA_THREADS environment variable, then to 1.
 """
 from __future__ import annotations

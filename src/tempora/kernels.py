@@ -178,17 +178,15 @@ def machines_batch(kind: str, seed: int, trials: np.ndarray, slot,
     so an hqmm-proj out may also be float64: it gets the real parts of the
     complex draw, bit for bit, for the scoring core (machine_from_batch
     would read it as classical).  Without out, quantum kinds are complex128.
-    The seed and every slot go through check_int: a slot lies in [0,
-    rng.SLOTS), and the seed is any integer, taken mod 2**64.
+    The draw takes the seed and every slot through the integer rules of
+    rng, before it writes anything: a slot lies in [0, rng.SLOTS), and the
+    seed is any integer, taken mod 2**64.
     """
     check_options(kind=kind)
-    check_int("seed", seed, error=RangeError)
     trials = as_trials(trials)
     n = trials.shape[0]
     single = not np.iterable(slot)
     slots = (slot,) if single else tuple(slot)
-    for s in slots:
-        check_int("slot", s, 0, rng.SLOTS - 1, error=RangeError)
     shape = (2, 2, 2, n) if single else (len(slots), 2, 2, 2, n)
     dtypes = {"hqmm": (np.complex128,),
               "hqmm-proj": (np.complex128, np.float64)}.get(kind,
@@ -297,7 +295,6 @@ def initial_state_batch(kind: str, seed: int, trials: np.ndarray,
     check_options(kind=kind)
     if not random_initial:
         return None
-    check_int("seed", seed, error=RangeError)
     trials = as_trials(trials)
     if is_quantum_kind(kind):
         psi = rng.normals(seed, rng.slot_counters(trials, rng.SLOT_INITIAL, 4))

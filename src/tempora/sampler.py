@@ -338,9 +338,11 @@ def _serve(conn, inherited: list) -> None:
 # puts them back when it has read all their results.  _ENDS holds the
 # parent end of every live child.  _LOCK guards both and is held across
 # each fork, so that a new child can close every parent end it inherits.
+# It is reentrant: the garbage collector may finalize an abandoned sweep,
+# which drops its children, in a thread that holds it.
 _KEPT: list = []
 _ENDS: set = set()
-_LOCK = threading.Lock()
+_LOCK = threading.RLock()
 
 
 def _take(children: list, n: int) -> None:

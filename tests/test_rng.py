@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tempora import ShapeMismatch, rng
+from tempora import RangeError, ShapeMismatch, rng
 
 MASK = (1 << 64) - 1
 
@@ -137,3 +137,52 @@ def test_seed_wraps_modulo_2_64():
     a = rng.raw64(5, np.arange(4, dtype=np.uint64))
     b = rng.raw64(5 + (1 << 64), np.arange(4, dtype=np.uint64))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rng.raw64("x", [1]), "seed must be an integer"),
+    (lambda: rng.raw64(None, [1]), "seed must be an integer"),
+    (lambda: rng.raw64(1.5, [1]), "seed must be an integer"),
+    (lambda: rng.raw64(True, [1]), "seed must be an integer"),
+    (lambda: rng.raw64(1, [-1]), "counters must lie in"),
+    (lambda: rng.raw64(1, np.array([3, -1])), "counters must lie in"),
+    (lambda: rng.raw64(1, [1 << 64]), "counters must lie in"),
+    (lambda: rng.raw64(1, [1.5]), "counters must be integers"),
+    (lambda: rng.raw64(1, np.array([1.0])), "counters must be integers"),
+    (lambda: rng.raw64(1, [[1], [2, 3]]), "counters must be integers"),
+    (lambda: rng.uniform01(1, ["1"]), "counters must be integers"),
+    (lambda: rng.normals(1, [0.5, 1.5]), "counters must be integers"),
+    (lambda: rng.slot_counters([1.7], 0, 2), "trials must be integers"),
+    (lambda: rng.slot_counters([-1], 0, 2), "trials must lie in"),
+    (lambda: rng.slot_counters([1], 9, 2), "slot must be at most 7"),
+    (lambda: rng.slot_counters([1], (0, 8), 2), "slot must be at most 7"),
+    (lambda: rng.slot_counters([1], -1, 2), "slot must be a non-negative"),
+    (lambda: rng.slot_counters([1], True, 2), "slot must be a non-negative"),
+    (lambda: rng.slot_counters([1], 0, 2, 32), "attempt must be at most 31"),
+    (lambda: rng.slot_counters([1], 0, 2, 1.0), "attempt must be a non-neg"),
+    (lambda: rng.slot_counters([1], 0, 17), "n_draws must be at most 16"),
+    (lambda: rng.slot_counters([1], 0, -2), "n_draws must be a non-neg"),
+], ids=["str-seed", "none-seed", "float-seed", "bool-seed",
+        "negative-counter", "negative-counter-array", "counter-2**64",
+        "float-counter", "float-counter-array", "ragged-counters",
+        "uniform01-str-counter", "normals-float-counters", "float-trial",
+        "negative-trial", "slot-9", "slots-with-8", "negative-slot",
+        "bool-slot", "attempt-32", "float-attempt", "17-draws",
+        "negative-draws"])
+def test_direct_calls_refuse_what_is_not_an_address_of_the_layout(call,
+                                                                  message):
+    # slot_counters([1], 9, 2) gave 8704 and 8705: trial 2's slot 1.
+    with pytest.raises(RangeError, match=message):
+        call()
+
+
+def test_the_largest_address_reads_the_last_counter():
+    counters = rng.slot_counters([rng.TRIALS - 1], rng.SLOTS - 1,
+                                 rng.ATTEMPT_STRIDE, rng.ATTEMPTS - 1)
+    assert int(counters[-1, 0]) == MASK
+    want = rng.raw64(3, counters)
+    assert np.array_equal(rng.raw64(3, [int(c) for c in counters.ravel()]),
+                          want.ravel())
+    signed = np.arange(2**62, 2**62 + 4, dtype=np.int64)
+    assert np.array_equal(rng.raw64(3, signed),
+                          rng.raw64(3, signed.astype(np.uint64)))
