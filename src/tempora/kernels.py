@@ -57,7 +57,7 @@ import numpy as np
 from . import rng
 from .classical import TransitionPair
 from .errors import ConfigError, RangeError, SamplingError, ShapeMismatch
-from .integers import as_ints, check_int, is_int  # noqa: F401  (re-exported)
+from .integers import as_ints, check_int
 from .quantum import KrausPair
 
 # Machine kinds, orderings of the two measurements, score conventions and
