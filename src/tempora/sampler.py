@@ -10,15 +10,18 @@ bit-identical for any worker count.
 On N > 1 workers a sweep runs in min(N, batches) child processes that the
 module keeps between sweeps.  The first such sweep forks them; a later one
 sends each kept child one job (the worker, the config, the child's share
-of the batches, the empty share histogram and CHUNK) and forks only the
-children it lacks.  A sweep takes its children for its duration, so sweeps
-in two threads never share one, and puts them back once it has read all
-their results.  A sweep that ends early, on a child's error or death, a
-closed stream or KeyboardInterrupt, stops and joins its children and every
-kept one.  Kept children are daemonic, so the interpreter stops them at
-exit, and each one closes the parent's pipe ends it inherits, so it exits
-by itself at EOF when the parent is killed.  Reusing a process moves no
-byte: every draw is a pure function of its counter.
+of the batches, how to build its empty share histogram, and CHUNK) and
+forks only the children it lacks.  A sweep takes its children for its
+duration, so sweeps in two threads never share one, and puts them back
+once it has read all their results; it keeps at most as many idle
+children as it used and stops the others.  A sweep that ends early, on a
+child's error or death, a closed stream or KeyboardInterrupt, stops and
+joins its children and every kept one.  Kept children are daemonic, so the
+interpreter stops them at exit.  Every forked process closes the parent's
+pipe ends it inherits and forgets the parent's children, so a child exits
+by itself at EOF when the parent is killed, and a process forked from the
+parent forks children of its own.  Reusing a process moves no byte: every
+draw is a pure function of its counter.
 
 Child w scores the fixed round-robin share of batches w, w + N, w + 2N, ...
 and bins a zero-delay sweep's scores into one share histogram of its own.
@@ -33,8 +36,10 @@ and a child that exits without a reply raises SamplingError there.
 """
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import os
 import signal
 import threading
 from dataclasses import asdict, dataclass, field
@@ -301,13 +306,15 @@ def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
     return stats
 
 
-def _run_share(conn, worker, cfg: SweepConfig, starts: range, share,
+def _run_share(conn, worker, cfg: SweepConfig, starts: range, new_share,
                chunk: int) -> None:
-    """Score a share of the batches into share, sending (results, share,
-    error) per chunk batches: share with the last message, or, on the first
-    error, the results scored before it and the error."""
+    """Score a share of the batches into a share of its own, new_share()
+    (None without new_share), sending (results, share, error) per chunk
+    batches: the share with the last message, or, on the first error, the
+    results scored before it and the error."""
     results = []
     try:
+        share = new_share() if new_share is not None else None
         for n, start in enumerate(starts, 1):
             results.append(worker(_job(cfg, start), share))
             if n % chunk == 0 or n == len(starts):
@@ -318,13 +325,9 @@ def _run_share(conn, worker, cfg: SweepConfig, starts: range, share,
         conn.send((results, None, exc))
 
 
-def _serve(conn, inherited: list) -> None:
+def _serve(conn) -> None:
     """A kept sweep child: run each job the parent sends on conn through
     _run_share, until the parent closes its end or dies."""
-    # The parent ends this process inherited would keep its own pipe, and
-    # its siblings' pipes, open after the parent is gone.
-    for end in inherited:
-        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it
     try:
         while True:
@@ -333,46 +336,83 @@ def _serve(conn, inherited: list) -> None:
         pass
 
 
-# Kept sweep children, each as (process, the parent's end of its duplex
-# pipe).  Idle children wait in _KEPT; a sweep takes the ones it uses and
-# puts them back when it has read all their results.  _ENDS holds the
-# parent end of every live child.  _LOCK guards both and is held across
-# each fork, so that a new child can close every parent end it inherits.
-# It is reentrant: the garbage collector may finalize an abandoned sweep,
-# which drops its children, in a thread that holds it.
+# Sweep children, each as (process, the parent's end of its duplex pipe).
+# Idle children wait in _KEPT; a sweep takes the ones it uses and puts them
+# back when it has read all their results.  _LIVE holds every child, idle
+# or taken.  _LOCK guards both and is held across each fork, so that a new
+# child closes the parent end of every live child (_after_fork).  It is
+# reentrant: the garbage collector may finalize an abandoned sweep, which
+# drops its children, in a thread that holds it.
 _KEPT: list = []
-_ENDS: set = set()
+_LIVE: set = set()
 _LOCK = threading.RLock()
+
+
+def _after_fork() -> None:
+    """In any forked process, the sweep children are its parent's: close
+    their parent ends, so that they still see EOF when the parent is gone,
+    and forget them, so that the process forks its own."""
+    global _LOCK
+    for proc, end in _LIVE:
+        end.close()
+        # Else multiprocessing would stop and join them when this process
+        # exits.
+        multiprocessing.process._children.discard(proc)
+    _LIVE.clear()
+    _KEPT.clear()
+    _LOCK = threading.RLock()  # a thread that no longer exists may hold it
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork)
 
 
 def _take(children: list, n: int) -> None:
     """Fill children up to n: kept children first, then new forks."""
     with _LOCK:
         while _KEPT and len(children) < n:
-            child = _KEPT.pop(0)
+            child = _KEPT.pop()
             if child[0].is_alive():
                 children.append(child)
             else:
                 _stop([child])
         while len(children) < n:
             end, child_end = _CONTEXT.Pipe()
-            _ENDS.add(end)
-            proc = _CONTEXT.Process(target=_serve, daemon=True,
-                                    args=(child_end, list(_ENDS)))
-            children.append((proc, end))
+            child = (_CONTEXT.Process(target=_serve, args=(child_end,),
+                                      daemon=True), end)
+            _LIVE.add(child)
+            children.append(child)
             try:
-                proc.start()
+                child[0].start()
             finally:
                 child_end.close()
 
 
 def _stop(children: list) -> None:
     """Close the parent ends of children and stop them; under _LOCK."""
-    for proc, end in children:
-        _ENDS.discard(end)
+    for child in children:
+        proc, end = child
+        _LIVE.discard(child)
         end.close()
         if proc.pid is not None:
             proc.terminate()
+
+
+def _join(children) -> None:
+    for proc, _ in children:
+        if proc.pid is not None:
+            proc.join()
+
+
+def _put_back(children: list) -> None:
+    """Keep children for later sweeps, with at most len(children) idle
+    children in all; stop the others."""
+    with _LOCK:
+        _KEPT.extend(children)
+        extra = _KEPT[:-len(children)]
+        del _KEPT[:-len(children)]
+        _stop(extra)
+    _join(extra)
 
 
 def _drop_children(children=()) -> None:
@@ -381,9 +421,7 @@ def _drop_children(children=()) -> None:
         children = list(children) + _KEPT
         _KEPT.clear()
         _stop(children)
-    for proc, _ in children:
-        if proc.pid is not None:
-            proc.join()
+    _join(children)
 
 
 def _replies(w: int, proc, conn):
@@ -406,17 +444,18 @@ def _replies(w: int, proc, conn):
             raise exc
 
 
-def _map_batches(worker, cfg: SweepConfig, workers: int, share=None):
+def _map_batches(worker, cfg: SweepConfig, workers: int, new_share=None):
     """Yield (part, worker(job, share)) for each batch's job (cfg, start,
-    stop), in batch order, as each result arrives.  On one worker part is
-    share after the last batch; on N > 1, batch i is the next result of
-    child i mod N, and part is that child's copy of share after its last
-    batch (see the module docstring).  Else part is None."""
+    stop), in batch order, as each result arrives.  Each worker scores into
+    a share of its own, new_share() (None without new_share), and part is
+    that share after the worker's last batch, else None.  On N > 1, batch i
+    is the next result of child i mod N (see the module docstring)."""
     kernels.check_int("workers", workers, 1)
     # A range lists no batch before it is scored, whatever the count.
     starts = range(0, cfg.count, BATCH)
     workers = min(int(workers), len(starts))
     if workers <= 1:
+        share = new_share() if new_share is not None else None
         for start in starts:
             result = worker(_job(cfg, start), share)
             yield (share if start == starts[-1] else None), result
@@ -426,7 +465,7 @@ def _map_batches(worker, cfg: SweepConfig, workers: int, share=None):
         _take(children, workers)
         for w, (proc, conn) in enumerate(children):
             try:
-                conn.send((worker, cfg, starts[w::workers], share, CHUNK))
+                conn.send((worker, cfg, starts[w::workers], new_share, CHUNK))
             except (BrokenPipeError, ConnectionResetError):
                 pass  # the child died: _replies reports it
         replies = [_replies(w, *child) for w, child in enumerate(children)]
@@ -440,8 +479,7 @@ def _map_batches(worker, cfg: SweepConfig, workers: int, share=None):
             # one would never exit.
             _drop_children(children)
         else:
-            with _LOCK:
-                _KEPT.extend(children)
+            _put_back(children)
 
 
 def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
@@ -450,10 +488,12 @@ def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
     cfg.validate()
     ts = (0,) if cfg.t_list is None else tuple(cfg.t_list)
     hist = Histogram.empty(cfg.bins, *cfg.range)
-    share = (Histogram.empty(cfg.bins, *cfg.range) if cfg.t_list is None
-             else None)
+    # Each worker builds its own empty share: a pool child gets the recipe,
+    # not up to 2**24 zero counts.
+    new_share = (functools.partial(Histogram.empty, cfg.bins, *cfg.range)
+                 if cfg.t_list is None else None)
     totals = [(0.0, -np.inf, 0, 0, 0, 0)] * len(ts)
-    for part, rows in _map_batches(_batch, cfg, workers, share):
+    for part, rows in _map_batches(_batch, cfg, workers, new_share):
         if part is not None:
             hist = histogram_merge(hist, part)
         totals = [(s + s2, max(mx, mx2), a + a2, r + r2, n + n2, b + b2)

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import platform
 import resource
 import signal
@@ -1126,11 +1127,11 @@ def test_a_sweep_forks_no_more_children_than_batches(monkeypatch):
     pids = {proc.pid for proc in started}
     # Later sweeps run in the kept children and fork none.
     assert sweep_document(cfg, 8) == one
-    assert pids_of(sampler._map_batches(batch_and_pid, cfg, 8, [])) == pids
+    assert pids_of(sampler._map_batches(batch_and_pid, cfg, 8, list)) == pids
     assert len(started) == 3
     # A sweep of more batches forks only the children it lacks.
     more = SweepConfig(kind="mm", count=4 * BATCH + 5, master_seed=4)
-    assert len(pids_of(sampler._map_batches(batch_and_pid, more, 8, [])) - pids) == 2
+    assert len(pids_of(sampler._map_batches(batch_and_pid, more, 8, list)) - pids) == 2
     assert len(started) == 5
     assert sweep_document(more, 8) == sweep_document(more, 1)
     assert len(started) == 5
@@ -1184,7 +1185,7 @@ def assert_round_robin(replies, batches, workers):
 def test_map_batches_puts_round_robin_shares_back_in_batch_order(workers):
     cfg = SweepConfig(kind="mm", count=4 * BATCH + 123)
     assert_round_robin(list(sampler._map_batches(batch_and_pid, cfg, workers,
-                                                 [])), 5, workers)
+                                                 list)), 5, workers)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -1194,13 +1195,13 @@ def test_map_batches_puts_chunked_shares_back_in_batch_order(workers,
     monkeypatch.setattr(sampler, "CHUNK", 2)
     cfg = SweepConfig(kind="mm", count=9 * BATCH + 5)
     assert_round_robin(list(sampler._map_batches(batch_and_pid, cfg, workers,
-                                                 [])), 10, workers)
+                                                 list)), 10, workers)
 
 
 def keep_children(workers=3):
     """Leave workers kept children behind a sweep; returns their pids."""
     cfg = SweepConfig(kind="mm", count=workers * BATCH)
-    pids = pids_of(sampler._map_batches(batch_and_pid, cfg, workers, []))
+    pids = pids_of(sampler._map_batches(batch_and_pid, cfg, workers, list))
     assert {proc.pid for proc in multiprocessing.active_children()} == pids
     return pids
 
@@ -1277,7 +1278,7 @@ def test_the_first_result_on_one_worker_scores_one_batch():
         return job[1]
 
     it = sampler._map_batches(worker, SweepConfig(kind="mm", count=3 * BATCH),
-                              1, "share")
+                              1, lambda: "share")
     assert next(it) == (None, 0) and calls == [0]
     assert list(it) == [(None, BATCH), ("share", 2 * BATCH)]
     assert calls == [0, BATCH, 2 * BATCH]
@@ -1348,7 +1349,7 @@ def test_sweeps_in_two_threads_never_share_a_child():
     used = [None, None]
 
     def sweep(i):
-        used[i] = pids_of(sampler._map_batches(sleep_and_pid, cfg, 2, []))
+        used[i] = pids_of(sampler._map_batches(sleep_and_pid, cfg, 2, list))
 
     threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -1358,9 +1359,8 @@ def test_sweeps_in_two_threads_never_share_a_child():
         assert not thread.is_alive()
     assert len(used[0]) == len(used[1]) == 2 and not used[0] & used[1]
     assert pids in used
-    # Both sweeps put their children back.
-    assert ({proc.pid for proc in multiprocessing.active_children()}
-            == used[0] | used[1])
+    # The sweep that ended last keeps its children; the other's are stopped.
+    assert {proc.pid for proc in multiprocessing.active_children()} in used
 
 
 def test_many_threads_sweeping_at_once_each_get_their_own_results():
@@ -1372,7 +1372,7 @@ def test_many_threads_sweeping_at_once_each_get_their_own_results():
         try:
             for _ in range(3):
                 assert_round_robin(list(sampler._map_batches(
-                    batch_and_pid, cfg, 2, [])), 5, 2)
+                    batch_and_pid, cfg, 2, list)), 5, 2)
         except BaseException as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -1388,7 +1388,14 @@ def test_many_threads_sweeping_at_once_each_get_their_own_results():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert len(multiprocessing.active_children()) <= 8
+    assert len(multiprocessing.active_children()) == 2
+
+
+def test_a_sweep_keeps_no_more_idle_children_than_it_used():
+    pids = keep_children(4)
+    cfg = SweepConfig(kind="mm", count=2 * BATCH)
+    assert pids_of(sampler._map_batches(batch_and_pid, cfg, 8, list)) < pids
+    assert len(multiprocessing.active_children()) == 2
 
 
 def batch_and_faults(job, share):
@@ -1404,9 +1411,9 @@ def test_kept_children_do_not_fault_their_memory_in_again():
     cfg = SweepConfig(kind="mm", count=6 * BATCH)
 
     def faults():
-        share = Histogram.empty(cfg.bins, *cfg.range)
+        new_share = functools.partial(Histogram.empty, cfg.bins, *cfg.range)
         return [f for _, f in sampler._map_batches(batch_and_faults, cfg, 2,
-                                                   share)]
+                                                   new_share)]
 
     first, second = faults(), faults()
     # A freshly forked child faults in about 600-800 pages on its first
@@ -1457,6 +1464,72 @@ def test_no_sweep_child_outlives_a_killed_parent():
     for pid in left:  # so that a failure leaves no process either
         os.kill(pid, signal.SIGKILL)
     assert not left
+
+
+# A pool sweep, then an os.fork() and a fork-context Process that each run
+# a pool sweep of their own and exit through multiprocessing's exit handler,
+# then the parent's next sweep.
+FORK_SCRIPT = """
+import multiprocessing, os, sys
+from tempora import SweepConfig, run_sweep
+from tempora.sampler import BATCH
+
+cfg = SweepConfig(kind="mm", count=3 * BATCH, master_seed=5)
+one = run_sweep(cfg)
+
+def pids():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+def sweep_in_fork():
+    assert pids() == set()  # the parent's children are not this process's
+    assert run_sweep(cfg, workers=3) == one
+    assert len(pids()) == 3
+
+assert run_sweep(cfg, workers=3) == one
+kept = pids()
+pid = os.fork()
+if pid == 0:
+    sweep_in_fork()
+    sys.exit(0)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+proc = multiprocessing.get_context("fork").Process(target=sweep_in_fork)
+proc.start()
+proc.join()
+assert proc.exitcode == 0
+# Neither fork stopped the parent's children, and they still serve it.
+assert pids() == kept
+assert run_sweep(cfg, workers=3) == one
+assert pids() == kept
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks")
+def test_a_process_forked_after_a_pool_sweep_runs_its_own_children():
+    src = str(Path(tempora.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_a_pool_child_builds_its_share_instead_of_receiving_it(monkeypatch):
+    # A share of 2**20 bins is 8 MiB of zeros.
+    parent, sent = os.getpid(), []
+    send = multiprocessing.connection.Connection.send
+
+    def measuring_send(conn, obj):
+        if os.getpid() == parent:
+            sent.append(len(pickle.dumps(obj)))
+        send(conn, obj)
+
+    cfg = SweepConfig(kind="mm", count=2 * BATCH, bins=1 << 20)
+    one = run_sweep(cfg)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                        measuring_send)
+    assert run_sweep(cfg, workers=2) == one
+    assert len(sent) == 2 and max(sent) < 1024, sent
 
 
 def delay_document(cfg, workers):
