@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import RangeError, ShapeMismatch
 ORTHONORMALITY_TOL = 1e-10
 _PLAIN = {np.float64: {int, float, np.float64},
           np.complex128: {int, float, complex, np.float64, np.complex128}}
+_ISFINITE = {np.float64: math.isfinite, np.complex128: cmath.isfinite}
 
 
 def symbol_index(symbol: int) -> int:
@@ -66,7 +68,7 @@ def as_matrix2(m, name: str, dtype, shape=(2, 2), *, error=None,
         m.setflags(write=False)
     if m.shape != shape:
         raise (shape_error or error or ShapeMismatch)(_unfit(name, shape, m))
-    if finite and not all(map(cmath.isfinite, m.ravel().tolist())):
+    if finite and not all(map(_ISFINITE[dtype], m.ravel().tolist())):
         raise (error or RangeError)(f"{name} contains non-finite entries")
     return m
 

@@ -13,10 +13,18 @@ sum with a single minus sign:
 An optional intermediary ("charlie") can act t times between the two
 measurements; see delayed_chsh_score.  Every score here is the one-trial
 call of kernels._score_block, the body the sweeps score with.
+
+The public scorers check what they are given once: the ordering mode and
+score convention, that the parties are PartySpecs of one kind, and the
+state, converted by algebra.as_matrix2.  The machines themselves were
+checked when they were built.  The scorers then copy the operators into
+one machine array and call private cores that trust it:
+kernels._score_block, and kernels._select_score for the two conventions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Union
 
 import numpy as np
@@ -28,10 +36,14 @@ from .errors import KindMismatch, RangeError, ShapeMismatch
 from .quantum import KrausPair, checked_qubit_state
 
 Machine = Union[TransitionPair, KrausPair]
+_MACHINES = Machine.__args__
+# A machine's operators (-1, +1), by whether it is quantum.
+_OPERATORS = (attrgetter("t_minus", "t_plus"), attrgetter("k_minus", "k_plus"))
+_CORRELATORS = ("c11", "c12", "c21", "c22")
 
 
 def _same_kind(*machines: Machine) -> str:
-    kinds = {m.kind if isinstance(m, Machine.__args__) else None for m in machines}
+    kinds = {m.kind if isinstance(m, _MACHINES) else None for m in machines}
     if len(kinds) != 1 or None in kinds:  # None: not a machine
         raise KindMismatch(f"machines mix kinds {sorted(map(str, kinds))}")
     return kinds.pop()
@@ -119,8 +131,8 @@ def chsh_from_correlators(c11: float, c12: float, c21: float,
 
 def _scores(c: list) -> tuple[float, float]:
     """chsh_from_correlators of four floats, the scorers' own."""
-    return (float(kernels.select_score(*c, "canonical")),
-            float(kernels.select_score(*c, "max-relabel")))
+    return (float(kernels._select_score(*c, "canonical")),
+            float(kernels._select_score(*c, "max-relabel")))
 
 
 def _correlate(machines: tuple, state: np.ndarray, mode: str,
@@ -140,10 +152,11 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
                      (2,), error=RangeError, shape_error=ShapeMismatch, finite=False)
     psi = checked_qubit_state(psi) if quantum else checked_prob_vector(psi)
     t = 0 if delay is None else delay.t
+    machines += charlie if t else ()
     # (machine, outcome, row, column, trial), outcomes in the order (-1, +1);
     # charlie is machine 4 when it acts.
-    m = np.array([(x.op(-1), x.op(+1))
-                  for x in machines + (charlie if t else ())], psi.dtype)[..., None]
+    m = np.empty((len(machines), 2, 2, 2, 1), psi.dtype)
+    m[..., 0] = [_OPERATORS[quantum](x) for x in machines]
     channel = quantum and delay is not None and delay.quantum_mode == "channel"
     c, raw = kernels._score_block(m[:4], m[4] if t else None, psi[:, None],
                                   (t,), quantum, channel, mode)
@@ -151,9 +164,9 @@ def _correlate(machines: tuple, state: np.ndarray, mode: str,
     if raw is not None:
         by_order = {"a-first": raw[0, 0, ..., 0], "b-first": raw[0, 1, ..., 0].T}
         orders = [o for o in by_order if mode in (o, "symmetrized")]
-        raw_sums = {f"c{n + 1}{k + 1}": {o: float(by_order[o][n, k])
-                                         for o in orders}
-                    for n in (0, 1) for k in (0, 1)}
+        sums = zip(*(by_order[o].ravel().tolist() for o in orders))
+        raw_sums = {key: dict(zip(orders, s))
+                    for key, s in zip(_CORRELATORS, sums)}
     return c[0, ..., 0].ravel().tolist(), raw_sums
 
 

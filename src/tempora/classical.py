@@ -36,6 +36,16 @@ class TransitionPair:
         object.__setattr__(self, "t_plus",
                            as_matrix2(self.t_plus, "t_plus", np.float64))
 
+    @classmethod
+    def _trusted(cls, t_minus: np.ndarray,
+                 t_plus: np.ndarray) -> TransitionPair:
+        """The pair of two read-only, finite float64 2x2 views of an array
+        as_matrix2 returned, without converting them again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "t_minus", t_minus)
+        object.__setattr__(m, "t_plus", t_plus)
+        return m
+
     def op(self, symbol: int) -> np.ndarray:
         """Transition matrix for one outcome symbol."""
         return self.t_minus if symbol_index(symbol) == 0 else self.t_plus

@@ -6,9 +6,9 @@ sample_machine returns its n=1 row, and every draw is a pure function of
 (seed, trial, slot), so a row does not depend on the batch around it.
 Likewise _score_block is the only code that forms correlators: the sweeps
 call it per block of drawn machines, and chsh scores one configuration as
-its n=1 call.  select_score is the only code that turns correlators into a
-score, with its sum written out, so a trial's scalar and sweep scores have
-the same bits in every ordering.
+its n=1 call.  _select_score is the only code that turns correlators into
+a score, with its sum written out, so a trial's scalar and sweep scores
+have the same bits in every ordering; select_score is its checked entry.
 
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
@@ -17,7 +17,8 @@ scoring core draws hqmm-proj as float64 when it scores from the fixed state
 (1, 0).  Its Kraus operators are real, and so are its branch vectors, so it
 is scored on the Pauli coordinates (I, X, Z) with a 3x3 transfer matrix; the
 Y coordinate it leaves out is an exact zero, so every score keeps its bits.
-The helpers choose real or complex arithmetic by the dtype of their arrays.
+_score_block reads real or complex from its machines' dtype once and passes
+it to the helpers.
 
 Batch counters are stored draw-major, as an (n_draws, n) array with the trial
 axis innermost, so building them and reading one draw for every trial are
@@ -333,13 +334,13 @@ def _mat_powers(m: np.ndarray, t_list) -> dict[int, np.ndarray]:
     return powers
 
 
-def _pauli_coords(diag: np.ndarray, h01: np.ndarray) -> np.ndarray:
+def _pauli_coords(diag: np.ndarray, h01: np.ndarray,
+                  real: bool) -> np.ndarray:
     """(4, ...) real coordinates Tr[sigma_a H] of Hermitian H from its real
-    diagonal (..., 2, n) and its entry (0,1), (..., n); for real H, the
-    three (I, X, Z), as its Y coordinate is zero."""
+    diagonal (..., 2, n) and its entry (0,1), (..., n); for real H (real
+    true), the three (I, X, Z), as its Y coordinate is zero."""
     # Written into one array: np.stack's temporaries cost a fifth of a
     # one-trial score.
-    real = not np.iscomplexobj(h01)
     out = np.empty((3 if real else 4,) + h01.shape)
     h00, h11 = diag[..., 0, :], diag[..., 1, :]
     np.add(h00, h11, out=out[0])
@@ -352,9 +353,9 @@ def _pauli_coords(diag: np.ndarray, h01: np.ndarray) -> np.ndarray:
     return out
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of a real or complex array."""
-    if not np.iscomplexobj(z):
+def _abs2(z: np.ndarray, real: bool) -> np.ndarray:
+    """|z|^2 of a real (real true) or complex array."""
+    if real:
         return np.square(z)
     p = np.square(z.real)
     p += np.square(z.imag)
@@ -370,7 +371,7 @@ def _unit(x: np.ndarray) -> np.ndarray:
     reciprocal has the bits of numpy's complex-by-real division; the factor
     stays an array, as a 0-d operand changes them.
     """
-    q = _abs2(x)
+    q = _abs2(x, False)
     norm = q[0]
     for row in q[1:]:
         norm += row
@@ -380,22 +381,28 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _conj(z: np.ndarray) -> np.ndarray:
+def _conj(z: np.ndarray, real: bool) -> np.ndarray:
     """np.conj(z), without the copy np.conj makes of a real array."""
-    return np.conj(z) if np.iscomplexobj(z) else z
+    return z if real else np.conj(z)
 
 
-def _first_parts(v: np.ndarray, quantum: bool,
+def _first_parts(v: np.ndarray, quantum: bool, real: bool,
                  p: np.ndarray | None = None) -> tuple:
     """Parts (machine, outcome, ..., n) of the first-role vectors: the branch
     vectors v, or the diagonal |v|^2 of v v^dag (p if given) and its entry
-    (0,1)."""
+    (0,1).  real tells a real v from a complex one."""
     if not quantum:
         return (v,)
     # np.multiply, not v0 * np.conj(v1): numpy evaluates that in place in a
     # temporary of 256 KiB or more, which moves the last bit with the size.
-    return (_abs2(v) if p is None else p,
-            np.multiply(v[..., 0, :], _conj(v[..., 1, :])))
+    return (_abs2(v, real) if p is None else p,
+            np.multiply(v[..., 0, :], _conj(v[..., 1, :], real)))
+
+
+# The factors of transfer_matrix's columns: halved sums for I, quartered
+# differences for X and Y, a halved difference for Z; a real charlie has no Y.
+_TRANSFER_SCALE = (np.array([[0.5], [0.25], [0.25], [0.5]]),
+                   np.array([[0.5], [0.25], [0.5]]))
 
 
 def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
@@ -420,52 +427,72 @@ def transfer_matrix(charlie: np.ndarray) -> np.ndarray:
     block, where the stacked inputs stay in cache.
     """
     c0, c1 = charlie[:, :, 0], charlie[:, :, 1]
-    real = not np.iscomplexobj(charlie)
+    real = charlie.dtype.kind == "f"
     v = np.empty((4 if real else 6,) + c0.shape, dtype=charlie.dtype)
-    v[0], v[1], v[-2], v[-1] = c0 + c1, c0 - c1, c0, c1
+    np.add(c0, c1, out=v[0])
+    np.subtract(c0, c1, out=v[1])
+    v[-2:] = charlie.transpose(2, 0, 1, 3)  # c0, c1
     if not real:
         # c0 +- i c1 on the real and imaginary parts: no complex product.
-        v[2].real, v[2].imag = c0.real - c1.imag, c0.imag + c1.real
-        v[3].real, v[3].imag = c0.real + c1.imag, c0.imag - c1.real
-    x = _pauli_coords(*_first_parts(v, True))
+        np.subtract(c0.real, c1.imag, out=v[2].real)
+        np.add(c0.imag, c1.real, out=v[2].imag)
+        np.add(c0.real, c1.imag, out=v[3].real)
+        np.subtract(c0.imag, c1.real, out=v[3].imag)
+    x = _pauli_coords(*_first_parts(v, True, real), real)
     x = x[:, :, 0] + x[:, :, 1]
-    d = x[:, 0::2] - x[:, 1::2]  # 4 R_X, 4 R_Y unless real, and 2 R_Z
-    return np.concatenate([0.5 * (x[:, -2:-1] + x[:, -1:]), 0.25 * d[:, :-1],
-                           0.5 * d[:, -1:]], axis=1)
+    r = np.empty(x.shape[:1] + x.shape[:1] + x.shape[2:])
+    np.add(x[:, -2:-1], x[:, -1:], out=r[:, :1])
+    # R_X, R_Y unless real, and R_Z
+    np.subtract(x[:, 0::2], x[:, 1::2], out=r[:, 1:])
+    return np.multiply(r, _TRANSFER_SCALE[real], out=r)
 
 
-def _second_parts(m: np.ndarray, quantum: bool) -> tuple:
+def _second_parts(m: np.ndarray, quantum: bool, real: bool) -> tuple:
     """Parts (machine, outcome, ..., n) of the second-role vectors, 1^T T_j or
     the diagonal and entry (0,1) of K_j^dag K_j, and |K|^2 of quantum
     machines m."""
     if not quantum:
         return (m[:, :, 0] + m[:, :, 1],), None
-    p = _abs2(m)
-    h = np.multiply(_conj(m[..., 0, :]), m[..., 1, :])
+    p = _abs2(m, real)
+    h = np.multiply(_conj(m[..., 0, :], real), m[..., 1, :])
     return (p[:, :, 0] + p[:, :, 1], h[:, :, 0] + h[:, :, 1]), p
 
 
-def _coords(parts: tuple, quantum: bool, op) -> np.ndarray:
-    """(k, machine, n) coordinates of op(outcome +1, outcome -1) of role
-    parts: the vector, or the Pauli coordinates of the Hermitian matrix."""
-    parts = [op(a[:, 1], a[:, 0]) for a in parts]
-    return _pauli_coords(*parts) if quantum else parts[0].swapaxes(0, 1)
+def _coords(parts: tuple, quantum: bool, real: bool,
+            both: bool) -> np.ndarray:
+    """(k, sign, machine, n) coordinates of role parts: the vector, or the
+    Pauli coordinates of the Hermitian matrix.  Sign 0 holds outcome +1
+    minus outcome -1 and sign 1, when both, their sum; the two are formed
+    into one array, so every later step takes them in one pass."""
+    signed = []
+    for a in parts:
+        plus, minus = a[:, 1], a[:, 0]
+        if both:
+            d = np.empty((2,) + plus.shape, plus.dtype)
+            np.subtract(plus, minus, out=d[0])
+            np.add(plus, minus, out=d[1])
+        else:
+            d = np.subtract(plus, minus)[None]
+        signed.append(d)
+    if quantum:
+        return _pauli_coords(*signed, real)
+    return signed[0].transpose(2, 0, 1, 3)  # (sign, machine, k, n)
 
 
 def _pairs(x: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """(order, 2, 2, n) o_second . x_first: order 0 is alice first,
-    [a_n, b_m], order 1 bob first, [b_m, a_n]."""
-    k, n = x.shape[0], x.shape[-1]
-    # Views of (k, party, basis, n): alice's bases meet bob's, and back.
-    return np.einsum("aoin,aojn->oijn", x.reshape(k, 2, 2, n),
-                     o.reshape(k, 2, 2, n)[:, ::-1])
+    """(sign, order, 2, 2, n) o_second . x_first of each sign: order 0 is
+    alice first, [a_n, b_m], order 1 bob first, [b_m, a_n]."""
+    k, s, n = x.shape[0], x.shape[1], x.shape[-1]
+    # Views of (k, sign, party, basis, n): alice's bases meet bob's, and back.
+    return np.einsum("asoin,asojn->soijn", x.reshape(k, s, 2, 2, n),
+                     o.reshape(k, s, 2, 2, n)[:, :, ::-1])
 
 
 def _renormalise(e: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """E divided by its raw four-outcome sum when that strays from 1 by more
-    than RENORM_TOL; a zero sum leaves E as it is."""
-    return e / np.where((total != 0.0) & (np.abs(total - 1.0) > RENORM_TOL),
-                        total, 1.0)
+    """E divided in place by its raw four-outcome sum where that strays from
+    1 by more than RENORM_TOL; a zero sum leaves E as it is."""
+    return np.divide(e, total, out=e, where=(total != 0.0)
+                     & (np.abs(total - 1.0) > RENORM_TOL))
 
 
 def _correlators(e: np.ndarray, mode: str) -> np.ndarray:
@@ -491,6 +518,11 @@ def select_score(c11, c12, c21, c22, convention: str):
     first NaN among them if there is one.
     """
     check_options(convention=convention)
+    return _select_score(c11, c12, c21, c22, convention)
+
+
+def _select_score(c11, c12, c21, c22, convention: str):
+    """select_score under a convention its caller has checked."""
     total = ((c11 + c12) + c21) + c22
     if convention == "canonical":
         return abs(total - 2.0 * c22)
@@ -508,7 +540,7 @@ def select_score(c11, c12, c21, c22, convention: str):
 
 def _select_scores(c: np.ndarray, convention: str) -> np.ndarray:
     """The selected score of (2, 2, n) correlators."""
-    return select_score(c[0, 0], c[0, 1], c[1, 0], c[1, 1], convention)
+    return _select_score(c[0, 0], c[0, 1], c[1, 0], c[1, 1], convention)
 
 
 def _score_block(m: np.ndarray, charlie: np.ndarray | None,
@@ -542,17 +574,16 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
     from 1 by more than RENORM_TOL (a zero sum leaves it as it is); a t=0
     row is never divided.  In every other mode the raw sums are None.
     """
+    real = m.dtype.kind == "f"
     renorm = quantum and not channel and charlie is not None
-    o_parts, p = _second_parts(m, quantum)
-    o_diff = _coords(o_parts, quantum, np.subtract)
-    o_sum = _coords(o_parts, quantum, np.add) if renorm else None
+    o_parts, p = _second_parts(m, quantum, real)
+    o = _coords(o_parts, quantum, real, renorm)
     if psi is None:  # the branch vectors are column 0
         v, pv = m[..., 0, :], None if p is None else p[..., 0, :]
     else:
         v, pv = m[..., 0, :] * psi[0] + m[..., 1, :] * psi[1], None
     if channel or not all(t_list):  # a row reads the undelayed branches
-        x_parts = _first_parts(v, quantum, pv)
-        x_diff = _coords(x_parts, quantum, np.subtract)
+        x = _coords(_first_parts(v, quantum, real, pv), quantum, real, renorm)
     powers = {}
     if charlie is not None:
         step = transfer_matrix(charlie) if channel else charlie[0] + charlie[1]
@@ -561,21 +592,18 @@ def _score_block(m: np.ndarray, charlie: np.ndarray | None,
     raw = np.empty((len(t_list), 2) + c.shape[1:]) if renorm else None
     for row, t in enumerate(t_list):
         if t == 0:
-            y_parts, e = x_parts, _pairs(x_diff, o_diff)
+            y = x
         elif channel:
-            e = _pairs(np.einsum("abn,bin->ain", powers[int(t)], x_diff),
-                       o_diff)
+            y = np.einsum("abn,bin->ain", powers[int(t)], x[:, 0])[:, None]
         else:
             power = powers[int(t)]
-            y_parts = _first_parts(power[:, 0] * v[..., 0, None, :]
-                                   + power[:, 1] * v[..., 1, None, :],
-                                   quantum)
-            e = _pairs(_coords(y_parts, quantum, np.subtract), o_diff)
+            y = _coords(_first_parts(power[:, 0] * v[..., 0, None, :]
+                                     + power[:, 1] * v[..., 1, None, :],
+                                     quantum, real), quantum, real, renorm)
+        e = _pairs(y, o)
         if renorm:  # the raw sums, halved like E below
-            np.multiply(0.5, _pairs(_coords(y_parts, quantum, np.add), o_sum),
-                        out=raw[row])
-            if t:
-                e = _renormalise(e, raw[row])
+            np.multiply(0.5, e[1], out=raw[row])
+        e = _renormalise(e[0], raw[row]) if renorm and t else e[0]
         c[row] = _correlators(e, mode)
     if quantum:
         c *= 0.5  # Tr[O rho] is half the dot product of coordinates

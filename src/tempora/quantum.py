@@ -41,6 +41,15 @@ class KrausPair:
         object.__setattr__(self, "k_plus",
                            as_matrix2(self.k_plus, "k_plus", np.complex128))
 
+    @classmethod
+    def _trusted(cls, k_minus: np.ndarray, k_plus: np.ndarray) -> KrausPair:
+        """The pair of two read-only, finite complex128 2x2 views of an
+        array as_matrix2 returned, without converting them again."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "k_minus", k_minus)
+        object.__setattr__(k, "k_plus", k_plus)
+        return k
+
     def op(self, symbol: int) -> np.ndarray:
         """Measurement operator for one outcome symbol."""
         return self.k_minus if symbol_index(symbol) == 0 else self.k_plus
@@ -115,10 +124,18 @@ def _clearly_complete(k: KrausPair) -> bool:
     1e-9 of the identity's with room for any difference in rounding."""
     (a, b), (c, d) = k.k_minus.tolist()
     (e, f), (p, q) = k.k_plus.tolist()
-    col0, col1 = (a, c, e, p), (b, d, f, q)
-    g00 = sum(z.real * z.real + z.imag * z.imag for z in col0)
-    g11 = sum(z.real * z.real + z.imag * z.imag for z in col1)
-    g01 = sum(x.conjugate() * y for x, y in zip(col0, col1))
+    # Column sums over (a, c, e, p) and (b, d, f, q), written out: generator
+    # sums cost more than the rest of the check.
+    g00 = (((a.real * a.real + a.imag * a.imag)
+            + (c.real * c.real + c.imag * c.imag))
+           + (e.real * e.real + e.imag * e.imag)) + (p.real * p.real
+                                                     + p.imag * p.imag)
+    g11 = (((b.real * b.real + b.imag * b.imag)
+            + (d.real * d.real + d.imag * d.imag))
+           + (f.real * f.real + f.imag * f.imag)) + (q.real * q.real
+                                                     + q.imag * q.imag)
+    g01 = (((a.conjugate() * b + c.conjugate() * d) + e.conjugate() * f)
+           + p.conjugate() * q)
     limit = COMPLETENESS_TOL - _ROUNDING_SLACK
     return (abs(g00 - 1.0) <= limit and abs(g11 - 1.0) <= limit
             and abs(g01) <= limit)

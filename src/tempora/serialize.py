@@ -12,6 +12,14 @@ initial state): {"schema": "tempora/v1", "parties": {"alice": [m1, m2],
 is [p_minus, p_plus] and a quantum state [[re, im], [re, im]].
 
 Floats are emitted via repr and therefore round-trip exactly.
+
+Parsing checks each outside value once.  A machine's two operators go
+through one algebra.as_matrix2 call, finiteness included; the machine is
+then built from that read-only array by the private constructor of
+TransitionPair or KrausPair, which does not convert it again, and checked
+for completeness.  The public constructors keep every check.  When the
+conversion fails, the operators are converted again one at a time, so the
+error names the operator at fault, as the public constructors name it.
 """
 from __future__ import annotations
 
@@ -47,20 +55,46 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _operators(obj: dict, where: str, names: tuple, shape: tuple, build):
+    """obj's two operators as one read-only float64 array of shape
+    (2,) + shape, checked by one as_matrix2 call, finiteness included.
+
+    An unfit pair goes through build, the constructor's own conversions,
+    so that its error names the operator at fault.
+    """
+    ops = (_require(obj, names[0], where), _require(obj, names[1], where))
+    try:
+        return as_matrix2(ops, ", ".join(names), np.float64, (2,) + shape)
+    except TemporaError:
+        build(*ops)
+        raise
+
+
+def _kraus_pair(k_minus, k_plus) -> KrausPair:
+    """The Kraus pair of two lists of four [re, im] pairs."""
+    k = as_matrix2((k_minus, k_plus), "k_minus, k_plus", np.float64,
+                   (2, 4, 2), finite=False)
+    return KrausPair(*k.view(np.complex128).reshape(2, 2, 2))
+
+
 def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
-    """Parse and validate one machine document."""
+    """Parse and validate one machine document.
+
+    The document's numbers are converted once, and the machine is built
+    from that array without converting it again.
+    """
     kind = _require(obj, "kind", where)
     try:
         if kind == "classical":
-            m: Machine = TransitionPair(_require(obj, "t_minus", where),
-                                        _require(obj, "t_plus", where))
+            t = _operators(obj, where, ("t_minus", "t_plus"), (2, 2),
+                           TransitionPair)
+            m: Machine = TransitionPair._trusted(t[0], t[1])
             validate_classical(m)
             return m
         if kind == "quantum":
-            k = as_matrix2((_require(obj, "k_minus", where),
-                            _require(obj, "k_plus", where)),
-                           "k_minus, k_plus", np.float64, (2, 4, 2), finite=False)
-            m = KrausPair(*k.view(np.complex128).reshape(2, 2, 2))
+            k = _operators(obj, where, ("k_minus", "k_plus"), (4, 2),
+                           _kraus_pair).view(np.complex128).reshape(2, 2, 2)
+            m = KrausPair._trusted(k[0], k[1])
             validate_kraus(m)
             return m
     except ShapeMismatch as exc:
@@ -153,14 +187,24 @@ def machine_file_from_obj(obj: dict) -> MachineFile:
 
 
 def load_machine_file(path) -> MachineFile:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """Read, parse and validate a machine file.  A file that is not UTF-8
+    text or not JSON, including JSON nested too deep to decode, raises
+    ParseError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte {exc.start} "
+            f"({exc.object[exc.start]:#04x}) {exc.reason}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deep to decode") from exc
     try:
         return machine_file_from_obj(obj)
     except TemporaError as exc:

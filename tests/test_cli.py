@@ -340,6 +340,18 @@ def test_mutated_machine_files_score_or_fail_cleanly(tmp_path, capsys):
     assert outcomes[0] > 0 and outcomes[1] > 0
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe{}",
+                                  b"[" * 200000 + b"]" * 200000],
+                         ids=["not-utf8", "too-deep"])
+def test_score_of_an_unreadable_file_prints_one_error_line(tmp_path, capsys,
+                                                          data):
+    path = tmp_path / "machines.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "score", "--machines", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_score_missing_file(capsys):
     code, _, err = run_cli(capsys, "score", "--machines",
                            "/nonexistent/machines.json")

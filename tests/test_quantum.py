@@ -7,6 +7,8 @@ from oracles import quantum_outcome_step
 from tempora import (CompletenessError, KrausPair, OrthonormalityError,
                      ket2, ket4, kraus_from_dilation, observable_of,
                      projective_kraus, qubit_state, validate_kraus)
+from tempora.classical import COMPLETENESS_TOL
+from tempora.quantum import _clearly_complete
 from tempora.rng import Stream
 from tempora.sampler import sample_machine
 
@@ -106,6 +108,32 @@ def test_validate_rejects_a_pair_whose_completeness_overflows():
 def test_validate_accepts_random_dilation_machines():
     for trial in range(200):
         validate_kraus(sample_machine("hqmm", Stream(seed=13, trial=trial)))
+
+
+def test_validate_decides_near_the_tolerance_as_numpy_residual_does():
+    # Random pairs scaled so that their completeness residual lies within
+    # 1e-12 of the tolerance, on either side of 1.  The check on Python
+    # numbers may clear a pair only with room to spare; every verdict must
+    # be that of numpy's residual, which validate_kraus falls back to.
+    gen = np.random.default_rng(2029)
+    verdicts, quick = [], 0
+    for trial in range(2000):
+        k = sample_machine("hqmm", Stream(71, trial, 0))
+        eps = COMPLETENESS_TOL + gen.uniform(-1e-12, 1e-12)
+        scale = np.sqrt(1.0 + eps * gen.choice([-1.0, 1.0]))
+        pair = KrausPair(k.k_minus * scale, k.k_plus * scale)
+        g = (pair.k_minus.conj().T @ pair.k_minus
+             + pair.k_plus.conj().T @ pair.k_plus)
+        complete = np.abs(g - np.eye(2)).max() <= COMPLETENESS_TOL
+        quick += _clearly_complete(pair)
+        try:
+            validate_kraus(pair)
+            verdicts.append((trial, complete, True))
+        except CompletenessError:
+            verdicts.append((trial, complete, False))
+    assert all(want == got for _, want, got in verdicts)
+    accepted = sum(got for *_, got in verdicts)
+    assert 500 < accepted < 1500 and 100 < quick < accepted
 
 
 def test_observable_of_projective_pairs():

@@ -1,11 +1,13 @@
 """Machine and result documents: round-trips, schema errors, CSV shapes."""
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from tempora import algebra
 from tempora import (Histogram, MachineFile, ParseError, PartySpec,
-                     SweepConfig, ValidationError, chsh_score,
+                     SweepConfig, TemporaError, ValidationError, chsh_score,
                      delay_csv, delay_result_to_obj, histogram_csv,
                      load_machine_file, machine_file_from_obj,
                      machine_file_to_obj, machine_from_obj,
@@ -166,6 +168,25 @@ def test_load_machine_file_reports_json_position(tmp_path):
     assert str(path) in str(err.value)
 
 
+# Files that are not UTF-8 JSON text the decoder can read: a UTF-16 byte
+# order mark, and brackets nested deeper than the decoder recurses.
+UNREADABLE_FILES = {
+    "not-utf8": (b"\xff\xfe{}", "not UTF-8 text: byte 0 (0xff)"),
+    "too-deep": (b"[" * 200000 + b"]" * 200000,
+                 "JSON nested too deep to decode"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_load_machine_file_rejects_unreadable_text(tmp_path, name):
+    data, message = UNREADABLE_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_machine_file(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
 def test_load_machine_file_prefixes_path_on_validation_errors(tmp_path):
     obj = machine_file_to_obj(machine_file_example("hmm"))
     obj["parties"]["bob"][1]["t_minus"] = [[0.9, 0.0], [0.0, 0.0]]
@@ -227,3 +248,276 @@ def test_delay_csv_layout():
     assert t_col == ["0", "2"]
     mean0 = float(lines[1].split(",")[2])
     assert mean0 == stats.point(0).mean_s
+
+
+# A machine file whose leaves are mutated one at a time below: a classical
+# and a quantum one, each machine complete and each state valid.
+_T = {"kind": "classical", "t_minus": [[0.5, 0.25], [0.0, 0.25]],
+      "t_plus": [[0.25, 0.5], [0.25, 0.0]]}
+_K = {"kind": "quantum", "k_minus": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                     [0.8, 0.0]],
+      "k_plus": [[0.8, 0.0], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0]]}
+MALFORMED_BASES = {
+    "classical": ({"schema": SCHEMA, "parties": {"alice": [_T, _T],
+                                                 "bob": [_T, _T]},
+                   "charlie": _T, "initial": [0.5, 0.5]},
+                  [("parties", "alice", 0, "t_minus", 0, 0),
+                   ("parties", "bob", 1, "t_plus", 1, 1),
+                   ("charlie", "t_minus", 1, 0), ("initial", 0)]),
+    "quantum": ({"schema": SCHEMA, "parties": {"alice": [_K, _K],
+                                               "bob": [_K, _K]},
+                 "charlie": _K, "initial": [[0.6, 0.0], [0.0, 0.8]]},
+                [("parties", "alice", 0, "k_minus", 0, 0),
+                 ("parties", "bob", 1, "k_plus", 3, 1),
+                 ("charlie", "k_plus", 2, 1), ("initial", 1, 1)]),
+}
+# How a leaf v is mutated; short-row drops the last entry of v's row.
+LEAF_MUTATIONS = {
+    "nan": lambda v: float("nan"), "1e400": lambda v: float("1e400"),
+    "true": lambda v: True, "str": lambda v: "1", "nested": lambda v: [v],
+    "pair": lambda v: [v, 0.0], "complex": lambda v: complex(v, 0.5),
+}
+
+
+def malformed_file(kind, leaf, mutation):
+    """MALFORMED_BASES[kind] with leaf `leaf` (an index into its leaves)
+    mutated by `mutation`, a key of LEAF_MUTATIONS or short-row."""
+    obj = json.loads(json.dumps(MALFORMED_BASES[kind][0]))
+    path = MALFORMED_BASES[kind][1][leaf]
+    row = obj
+    for key in path[:-1]:
+        row = row[key]
+    if mutation == "short-row":
+        del row[-1]
+    else:
+        row[path[-1]] = LEAF_MUTATIONS[mutation](row[path[-1]])
+    return obj
+
+
+def test_a_machine_file_is_converted_once_per_value(monkeypatch):
+    # One as_matrix2 call converts each machine, finiteness included, and
+    # one the initial state; scoring the parsed parties converts only the
+    # state, as the scorers check it like any outside state.
+    from tempora import DelaySpec, delayed_chsh_score
+    real = algebra.as_matrix2
+    names = []
+
+    def counted(m, name, *args, **kw):
+        names.append(name)
+        return real(m, name, *args, **kw)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "tempora"
+                and getattr(module, "as_matrix2", None) is real):
+            monkeypatch.setattr(module, "as_matrix2", counted)
+    for kind, ops in (("classical", "t_minus, t_plus"),
+                      ("quantum", "k_minus, k_plus")):
+        mf = machine_file_from_obj(MALFORMED_BASES[kind][0])
+        assert names == [ops] * 5 + ["initial"]
+        del names[:]
+        state = mf.default_state()
+        chsh_score(mf.alice, mf.bob, state)
+        for quantum_mode in ("vector-sum", "channel"):
+            delayed_chsh_score(mf.alice, mf.bob, state,
+                               DelaySpec(mf.charlie, 2, quantum_mode))
+        assert names == ["state"] * 3
+        del names[:]
+
+
+# The exception of each malformed leaf, as machine_file_from_obj raised it
+# when every operator was converted on its own: parsing each machine with
+# one conversion must keep both the class and the message.
+MALFORMED_ERRORS = {
+    ("classical", 0, "nan"): ("ValidationError",
+        "parties.alice[0]: t_minus contains non-finite entries"),
+    ("classical", 0, "1e400"): ("ValidationError",
+        "parties.alice[0]: t_minus contains non-finite entries"),
+    ("classical", 0, "true"): ("ParseError",
+        "parties.alice[0]: t_minus must be 2x2 numbers of shape (2,"
+        " 2), got [[True, 0.25], [0.0, 0.25]]"),
+    ("classical", 0, "str"): ("ParseError",
+        "parties.alice[0]: t_minus must be 2x2 numbers of shape (2,"
+        " 2), got [['1', 0.25], [0.0, 0.25]]"),
+    ("classical", 0, "nested"): ("ParseError",
+        "parties.alice[0]: t_minus must be 2x2 numbers of shape (2,"
+        " 2), got [[[0.5], 0.25], [0.0, 0.25]]"),
+    ("classical", 0, "pair"): ("ParseError",
+        "parties.alice[0]: t_minus must be 2x2 numbers of shape (2,"
+        " 2), got [[[0.5, 0.0], 0.25], [0.0, 0.25]]"),
+    ("classical", 0, "complex"): ("ValidationError",
+        "parties.alice[0]: t_minus must be real, got complex entrie"
+        "s"),
+    ("classical", 0, "short-row"): ("ParseError",
+        "parties.alice[0]: t_minus must be 2x2 numbers of shape (2,"
+        " 2), got [[0.5], [0.0, 0.25]]"),
+    ("classical", 1, "nan"): ("ValidationError",
+        "parties.bob[1]: t_plus contains non-finite entries"),
+    ("classical", 1, "1e400"): ("ValidationError",
+        "parties.bob[1]: t_plus contains non-finite entries"),
+    ("classical", 1, "true"): ("ParseError",
+        "parties.bob[1]: t_plus must be 2x2 numbers of shape (2, 2)"
+        ", got [[0.25, 0.5], [0.25, True]]"),
+    ("classical", 1, "str"): ("ParseError",
+        "parties.bob[1]: t_plus must be 2x2 numbers of shape (2, 2)"
+        ", got [[0.25, 0.5], [0.25, '1']]"),
+    ("classical", 1, "nested"): ("ParseError",
+        "parties.bob[1]: t_plus must be 2x2 numbers of shape (2, 2)"
+        ", got [[0.25, 0.5], [0.25, [0.0]]]"),
+    ("classical", 1, "pair"): ("ParseError",
+        "parties.bob[1]: t_plus must be 2x2 numbers of shape (2, 2)"
+        ", got [[0.25, 0.5], [0.25, [0.0, 0.0]]]"),
+    ("classical", 1, "complex"): ("ValidationError",
+        "parties.bob[1]: t_plus must be real, got complex entries"),
+    ("classical", 1, "short-row"): ("ParseError",
+        "parties.bob[1]: t_plus must be 2x2 numbers of shape (2, 2)"
+        ", got [[0.25, 0.5], [0.25]]"),
+    ("classical", 2, "nan"): ("ValidationError",
+        "charlie: t_minus contains non-finite entries"),
+    ("classical", 2, "1e400"): ("ValidationError",
+        "charlie: t_minus contains non-finite entries"),
+    ("classical", 2, "true"): ("ParseError",
+        "charlie: t_minus must be 2x2 numbers of shape (2, 2), got "
+        "[[0.5, 0.25], [True, 0.25]]"),
+    ("classical", 2, "str"): ("ParseError",
+        "charlie: t_minus must be 2x2 numbers of shape (2, 2), got "
+        "[[0.5, 0.25], ['1', 0.25]]"),
+    ("classical", 2, "nested"): ("ParseError",
+        "charlie: t_minus must be 2x2 numbers of shape (2, 2), got "
+        "[[0.5, 0.25], [[0.0], 0.25]]"),
+    ("classical", 2, "pair"): ("ParseError",
+        "charlie: t_minus must be 2x2 numbers of shape (2, 2), got "
+        "[[0.5, 0.25], [[0.0, 0.0], 0.25]]"),
+    ("classical", 2, "complex"): ("ValidationError",
+        "charlie: t_minus must be real, got complex entries"),
+    ("classical", 2, "short-row"): ("ParseError",
+        "charlie: t_minus must be 2x2 numbers of shape (2, 2), got "
+        "[[0.5, 0.25], [0.0]]"),
+    ("classical", 3, "nan"): ("ValidationError",
+        "(nan, 0.5) is not a probability vector"),
+    ("classical", 3, "1e400"): ("ValidationError",
+        "(inf, 0.5) is not a probability vector"),
+    ("classical", 3, "true"): ("ParseError",
+        "initial must be 2 numbers of shape (2,), got [True, 0.5]"),
+    ("classical", 3, "str"): ("ParseError",
+        "initial must be 2 numbers of shape (2,), got ['1', 0.5]"),
+    ("classical", 3, "nested"): ("ParseError",
+        "initial must be 2 numbers of shape (2,), got [[0.5], 0.5]"),
+    ("classical", 3, "pair"): ("ParseError",
+        "initial must be 2 numbers of shape (2,), got [[0.5, 0.0], "
+        "0.5]"),
+    ("classical", 3, "complex"): ("ParseError",
+        "initial must be real, got complex entries"),
+    ("classical", 3, "short-row"): ("ParseError",
+        "initial must be 2 numbers of shape (2,), got array([0.5])"),
+    ("quantum", 0, "nan"): ("ValidationError",
+        "parties.alice[0]: k_minus contains non-finite entries"),
+    ("quantum", 0, "1e400"): ("ValidationError",
+        "parties.alice[0]: k_minus contains non-finite entries"),
+    ("quantum", 0, "true"): ("ParseError",
+        "parties.alice[0]: k_minus, k_plus must be 2x4x2 numbers of"
+        " shape (2, 4, 2), got ([[True, 0.0], [0.0, 0.0], [0.0, 0.0"
+        "], [0.8, 0.0]], [[0.8, 0"),
+    ("quantum", 0, "str"): ("ParseError",
+        "parties.alice[0]: k_minus, k_plus must be 2x4x2 numbers of"
+        " shape (2, 4, 2), got ([['1', 0.0], [0.0, 0.0], [0.0, 0.0]"
+        ", [0.8, 0.0]], [[0.8, 0."),
+    ("quantum", 0, "nested"): ("ParseError",
+        "parties.alice[0]: k_minus, k_plus must be 2x4x2 numbers of"
+        " shape (2, 4, 2), got ([[[0.6], 0.0], [0.0, 0.0], [0.0, 0."
+        "0], [0.8, 0.0]], [[0.8, "),
+    ("quantum", 0, "pair"): ("ParseError",
+        "parties.alice[0]: k_minus, k_plus must be 2x4x2 numbers of"
+        " shape (2, 4, 2), got ([[[0.6, 0.0], 0.0], [0.0, 0.0], [0."
+        "0, 0.0], [0.8, 0.0]], [["),
+    ("quantum", 0, "complex"): ("ValidationError",
+        "parties.alice[0]: k_minus, k_plus must be real, got comple"
+        "x entries"),
+    ("quantum", 0, "short-row"): ("ParseError",
+        "parties.alice[0]: k_minus, k_plus must be 2x4x2 numbers of"
+        " shape (2, 4, 2), got ([[0.6], [0.0, 0.0], [0.0, 0.0], [0."
+        "8, 0.0]], [[0.8, 0.0], ["),
+    ("quantum", 1, "nan"): ("ValidationError",
+        "parties.bob[1]: k_plus contains non-finite entries"),
+    ("quantum", 1, "1e400"): ("ValidationError",
+        "parties.bob[1]: k_plus contains non-finite entries"),
+    ("quantum", 1, "true"): ("ParseError",
+        "parties.bob[1]: k_minus, k_plus must be 2x4x2 numbers of s"
+        "hape (2, 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], "
+        "[0.8, 0.0]], [[0.8, 0."),
+    ("quantum", 1, "str"): ("ParseError",
+        "parties.bob[1]: k_minus, k_plus must be 2x4x2 numbers of s"
+        "hape (2, 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], "
+        "[0.8, 0.0]], [[0.8, 0."),
+    ("quantum", 1, "nested"): ("ParseError",
+        "parties.bob[1]: k_minus, k_plus must be 2x4x2 numbers of s"
+        "hape (2, 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], "
+        "[0.8, 0.0]], [[0.8, 0."),
+    ("quantum", 1, "pair"): ("ParseError",
+        "parties.bob[1]: k_minus, k_plus must be 2x4x2 numbers of s"
+        "hape (2, 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], "
+        "[0.8, 0.0]], [[0.8, 0."),
+    ("quantum", 1, "complex"): ("ValidationError",
+        "parties.bob[1]: k_minus, k_plus must be real, got complex "
+        "entries"),
+    ("quantum", 1, "short-row"): ("ParseError",
+        "parties.bob[1]: k_minus, k_plus must be 2x4x2 numbers of s"
+        "hape (2, 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], "
+        "[0.8, 0.0]], [[0.8, 0."),
+    ("quantum", 2, "nan"): ("ValidationError",
+        "charlie: k_plus contains non-finite entries"),
+    ("quantum", 2, "1e400"): ("ValidationError",
+        "charlie: k_plus contains non-finite entries"),
+    ("quantum", 2, "true"): ("ParseError",
+        "charlie: k_minus, k_plus must be 2x4x2 numbers of shape (2"
+        ", 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0"
+        ".0]], [[0.8, 0."),
+    ("quantum", 2, "str"): ("ParseError",
+        "charlie: k_minus, k_plus must be 2x4x2 numbers of shape (2"
+        ", 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0"
+        ".0]], [[0.8, 0."),
+    ("quantum", 2, "nested"): ("ParseError",
+        "charlie: k_minus, k_plus must be 2x4x2 numbers of shape (2"
+        ", 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0"
+        ".0]], [[0.8, 0."),
+    ("quantum", 2, "pair"): ("ParseError",
+        "charlie: k_minus, k_plus must be 2x4x2 numbers of shape (2"
+        ", 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0"
+        ".0]], [[0.8, 0."),
+    ("quantum", 2, "complex"): ("ValidationError",
+        "charlie: k_minus, k_plus must be real, got complex entries"),
+    ("quantum", 2, "short-row"): ("ParseError",
+        "charlie: k_minus, k_plus must be 2x4x2 numbers of shape (2"
+        ", 4, 2), got ([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0"
+        ".0]], [[0.8, 0."),
+    ("quantum", 3, "nan"): ("ValidationError",
+        "state has squared norm nan, expected 1"),
+    ("quantum", 3, "1e400"): ("ValidationError",
+        "state has squared norm inf, expected 1"),
+    ("quantum", 3, "true"): ("ParseError",
+        "initial must be 2x2 numbers of shape (2, 2), got [[0.6, 0."
+        "0], [0.0, True]]"),
+    ("quantum", 3, "str"): ("ParseError",
+        "initial must be 2x2 numbers of shape (2, 2), got [[0.6, 0."
+        "0], [0.0, '1']]"),
+    ("quantum", 3, "nested"): ("ParseError",
+        "initial must be 2x2 numbers of shape (2, 2), got [[0.6, 0."
+        "0], [0.0, [0.8]]]"),
+    ("quantum", 3, "pair"): ("ParseError",
+        "initial must be 2x2 numbers of shape (2, 2), got [[0.6, 0."
+        "0], [0.0, [0.8, 0.0]]]"),
+    ("quantum", 3, "complex"): ("ParseError",
+        "initial must be real, got complex entries"),
+    ("quantum", 3, "short-row"): ("ParseError",
+        "initial must be 2x2 numbers of shape (2, 2), got [[0.6, 0."
+        "0], [0.0]]"),
+}
+
+
+def test_each_malformed_leaf_keeps_its_error():
+    assert len(MALFORMED_ERRORS) == sum(
+        len(leaves) for _, leaves in MALFORMED_BASES.values()) * (
+            len(LEAF_MUTATIONS) + 1)
+    for case, (cls, message) in MALFORMED_ERRORS.items():
+        with pytest.raises(TemporaError) as err:
+            machine_file_from_obj(malformed_file(*case))
+        assert (case, type(err.value).__name__, str(err.value)) == (
+            case, cls, message)
