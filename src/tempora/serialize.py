@@ -188,8 +188,8 @@ def machine_file_from_obj(obj: dict) -> MachineFile:
 
 def load_machine_file(path) -> MachineFile:
     """Read, parse and validate a machine file.  A file that is not UTF-8
-    text or not JSON, including JSON nested too deep to decode, raises
-    ParseError naming the path."""
+    text or not JSON, including JSON nested too deep to decode or to show
+    in an error message, raises ParseError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -209,6 +209,8 @@ def load_machine_file(path) -> MachineFile:
         return machine_file_from_obj(obj)
     except TemporaError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except RecursionError as exc:  # the repr of a value in a message
+        raise ParseError(f"{path}: JSON nested too deep to parse") from exc
 
 
 def save_machine_file(path, mf: MachineFile) -> None:

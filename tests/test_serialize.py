@@ -187,6 +187,22 @@ def test_load_machine_file_rejects_unreadable_text(tmp_path, name):
     assert str(err.value).startswith(f"{path}: {message}")
 
 
+def test_load_machine_file_rejects_a_matrix_nested_nearly_too_deep(tmp_path):
+    # Nested just shallower than the decoder's limit, a matrix decodes, and
+    # the repr in its error message can then run out of stack.  Every depth
+    # around the limit must give one ParseError.
+    path = tmp_path / "deep.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 60, limit + 5):
+        path.write_text(json.dumps({"schema": SCHEMA, "parties": {
+            "alice": [{"kind": "classical", "t_minus": "X",
+                       "t_plus": _T["t_plus"]}] * 2,
+            "bob": [_T, _T]}}).replace('"X"', "[" * depth + "]" * depth))
+        with pytest.raises(ParseError) as err:
+            load_machine_file(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
 def test_load_machine_file_prefixes_path_on_validation_errors(tmp_path):
     obj = machine_file_to_obj(machine_file_example("hmm"))
     obj["parties"]["bob"][1]["t_minus"] = [[0.9, 0.0], [0.0, 0.0]]
