@@ -111,16 +111,17 @@ def validate_classical(m: TransitionPair) -> None:
 
     Raises CompletenessError carrying the offending column and residual.
     """
-    t_minus, t_plus = m.t_minus.tolist(), m.t_plus.tolist()
-    for name, rows in (("t_minus", t_minus), ("t_plus", t_plus)):
-        lo, hi = min(rows[0] + rows[1]), max(rows[0] + rows[1])
+    (a, b), (c, d) = m.t_minus.tolist()
+    (e, f), (g, h) = m.t_plus.tolist()
+    for name, lo, hi in (("t_minus", min(a, b, c, d), max(a, b, c, d)),
+                         ("t_plus", min(e, f, g, h), max(e, f, g, h))):
         if not (lo >= 0.0 and hi <= 1.0):
             raise CompletenessError(f"{name} has entries outside [0, 1]",
                                     residual=max(-lo, hi - 1.0))
-    # Each column of t_minus + t_plus, summed in numpy's order.
-    sums = [(t_minus[0][c] + t_plus[0][c]) + (t_minus[1][c] + t_plus[1][c])
-            for c in (0, 1)]
-    residuals = [abs(s - 1.0) for s in sums]
+    # Each column of t_minus + t_plus, summed in numpy's order and written
+    # out: comprehensions cost more than the rest of the check.
+    sums = ((a + e) + (c + g), (b + f) + (d + h))
+    residuals = (abs(sums[0] - 1.0), abs(sums[1] - 1.0))
     col = 1 if residuals[1] > residuals[0] else 0  # the first maximum wins ties
     if not residuals[col] <= COMPLETENESS_TOL:
         raise CompletenessError(
