@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .errors import RangeError, ShapeMismatch
+from .integers import is_int
 
 # Allowed deviation of inner products from exact orthonormality.
 ORTHONORMALITY_TOL = 1e-10
@@ -28,12 +29,11 @@ _ISFINITE = {np.float64: math.isfinite, np.complex128: cmath.isfinite}
 
 
 def symbol_index(symbol: int) -> int:
-    """Map an outcome symbol -1/+1 to its array index 0/1."""
-    if symbol == -1:
-        return 0
-    if symbol == 1:
-        return 1
-    raise RangeError(f"outcome symbol must be -1 or +1, got {symbol!r}")
+    """Map an outcome symbol -1/+1, an integer under is_int, to its array
+    index 0/1."""
+    if not (is_int(symbol) and symbol in (-1, 1)):
+        raise RangeError(f"outcome symbol must be -1 or +1, got {symbol!r}")
+    return 0 if symbol == -1 else 1
 
 
 def as_matrix2(m, name: str, dtype, shape=(2, 2), *, error=None,

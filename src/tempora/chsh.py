@@ -33,6 +33,7 @@ from . import kernels
 from .algebra import as_matrix2
 from .classical import TransitionPair, checked_prob_vector
 from .errors import KindMismatch, RangeError, ShapeMismatch
+from .integers import is_int
 from .quantum import KrausPair, checked_qubit_state
 
 Machine = Union[TransitionPair, KrausPair]
@@ -64,7 +65,7 @@ class PartySpec:
         return self.basis1.kind
 
     def basis(self, n: int) -> Machine:
-        if n not in (1, 2):
+        if not (is_int(n) and n in (1, 2)):
             raise RangeError(f"basis index must be 1 or 2, got {n!r}")
         return self.basis1 if n == 1 else self.basis2
 
@@ -122,7 +123,7 @@ class ChshResult:
 
 def chsh_from_correlators(c11: float, c12: float, c21: float,
                           c22: float) -> tuple[float, float]:
-    """(s_canonical, s_max) from a correlator matrix: kernels.select_score,
+    """(s_canonical, s_max) from a correlator matrix: kernels._select_score,
     the selection the sweeps score with."""
     return _scores(as_matrix2((c11, c12, c21, c22), "the correlators",
                               np.float64, (4,), error=RangeError,

@@ -8,7 +8,7 @@ Likewise _score_block is the only code that forms correlators: the sweeps
 call it per block of drawn machines, and chsh scores one configuration as
 its n=1 call.  _select_score is the only code that turns correlators into
 a score, with its sum written out, so a trial's scalar and sweep scores
-have the same bits in every ordering; select_score is its checked entry.
+have the same bits in every ordering.
 
 A machine batch is an ndarray of shape (2, 2, 2, n): axis 0 is the outcome
 symbol (0 -> -1, 1 -> +1), axes 1-2 the matrix, axis 3 the trial.  Classical
@@ -507,9 +507,9 @@ def _correlators(e: np.ndarray, mode: str) -> np.ndarray:
     return 0.5 * (ab + ba.swapaxes(0, 1))
 
 
-def select_score(c11, c12, c21, c22, convention: str):
+def _select_score(c11, c12, c21, c22, convention: str):
     """The canonical or max-relabel CHSH score of correlators c_nm, given as
-    floats or as (n,) arrays.
+    floats or as (n,) arrays, under a convention its caller has checked.
 
     The sum is written out as ((c11 + c12) + c21) + c22, so a score's bits
     follow from this code, not from how its correlators lie in memory; the
@@ -517,12 +517,6 @@ def select_score(c11, c12, c21, c22, convention: str):
     sign on c22; max-relabel takes the largest of the four placements, the
     first NaN among them if there is one.
     """
-    check_options(convention=convention)
-    return _select_score(c11, c12, c21, c22, convention)
-
-
-def _select_score(c11, c12, c21, c22, convention: str):
-    """select_score under a convention its caller has checked."""
     total = ((c11 + c12) + c21) + c22
     if convention == "canonical":
         return abs(total - 2.0 * c22)

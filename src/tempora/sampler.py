@@ -12,27 +12,31 @@ module keeps between sweeps.  The first such sweep forks them; a later one
 sends each kept child one job (the worker, the config, the child's share
 of the batches, how to build its empty share histogram, and CHUNK) and
 forks only the children it lacks.  A sweep takes its children for its
-duration, so sweeps in two threads never share one, and puts them back
-once it has read all their results; it keeps at most as many idle
-children as it used and stops the others.  A sweep that ends early, on a
-child's error or death, a closed stream or KeyboardInterrupt, stops and
-joins its children and every kept one.  Kept children are daemonic, so the
-interpreter stops them at exit.  Every forked process closes the parent's
-pipe ends it inherits and forgets the parent's children, so a child exits
-by itself at EOF when the parent is killed, and a process forked from the
-parent forks children of its own.  Reusing a process moves no byte: every
-draw is a pure function of its counter.
+duration, so sweeps in two threads never share one.  Once it has read all
+their results it keeps them, and only them, and stops every other idle
+child; a sweep that ends early, on a child's error or death, a closed
+stream or KeyboardInterrupt, stops its children too.  _drop_children is
+that one release path, and joins what it stops.  Kept children are
+daemonic, so the interpreter stops them at exit.  Every forked process
+closes the parent's pipe ends it inherits and forgets the parent's
+children, so a child exits by itself at EOF when the parent is killed, and
+a process forked from the parent forks children of its own.  Reusing a
+process moves no byte: every draw is a pure function of its counter.
 
-Child w scores the fixed round-robin share of batches w, w + N, w + 2N, ...
-and bins a zero-delay sweep's scores into one share histogram of its own.
-It sends each batch's per-row statistics in one message per CHUNK batches,
-and its histogram with its last message.  The parent reads the pipes
-round-robin, batch i being entry (i // N) % CHUNK of message (i // N) //
-CHUNK of child i mod N, and folds the statistics in batch order: only their
-float sums depend on that order.  It merges the N share histograms as they
-come.  One worker runs the same fold with one share histogram and no pipe.
+_scored is the one loop over a share of the batches: it scores them into
+one share histogram of the worker's own (for a zero-delay sweep) and yields
+a (part, result) pair per batch, part being the share after its last
+batch, else None.  One worker's share is every batch, and the parent runs
+the loop itself, with no pipe.  Child w's share is the fixed round-robin
+one of batches w, w + N, w + 2N, ...; it sends its pairs as (pairs, error),
+one message per CHUNK batches.  The parent reads the pipes round-robin,
+batch i being entry (i // N) % CHUNK of message (i // N) // CHUNK of child
+i mod N, folds the per-row statistics in batch order, as only their float
+sums depend on that order, and merges the N share histograms as they come.
 A child's exception is raised in the caller at the batch that raised it,
-and a child that exits without a reply raises SamplingError there.
+and a child that exits without a reply raises SamplingError there.  A
+batch with a score that is not finite raises RangeError, so a sweep stops
+at the first such batch.
 """
 from __future__ import annotations
 
@@ -284,45 +288,59 @@ def _job(cfg: SweepConfig, start: int) -> tuple[SweepConfig, int, int]:
 @np.errstate(over="ignore", invalid="ignore")
 def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
     """One batch: bins a zero-delay sweep's scores into hist (None for a
-    delay sweep) and returns, per score row, its sum, max, counts above 2
-    and 2*sqrt(2), trials and non-finite trials, which _fold reports in
-    place of numpy."""
+    delay sweep) and returns, per score row, its sum, max and counts above
+    2 and 2*sqrt(2), which _fold reports in place of numpy.  Raises
+    RangeError, naming each t and its non-finite trials of the batch, for a
+    score that is not a finite number."""
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
     if cfg.t_list is None:
+        ts = (0,)
         rows = kernels.batch_scores(cfg.kind, cfg.master_seed, trials, cfg.mode,
                                     cfg.convention, cfg.random_initial)[None]
     else:
+        ts = tuple(cfg.t_list)
         rows = kernels.batch_delay_scores(
-            cfg.kind, cfg.master_seed, trials, tuple(cfg.t_list),
+            cfg.kind, cfg.master_seed, trials, ts,
             cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
     stats = [(float(row.sum()), float(row.max()),
               int(np.count_nonzero(row > 2.0)),
-              int(np.count_nonzero(row > TWO_SQRT2)), int(row.size),
-              int(row.size - np.count_nonzero(np.isfinite(row))))
-             for row in rows]
-    if cfg.t_list is None and not stats[0][-1]:  # else _fold names them
+              int(np.count_nonzero(row > TWO_SQRT2))) for row in rows]
+    bad = [f"t={int(t)}: {row.size - np.count_nonzero(np.isfinite(row))} "
+           f"of {row.size} trials" for t, row in zip(ts, rows)
+           if not np.isfinite(row).all()]
+    if bad:
+        raise RangeError("delay scores are not finite: " + "; ".join(bad))
+    if hist is not None:
         hist.add_scores(rows[0])
     return stats
 
 
+def _scored(worker, cfg: SweepConfig, starts: range, new_share):
+    """Yield (part, worker(job, share)) for each batch that starts at a
+    trial of starts, in order.  The batches score into one share of their
+    own, new_share() (None without new_share), and part is that share after
+    the last batch, else None."""
+    share = new_share() if new_share is not None else None
+    for start in starts:
+        result = worker(_job(cfg, start), share)
+        yield (share if start == starts[-1] else None), result
+
+
 def _run_share(conn, worker, cfg: SweepConfig, starts: range, new_share,
                chunk: int) -> None:
-    """Score a share of the batches into a share of its own, new_share()
-    (None without new_share), sending (results, share, error) per chunk
-    batches: the share with the last message, or, on the first error, the
-    results scored before it and the error."""
-    results = []
+    """Send _scored's pairs of a share of the batches as (pairs, error), one
+    message per chunk batches: on the first error, the pairs scored before
+    it and the error."""
+    pairs = []
     try:
-        share = new_share() if new_share is not None else None
-        for n, start in enumerate(starts, 1):
-            results.append(worker(_job(cfg, start), share))
+        for n, pair in enumerate(_scored(worker, cfg, starts, new_share), 1):
+            pairs.append(pair)
             if n % chunk == 0 or n == len(starts):
-                message = (results, share if n == len(starts) else None, None)
-                results = []
+                message, pairs = (pairs, None), []
                 conn.send(message)
     except Exception as exc:  # re-raised by the parent
-        conn.send((results, None, exc))
+        conn.send((pairs, exc))
 
 
 def _serve(conn) -> None:
@@ -337,10 +355,10 @@ def _serve(conn) -> None:
 
 
 # Sweep children, each as (process, the parent's end of its duplex pipe).
-# Idle children wait in _KEPT; a sweep takes the ones it uses and puts them
-# back when it has read all their results.  _LIVE holds every child, idle
-# or taken.  _LOCK guards both and is held across each fork, so that a new
-# child closes the parent end of every live child (_after_fork).  It is
+# Idle children wait in _KEPT; a sweep takes the ones it uses and keeps
+# them again when it has read all their results.  _LIVE holds every child,
+# idle or taken.  _LOCK guards both and is held across each fork, so that a
+# new child closes the parent end of every live child (_after_fork).  It is
 # reentrant: the garbage collector may finalize an abandoned sweep, which
 # drops its children, in a thread that holds it.
 _KEPT: list = []
@@ -398,48 +416,30 @@ def _stop(children: list) -> None:
             proc.terminate()
 
 
-def _join(children) -> None:
-    for proc, _ in children:
+def _drop_children(children=(), keep=False) -> None:
+    """Stop and join every idle child, and children too, unless keep: then
+    children are kept for later sweeps, and they alone."""
+    with _LOCK:
+        stopped = _KEPT + ([] if keep else list(children))
+        _KEPT[:] = children if keep else ()
+        _stop(stopped)
+    for proc, _ in stopped:
         if proc.pid is not None:
             proc.join()
 
 
-def _put_back(children: list) -> None:
-    """Keep children for later sweeps, with at most len(children) idle
-    children in all; stop the others."""
-    with _LOCK:
-        _KEPT.extend(children)
-        extra = _KEPT[:-len(children)]
-        del _KEPT[:-len(children)]
-        _stop(extra)
-    _join(extra)
-
-
-def _drop_children(children=()) -> None:
-    """Stop and join children and every kept child."""
-    with _LOCK:
-        children = list(children) + _KEPT
-        _KEPT.clear()
-        _stop(children)
-    _join(children)
-
-
 def _replies(w: int, proc, conn):
-    """Child w's batch results in its share's order, each as (part, result):
-    part is the child's share after its last batch, else None.  Raises the
+    """Child w's (part, result) pairs in its share's order.  Raises the
     child's error where it stopped, SamplingError where it died."""
     while True:
         try:
-            results, share, exc = conn.recv()
+            pairs, exc = conn.recv()
         except (EOFError, ConnectionResetError) as eof:
             proc.join()
             raise SamplingError(
                 f"sweep child {w} exited with code {proc.exitcode} "
                 "before it sent its results") from eof
-        for result in results[:-1]:
-            yield None, result
-        if results:
-            yield share, results[-1]
+        yield from pairs
         if exc is not None:
             raise exc
 
@@ -455,10 +455,7 @@ def _map_batches(worker, cfg: SweepConfig, workers: int, new_share=None):
     starts = range(0, cfg.count, BATCH)
     workers = min(int(workers), len(starts))
     if workers <= 1:
-        share = new_share() if new_share is not None else None
-        for start in starts:
-            result = worker(_job(cfg, start), share)
-            yield (share if start == starts[-1] else None), result
+        yield from _scored(worker, cfg, starts, new_share)
         return
     children, read = [], 0
     try:
@@ -474,35 +471,28 @@ def _map_batches(worker, cfg: SweepConfig, workers: int, new_share=None):
             read += 1
             yield reply
     finally:
-        if read < len(starts):
-            # Nothing reads the pipes now, and a child blocked on a full
-            # one would never exit.
-            _drop_children(children)
-        else:
-            _put_back(children)
+        # A sweep that ends early stops its children too: nothing reads
+        # their pipes now, and a child blocked on a full one would never
+        # exit.
+        _drop_children(children, keep=read == len(starts))
 
 
 def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
     """Run cfg's batches and reduce them in batch order: the merged histogram
     and, per score row, the totals of `_batch`'s statistics."""
     cfg.validate()
-    ts = (0,) if cfg.t_list is None else tuple(cfg.t_list)
     hist = Histogram.empty(cfg.bins, *cfg.range)
     # Each worker builds its own empty share: a pool child gets the recipe,
     # not up to 2**24 zero counts.
     new_share = (functools.partial(Histogram.empty, cfg.bins, *cfg.range)
                  if cfg.t_list is None else None)
-    totals = [(0.0, -np.inf, 0, 0, 0, 0)] * len(ts)
+    totals = [(0.0, -np.inf, 0, 0)] * (1 if cfg.t_list is None
+                                       else len(cfg.t_list))
     for part, rows in _map_batches(_batch, cfg, workers, new_share):
         if part is not None:
             hist = histogram_merge(hist, part)
-        totals = [(s + s2, max(mx, mx2), a + a2, r + r2, n + n2, b + b2)
-                  for (s, mx, a, r, n, b), (s2, mx2, a2, r2, n2, b2)
-                  in zip(totals, rows)]
-    bad = [f"t={int(t)}: {b} of {n} trials"
-           for t, (*_, n, b) in zip(ts, totals) if b]
-    if bad:
-        raise RangeError("delay scores are not finite: " + "; ".join(bad))
+        totals = [(s + s2, max(mx, mx2), a + a2, r + r2)
+                  for (s, mx, a, r), (s2, mx2, a2, r2) in zip(totals, rows)]
     return hist, totals
 
 
@@ -510,7 +500,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSumma
     """Score cfg.count random machines; deterministic for any worker count."""
     if cfg.t_list is not None:
         raise ConfigError("a t_list needs run_delay_sweep")
-    hist, [(sum_s, _, above2, above2r2, n, _)] = _fold(cfg, workers)
+    hist, [(sum_s, _, above2, above2r2)] = _fold(cfg, workers)
+    n = int(cfg.count)
     summary = SweepSummary(
         count=n,
         observed_min=hist.observed_min, observed_max=hist.observed_max,
@@ -523,14 +514,15 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> tuple[Histogram, SweepSumma
 def run_delay_sweep(cfg: SweepConfig, workers: int = 1) -> DelayStats:
     """Delay sweep over cfg.t_list; one intermediary per trial, reused across t.
 
-    Raises RangeError when a score is not finite, as when a vector-sum
-    delay's raw sums overflow at long t.
+    Raises RangeError at the first batch with a score that is not finite,
+    as when a vector-sum delay's raw sums overflow at long t.
     """
     if cfg.t_list is None:
         raise ConfigError("delay sweep needs a t_list")
     _, totals = _fold(cfg, workers)
+    n = int(cfg.count)
     return DelayStats(points=[
         DelayPoint(t=int(t), count=n, mean_s=(s / n) if n else None,
                    max_s=mx if n else None,
                    fraction_above_2=(a2 / n) if n else None)
-        for t, (s, mx, a2, _, n, _) in zip(cfg.t_list, totals)])
+        for t, (s, mx, a2, _) in zip(cfg.t_list, totals)])

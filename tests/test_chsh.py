@@ -128,8 +128,8 @@ def test_select_score_floats_and_arrays_agree_bit_for_bit():
     combos = np.array(list(itertools.product(values, repeat=4))).T
     for convention in kernels.SCORE_CONVENTIONS:
         with np.errstate(invalid="ignore", over="ignore"):
-            arrays = kernels.select_score(*combos, convention)
-        floats = np.array([kernels.select_score(*map(float, c), convention)
+            arrays = kernels._select_score(*combos, convention)
+        floats = np.array([kernels._select_score(*map(float, c), convention)
                            for c in combos.T])
         assert np.isnan(floats).any() and np.isinf(floats).any()
         assert floats.tobytes() == arrays.tobytes()
@@ -507,8 +507,7 @@ def test_mode_and_convention_are_validated():
         lambda: kernels.batch_scores("mm", 1, trials, mode="bogus"),
         lambda: kernels.batch_scores("mm", 1, trials, convention="best"),
         lambda: kernels.batch_delay_scores("hqmm", 1, trials, (0, 1),
-                                           quantum_mode="chanel"),
-        lambda: kernels.select_score(0.5, 0.5, 0.5, -0.5, "typo"))
+                                           quantum_mode="chanel"))
     for call in kernel_calls:
         with pytest.raises(ConfigError, match="must be one of"):
             call()

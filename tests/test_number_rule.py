@@ -17,7 +17,7 @@ from tempora import (DelaySpec, KrausPair, PartySpec, SweepConfig,
                      projective_kraus, qubit_state, spatial_reference_score,
                      state_from_obj)
 from tempora import kernels, rng
-from tempora.algebra import as_matrix2
+from tempora.algebra import as_matrix2, ket2, ket4, symbol_index
 from tempora.errors import RangeError, ShapeMismatch
 from tempora.sampler import Histogram, histogram_merge
 
@@ -250,3 +250,21 @@ def test_a_huge_score_bins_as_overflow_without_a_warning():
     h.add_scores([1e308, -1.7e308, -0.3e308])
     assert (h.underflow, h.overflow, h.counts.tolist()) == (1, 1, [0, 0, 1, 0])
     assert (h.observed_min, h.observed_max) == (-1.7e308, 1e308)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 1.0, np.float64(2), -1.0])
+def test_basis_indices_and_outcome_symbols_follow_the_integer_rule(value):
+    # Each value was once taken as a basis index or an outcome symbol.
+    with pytest.raises(RangeError, match="^basis index must be 1 or 2"):
+        P.basis(value)
+    for op in (symbol_index, ket2, lambda s: ket4(s, 1), lambda s: ket4(1, s),
+               P.basis1.op, projective_kraus(0.3).op):
+        with pytest.raises(RangeError,
+                           match=r"^outcome symbol must be -1 or \+1"):
+            op(value)
+
+
+def test_numpy_integers_are_basis_indices_and_outcome_symbols():
+    assert P.basis(np.int64(2)) is P.basis2
+    assert (symbol_index(np.int8(-1)), symbol_index(np.uint8(1))) == (0, 1)
+    np.testing.assert_array_equal(ket4(np.int64(1), -1), [0, 0, 1, 0])

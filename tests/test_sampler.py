@@ -1270,6 +1270,57 @@ def test_a_worker_that_dies_without_a_reply_stops_the_sweep():
     assert_new_children_give_the_one_worker_bytes(pids)
 
 
+def count_starts(monkeypatch):
+    """Record every process start from now on; returns the list."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counting_start)
+    return started
+
+
+def test_a_kept_child_that_died_is_replaced_by_one_fork(monkeypatch):
+    cfg = SweepConfig(kind="hmm", count=3 * BATCH + 7, master_seed=9)
+    one = sweep_document(cfg, 1)
+    assert sweep_document(cfg, 2) == one
+    dead, alive = multiprocessing.active_children()
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(timeout=10)
+    assert dead.exitcode == -signal.SIGKILL
+    started = count_starts(monkeypatch)
+    assert sweep_document(cfg, 2) == one
+    assert len(started) == 1
+    assert ({proc.pid for proc in multiprocessing.active_children()}
+            == {alive.pid, started[0].pid})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_stops_at_its_first_batch_with_a_score_that_is_not_finite(
+        workers, monkeypatch):
+    # Batches 1 and 2 score NaN on their even trials: 8192 of batch 1's
+    # 16384, 20 of batch 2's 40.  Patched before the pool forks, so that the
+    # children score with it too.
+    score = kernels.batch_scores
+    scored = []
+
+    def with_nan(kind, seed, trials, *rest):
+        scored.append(int(trials[0]))
+        s = score(kind, seed, trials, *rest)
+        s[(trials >= BATCH) & (trials % 2 == 0)] = np.nan
+        return s
+    monkeypatch.setattr(kernels, "batch_scores", with_nan)
+    with pytest.raises(RangeError, match=r"^delay scores are not finite: "
+                                         r"t=0: 8192 of 16384 trials$"):
+        run_sweep(SweepConfig(kind="mm", count=2 * BATCH + 40), workers)
+    # A pool sweep scores in its children, one worker in this process.
+    assert scored == ([0, BATCH] if workers == 1 else [])
+
+
 def test_the_first_result_on_one_worker_scores_one_batch():
     calls = []
 
