@@ -303,9 +303,6 @@ def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
         rows = kernels.batch_delay_scores(
             cfg.kind, cfg.master_seed, trials, ts,
             cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
-    stats = [(float(row.sum()), float(row.max()),
-              int(np.count_nonzero(row > 2.0)),
-              int(np.count_nonzero(row > TWO_SQRT2))) for row in rows]
     bad = [f"t={int(t)}: {row.size - np.count_nonzero(np.isfinite(row))} "
            f"of {row.size} trials" for t, row in zip(ts, rows)
            if not np.isfinite(row).all()]
@@ -313,7 +310,9 @@ def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
         raise RangeError("delay scores are not finite: " + "; ".join(bad))
     if hist is not None:
         hist.add_scores(rows[0])
-    return stats
+    return [(float(row.sum()), float(row.max()),
+             int(np.count_nonzero(row > 2.0)),
+             int(np.count_nonzero(row > TWO_SQRT2))) for row in rows]
 
 
 def _scored(worker, cfg: SweepConfig, starts: range, new_share):
