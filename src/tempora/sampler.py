@@ -32,7 +32,8 @@ one of batches w, w + N, w + 2N, ...; it sends its pairs as (pairs, error),
 one message per CHUNK batches.  The parent reads the pipes round-robin,
 batch i being entry (i // N) % CHUNK of message (i // N) // CHUNK of child
 i mod N, folds the per-row statistics in batch order, as only their float
-sums depend on that order, and merges the N share histograms as they come.
+sums depend on that order, and takes the first share histogram that comes
+as the sweep's, merging the N - 1 later ones into it.
 A child's exception is raised in the caller at the batch that raised it,
 and a child that exits without a reply raises SamplingError there.  A
 batch with a score that is not finite raises RangeError, so a sweep stops
@@ -84,6 +85,7 @@ class SweepConfig:
     quantum_mode: str = "vector-sum"
 
     def validate(self) -> None:
+        """Raise ConfigError for a field no sweep can run with."""
         kernels.check_options(kind=self.kind, mode=self.mode,
                               convention=self.convention,
                               quantum_mode=self.quantum_mode)
@@ -102,8 +104,10 @@ class SweepConfig:
             for i, t in enumerate(ts):
                 kernels.check_int(f"t_list[{i}]", t, 0)
 
+    # A config checks itself when it is built, so any config is valid.
+    __post_init__ = validate
+
     def as_dict(self) -> dict:
-        self.validate()
         out = {
             "kind": self.kind, "count": int(self.count),
             "seed": int(self.master_seed), "bins": int(self.bins),
@@ -162,9 +166,12 @@ class Histogram:
         for name in ("total", "underflow", "overflow"):
             kernels.check_int(name, getattr(self, name), 0, error=RangeError)
         if self.observed_min is not None or self.observed_max is not None:
-            self.observed_min, self.observed_max = as_matrix2(
+            lo, hi = as_matrix2(
                 (self.observed_min, self.observed_max), "observed extremes",
                 np.float64, (2,), error=RangeError).tolist()
+            if lo > hi:
+                raise RangeError(f"observed_min {lo!r} exceeds observed_max {hi!r}")
+            self.observed_min, self.observed_max = lo, hi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
@@ -181,32 +188,32 @@ class Histogram:
         return int(self.counts.shape[0])
 
     def add_scores(self, scores: np.ndarray) -> None:
-        """Bin an array of finite scores; out-of-range values hit the
-        counters.  Raises RangeError, and bins nothing, for a score that is
-        not a finite real number."""
+        """Bin an array of finite scores, of any shape; out-of-range values
+        hit the counters.  Raises RangeError, and bins nothing, for a score
+        that is not a finite real number."""
         try:
             scores = np.asarray(scores)
         except ValueError:  # ragged
             scores = np.asarray(scores, dtype=object)
         if scores.dtype.kind not in "iuf":  # no str, bool, complex or object
             raise RangeError(f"scores must be real numbers, got {scores.dtype}")
-        scores = scores.astype(np.float64, copy=False)
+        scores = scores.astype(np.float64, copy=False).ravel()
         if scores.size == 0:
             return
         lo = float(scores.min())  # NaN if any score is
         hi = float(scores.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise RangeError(f"scores must be finite, got {lo} to {hi}")
-        # Compared before the int cast, so a huge score bins as overflow.
+        # Clipped before the int cast, so a huge score bins as overflow.
+        # Bin -1 is the underflow and bin self.bins the overflow.
         with np.errstate(over="ignore"):
             x = np.floor((scores - self.lo) * (self.bins / (self.hi - self.lo)))
-        inside = (x >= 0) & (x < self.bins)
-        good = x[inside].astype(np.int64)
-        under = int(np.count_nonzero(x < 0))
-        self.counts += np.bincount(good, minlength=self.bins)
+        np.clip(x, -1, self.bins, out=x)
+        hits = np.bincount(x.astype(np.int64) + 1, minlength=self.bins + 2)
+        self.counts += hits[1:-1]
         self.total += int(scores.size)
-        self.underflow += under
-        self.overflow += int(scores.size) - good.size - under
+        self.underflow += int(hits[0])
+        self.overflow += int(hits[-1])
         self.observed_min = lo if self.observed_min is None else min(self.observed_min, lo)
         self.observed_max = hi if self.observed_max is None else max(self.observed_max, hi)
 
@@ -227,15 +234,15 @@ def histogram_merge(h1: Histogram, h2: Histogram) -> Histogram:
         raise ShapeMismatch(
             f"cannot merge ({h1.lo}, {h1.hi}, {h1.bins} bins) with "
             f"({h2.lo}, {h2.hi}, {h2.bins} bins)")
-    mins = [m for m in (h1.observed_min, h2.observed_min) if m is not None]
-    maxs = [m for m in (h1.observed_max, h2.observed_max) if m is not None]
+    # Either extreme is None exactly when the other is.
+    seen = [h for h in (h1, h2) if h.observed_min is not None]
     return Histogram(
         lo=h1.lo, hi=h1.hi, counts=h1.counts + h2.counts,
         total=h1.total + h2.total,
         underflow=h1.underflow + h2.underflow,
         overflow=h1.overflow + h2.overflow,
-        observed_min=min(mins) if mins else None,
-        observed_max=max(maxs) if maxs else None)
+        observed_min=min((h.observed_min for h in seen), default=None),
+        observed_max=max((h.observed_max for h in seen), default=None))
 
 
 @dataclass
@@ -280,11 +287,6 @@ class DelayStats:
         raise KeyError(f"no statistics for t={t}")
 
 
-def _job(cfg: SweepConfig, start: int) -> tuple[SweepConfig, int, int]:
-    """The job of the batch that starts at trial start."""
-    return cfg, start, min(start + BATCH, cfg.count)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
     """One batch: bins a zero-delay sweep's scores into hist (None for a
@@ -303,26 +305,29 @@ def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
         rows = kernels.batch_delay_scores(
             cfg.kind, cfg.master_seed, trials, ts,
             cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
+    stats = [(float(row.sum()), float(row.max()), int(np.count_nonzero(row > 2.0)),
+              int(np.count_nonzero(row > TWO_SQRT2))) for row in rows]
+    # A score is an abs, never below 0, and a finite one is at most 4, so a
+    # row's sum is finite exactly when each of its scores is.  Checked
+    # before anything is binned.
     bad = [f"t={int(t)}: {row.size - np.count_nonzero(np.isfinite(row))} "
-           f"of {row.size} trials" for t, row in zip(ts, rows)
-           if not np.isfinite(row).all()]
+           f"of {row.size} trials" for t, row, (s, *_) in zip(ts, rows, stats)
+           if not math.isfinite(s)]
     if bad:
         raise RangeError("delay scores are not finite: " + "; ".join(bad))
     if hist is not None:
         hist.add_scores(rows[0])
-    return [(float(row.sum()), float(row.max()),
-             int(np.count_nonzero(row > 2.0)),
-             int(np.count_nonzero(row > TWO_SQRT2))) for row in rows]
+    return stats
 
 
 def _scored(worker, cfg: SweepConfig, starts: range, new_share):
     """Yield (part, worker(job, share)) for each batch that starts at a
-    trial of starts, in order.  The batches score into one share of their
-    own, new_share() (None without new_share), and part is that share after
-    the last batch, else None."""
+    trial of starts, in order, its job being (cfg, start, stop).  The
+    batches score into one share of their own, new_share() (None without
+    new_share), and part is that share after the last batch, else None."""
     share = new_share() if new_share is not None else None
     for start in starts:
-        result = worker(_job(cfg, start), share)
+        result = worker((cfg, start, min(start + BATCH, cfg.count)), share)
         yield (share if start == starts[-1] else None), result
 
 
@@ -476,22 +481,25 @@ def _map_batches(worker, cfg: SweepConfig, workers: int, new_share=None):
         _drop_children(children, keep=read == len(starts))
 
 
-def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram, list]:
+def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram | None, list]:
     """Run cfg's batches and reduce them in batch order: the merged histogram
-    and, per score row, the totals of `_batch`'s statistics."""
-    cfg.validate()
-    hist = Histogram.empty(cfg.bins, *cfg.range)
+    (None for a delay sweep) and, per score row, the totals of `_batch`'s
+    statistics.  The first share is the sweep's histogram, and each later
+    one is merged into it."""
     # Each worker builds its own empty share: a pool child gets the recipe,
     # not up to 2**24 zero counts.
     new_share = (functools.partial(Histogram.empty, cfg.bins, *cfg.range)
                  if cfg.t_list is None else None)
+    hist = None
     totals = [(0.0, -np.inf, 0, 0)] * (1 if cfg.t_list is None
                                        else len(cfg.t_list))
     for part, rows in _map_batches(_batch, cfg, workers, new_share):
         if part is not None:
-            hist = histogram_merge(hist, part)
+            hist = part if hist is None else histogram_merge(hist, part)
         totals = [(s + s2, max(mx, mx2), a + a2, r + r2)
                   for (s, mx, a, r), (s2, mx2, a2, r2) in zip(totals, rows)]
+    if hist is None and new_share is not None:  # no batch ran
+        hist = new_share()
     return hist, totals
 
 

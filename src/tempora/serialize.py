@@ -105,9 +105,14 @@ def machine_from_obj(obj: dict, where: str = "machine") -> Machine:
 
 
 def state_to_obj(state: np.ndarray, kind: str) -> list:
+    """The JSON form of a state that state_from_obj accepts, else
+    ValidationError with its text."""
     if kind == "classical":
-        return as_matrix2(state, "state", np.float64, (2,)).tolist()
-    psi = as_matrix2(state, "state", np.complex128, (2,))
+        return checked_prob_vector(as_matrix2(
+            state, "state", np.float64, (2,), finite=False),
+            ValidationError).tolist()
+    psi = checked_qubit_state(as_matrix2(
+        state, "state", np.complex128, (2,), finite=False), ValidationError)
     return psi.view(np.float64).reshape(2, 2).tolist()
 
 
@@ -143,7 +148,22 @@ class MachineFile:
         return np.array([1.0, 0.0], dtype=np.complex128)
 
 
+def _one_kind(machines: list, charlie: Machine | None) -> str:
+    """The one kind of a machine file's machines, else ValidationError."""
+    kinds = {m.kind for m in machines}
+    if charlie is not None:
+        kinds.add(charlie.kind)
+    if len(kinds) != 1:
+        raise ValidationError(f"machine file mixes kinds {sorted(kinds)}")
+    return kinds.pop()
+
+
 def machine_file_to_obj(mf: MachineFile) -> dict:
+    """The document of a machine file that machine_file_from_obj accepts:
+    one kind of machine and a valid initial state, else ValidationError
+    with the text machine_file_from_obj would raise."""
+    kind = _one_kind([mf.alice.basis1, mf.alice.basis2, mf.bob.basis1,
+                      mf.bob.basis2], mf.charlie)
     out = {
         "schema": SCHEMA,
         "parties": {
@@ -154,7 +174,7 @@ def machine_file_to_obj(mf: MachineFile) -> dict:
     if mf.charlie is not None:
         out["charlie"] = machine_to_obj(mf.charlie)
     if mf.initial is not None:
-        out["initial"] = state_to_obj(mf.initial, mf.kind)
+        out["initial"] = state_to_obj(mf.initial, kind)
     return out
 
 
@@ -170,14 +190,10 @@ def machine_file_from_obj(obj: dict) -> MachineFile:
             raise ParseError(f"parties.{party}: expected exactly two machines")
         machines[party] = [machine_from_obj(entry[n], f"parties.{party}[{n}]")
                            for n in (0, 1)]
-    kinds = {m.kind for pair in machines.values() for m in pair}
     charlie = None
     if obj.get("charlie") is not None:
         charlie = machine_from_obj(obj["charlie"], "charlie")
-        kinds.add(charlie.kind)
-    if len(kinds) != 1:
-        raise ValidationError(f"machine file mixes kinds {sorted(kinds)}")
-    kind = kinds.pop()
+    kind = _one_kind(machines["alice"] + machines["bob"], charlie)
     initial = None
     if obj.get("initial") is not None:
         initial = state_from_obj(obj["initial"], kind)
@@ -214,9 +230,11 @@ def load_machine_file(path) -> MachineFile:
 
 
 def save_machine_file(path, mf: MachineFile) -> None:
+    """Write mf as a file that load_machine_file reads back.  A file that it
+    would refuse raises ValidationError, and nothing is written."""
+    text = json.dumps(machine_file_to_obj(mf), indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(machine_file_to_obj(mf), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def result_to_obj(cfg, hist, summary) -> dict:
@@ -243,7 +261,7 @@ def histogram_csv(hist) -> str:
 def delay_csv(stats) -> str:
     """Per-t delay statistics as CSV with LF endings."""
     lines = ["t,count,mean_s,max_s,fraction_above_2"]
-    for p in stats.points:
-        lines.append(f"{p.t},{p.count},{p.mean_s!r},{p.max_s!r},"
-                     f"{p.fraction_above_2!r}")
+    for p in stats.points:  # a statistic of no trial, JSON null, is empty
+        lines.append(",".join("" if v is None else repr(v) for v in (
+            p.t, p.count, p.mean_s, p.max_s, p.fraction_above_2)))
     return "\n".join(lines) + "\n"

@@ -100,6 +100,18 @@ def test_delay_csv(capsys):
     assert all(line.split(",")[1] == "200" for line in lines[1:])
 
 
+def test_delay_csv_of_no_trials_has_empty_fields_where_json_has_null(capsys):
+    argv = ["delay", "--kind", "mm", "--count", "0", "--t-list", "0,1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [[p[k] for k in ("mean_s", "max_s", "fraction_above_2")]
+            for p in json.loads(out)["delay"]] == [[None] * 3] * 2
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == ("t,count,mean_s,max_s,fraction_above_2\n"
+                   "0,0,,,\n1,0,,,\n")
+
+
 def test_delay_json(capsys):
     code, out, _ = run_cli(capsys, "delay", "--kind", "hqmm", "--count", "64",
                            "--t-list", "0,2", "--quantum-mode", "channel")

@@ -145,6 +145,8 @@ LEAKS = {
         0.0, 4.0, [0, 0]).add_scores([1.0]),
     "list counts to as_dict": lambda: Histogram(0.0, 4.0, [0, 0]).as_dict(),
     "string counts": lambda: Histogram(0.0, 4.0, "ab").bins,
+    "inverted extremes": lambda: Histogram(
+        0.0, 4.0, np.zeros(4, np.int64), observed_min=3.0, observed_max=1.0),
 }
 
 

@@ -1007,36 +1007,37 @@ def test_histogram_merge_rejects_mismatched_binning():
 def test_config_validates_fields():
     good = SweepConfig(kind="mm", count=10)
     good.validate()
+    # A config validates itself when it is built.
     bad = [
-        SweepConfig(kind="m", count=10),
-        SweepConfig(kind="mm", count=-1),
-        SweepConfig(kind="mm", count=2.5),
-        SweepConfig(kind="mm", count=10, bins=0),
-        SweepConfig(kind="mm", count=10, range=(1.0, 1.0)),
-        SweepConfig(kind="mm", count=10, range=(0.0, float("nan"))),
-        SweepConfig(kind="mm", count=10, mode="sorted"),
-        SweepConfig(kind="mm", count=10, convention="other"),
-        SweepConfig(kind="mm", count=10, quantum_mode="unitary"),
-        SweepConfig(kind="mm", count=10, t_list=()),
-        SweepConfig(kind="mm", count=10, t_list=(1, -2)),
-        SweepConfig(kind="mm", count=10, t_list=(0.5,)),
-        SweepConfig(kind="mm", count=10, random_initial="no"),
-        SweepConfig(kind="mm", count=10, random_initial="false"),
-        SweepConfig(kind="mm", count=10, random_initial=0),
-        SweepConfig(kind="mm", count=10, random_initial=None),
-        SweepConfig(kind="mm", count=10, master_seed=1.5),
-        SweepConfig(kind="mm", count=10, master_seed="1"),
-        SweepConfig(kind="mm", count=10, range=(0, 4, 5)),
-        SweepConfig(kind="mm", count=10, range=("a", "b")),
+        dict(kind="m", count=10),
+        dict(kind="mm", count=-1),
+        dict(kind="mm", count=2.5),
+        dict(kind="mm", count=10, bins=0),
+        dict(kind="mm", count=10, range=(1.0, 1.0)),
+        dict(kind="mm", count=10, range=(0.0, float("nan"))),
+        dict(kind="mm", count=10, mode="sorted"),
+        dict(kind="mm", count=10, convention="other"),
+        dict(kind="mm", count=10, quantum_mode="unitary"),
+        dict(kind="mm", count=10, t_list=()),
+        dict(kind="mm", count=10, t_list=(1, -2)),
+        dict(kind="mm", count=10, t_list=(0.5,)),
+        dict(kind="mm", count=10, random_initial="no"),
+        dict(kind="mm", count=10, random_initial="false"),
+        dict(kind="mm", count=10, random_initial=0),
+        dict(kind="mm", count=10, random_initial=None),
+        dict(kind="mm", count=10, master_seed=1.5),
+        dict(kind="mm", count=10, master_seed="1"),
+        dict(kind="mm", count=10, range=(0, 4, 5)),
+        dict(kind="mm", count=10, range=("a", "b")),
         # A bool is never an integer.
-        SweepConfig(kind="mm", count=True),
-        SweepConfig(kind="mm", count=10, bins=True),
-        SweepConfig(kind="mm", count=10, master_seed=True),
-        SweepConfig(kind="mm", count=10, t_list=(True,)),
+        dict(kind="mm", count=True),
+        dict(kind="mm", count=10, bins=True),
+        dict(kind="mm", count=10, master_seed=True),
+        dict(kind="mm", count=10, t_list=(True,)),
     ]
-    for cfg in bad:
+    for fields in bad:
         with pytest.raises(ConfigError):
-            cfg.validate()
+            SweepConfig(**fields)
 
 
 def test_config_echoes_numpy_bools_as_python_bools():
@@ -1610,6 +1611,23 @@ def test_the_pool_parent_merges_one_histogram_and_reads_one_message_per_child(
     assert sweep_document(cfg, 2) == one
     assert 1 <= merges.count(parent) <= 2
     assert 1 <= reads.count(parent) <= 2 * math.ceil(5 / sampler.CHUNK)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sweep_merges_each_share_after_the_first_into_it(monkeypatch,
+                                                            workers):
+    parent, merges = os.getpid(), []
+    merge = sampler.histogram_merge
+
+    def counting_merge(h1, h2):
+        merges.append(os.getpid())
+        return merge(h1, h2)
+
+    cfg = SweepConfig(kind="mm", count=3 * BATCH + 5, master_seed=3)
+    one = sweep_document(cfg, 1)
+    monkeypatch.setattr(sampler, "histogram_merge", counting_merge)
+    assert sweep_document(cfg, workers) == one
+    assert merges.count(parent) == workers - 1
 
 
 def test_run_sweep_empty_count():

@@ -126,6 +126,38 @@ def test_machine_file_roundtrip(kind, tmp_path):
     assert before == after
 
 
+@pytest.mark.parametrize("case", ["mixed parties", "quantum charlie",
+                                  "initial off the simplex"])
+def test_a_machine_file_that_loading_refuses_is_never_saved(case, tmp_path):
+    classical, quantum = machine_file_example("hmm"), machine_file_example("hqmm")
+    mf = {
+        "mixed parties": MachineFile(classical.alice, quantum.bob),
+        "quantum charlie": MachineFile(classical.alice, classical.bob,
+                                       quantum.charlie),
+        "initial off the simplex": MachineFile(
+            classical.alice, classical.bob, initial=np.array([0.3, 0.3])),
+    }[case]
+    # The document that save_machine_file would write, built without it.
+    obj = {"schema": SCHEMA, "parties": {
+        party: [machine_to_obj(getattr(mf, party).basis1),
+                machine_to_obj(getattr(mf, party).basis2)]
+        for party in ("alice", "bob")}}
+    if mf.charlie is not None:
+        obj["charlie"] = machine_to_obj(mf.charlie)
+    if mf.initial is not None:
+        obj["initial"] = mf.initial.tolist()
+    with pytest.raises(ValidationError) as parsed:
+        machine_file_from_obj(obj)
+    with pytest.raises(ValidationError) as written:
+        machine_file_to_obj(mf)
+    assert str(written.value) == str(parsed.value)
+    path = tmp_path / "machines.json"
+    with pytest.raises(ValidationError) as saved:
+        save_machine_file(path, mf)
+    assert str(saved.value) == str(parsed.value)
+    assert not path.exists()
+
+
 def test_machine_file_without_optionals():
     mf = MachineFile(alice=PartySpec(mm_from_params(0.5, 0.5),
                                      mm_from_params(0.1, 0.9)),
