@@ -103,6 +103,8 @@ class SweepConfig:
                     f"t_list must be a non-empty sequence, got {self.t_list!r}")
             for i, t in enumerate(ts):
                 kernels.check_int(f"t_list[{i}]", t, 0)
+            # The tuple checked, which no caller can change afterwards.
+            object.__setattr__(self, "t_list", ts)
 
     # A config checks itself when it is built, so any config is valid.
     __post_init__ = validate
@@ -296,12 +298,11 @@ def _batch(args: tuple[SweepConfig, int, int], hist: Histogram | None) -> list:
     score that is not a finite number."""
     cfg, start, stop = args
     trials = np.arange(start, stop, dtype=np.int64)
+    ts = cfg.t_list or (0,)
     if cfg.t_list is None:
-        ts = (0,)
         rows = kernels.batch_scores(cfg.kind, cfg.master_seed, trials, cfg.mode,
                                     cfg.convention, cfg.random_initial)[None]
     else:
-        ts = tuple(cfg.t_list)
         rows = kernels.batch_delay_scores(
             cfg.kind, cfg.master_seed, trials, ts,
             cfg.quantum_mode, cfg.mode, cfg.convention, cfg.random_initial)
@@ -491,8 +492,7 @@ def _fold(cfg: SweepConfig, workers: int) -> tuple[Histogram | None, list]:
     new_share = (functools.partial(Histogram.empty, cfg.bins, *cfg.range)
                  if cfg.t_list is None else None)
     hist = None
-    totals = [(0.0, -np.inf, 0, 0)] * (1 if cfg.t_list is None
-                                       else len(cfg.t_list))
+    totals = [(0.0, -np.inf, 0, 0)] * len(cfg.t_list or (0,))
     for part, rows in _map_batches(_batch, cfg, workers, new_share):
         if part is not None:
             hist = part if hist is None else histogram_merge(hist, part)

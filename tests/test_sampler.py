@@ -1040,6 +1040,15 @@ def test_config_validates_fields():
             SweepConfig(**fields)
 
 
+def test_a_config_keeps_the_t_list_it_checked():
+    ts = [0, 2]
+    cfg = SweepConfig(kind="mm", count=10, t_list=ts)
+    ts[0] = 1.5  # the caller's list, not the config's
+    assert cfg.t_list == (0, 2) and cfg.as_dict()["t_list"] == [0, 2]
+    once = SweepConfig(kind="mm", count=10, t_list=(t for t in (0, 2)))
+    assert run_delay_sweep(once) == run_delay_sweep(cfg)
+
+
 def test_config_echoes_numpy_bools_as_python_bools():
     for flag in (np.True_, np.False_):
         cfg = SweepConfig(kind="mm", count=10, random_initial=flag)
